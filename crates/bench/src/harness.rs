@@ -1,8 +1,7 @@
 //! Wall-clock benchmark harness with machine-readable JSON reports.
 //!
-//! The vendored criterion stub prints human-oriented text; this harness
-//! is the *measured* perf surface of the repo: each suite produces a
-//! [`BenchReport`] — schema `samr-bench/1` — that `samr bench` writes to
+//! This harness is the *measured* perf surface of the repo: each suite
+//! produces a [`BenchReport`] — schema `samr-bench/1` — that `samr bench` writes to
 //! `BENCH_<suite>.json` at the repo root, and `samr bench --check`
 //! compares a fresh run against a checked-in baseline, failing on
 //! regressions beyond a tolerance. Timing is plain wall clock: a

@@ -1,29 +1,10 @@
 //! # samr-bench — benchmark harness support
 //!
-//! Two benchmark surfaces live here:
-//!
-//! - **The JSON harness** ([`harness`] + [`suites`], driven by
-//!   `samr bench`): fixed wall-clock suites that emit machine-readable
-//!   `BENCH_<suite>.json` reports and support baseline regression
-//!   checks. **This is the source of truth for performance numbers** —
-//!   the vendored criterion stub prints human-oriented text only and
-//!   its output is neither pinned nor compared. Until a real crate
-//!   registry is reachable (the container builds offline), the
-//!   criterion benches below stay as exploratory tooling.
-//! - The criterion benches in `benches/`:
-//!   - `figures`: one group per data figure of the paper (Figures 1, 3
-//!     right, 4–7) — each bench runs the `samr-engine` regeneration
-//!     pipeline on the shared cached trace and prints the series summary
-//!     once, plus a whole-campaign sweep bench;
-//!   - `kernels`: micro-benchmarks of the hot computational kernels (box
-//!     intersection, region algebra, SFC keys, Berger–Rigoutsos, β_m);
-//!   - `partitioners`: the three partitioner families on representative
-//!     hierarchies at several processor counts;
-//!   - `ablations`: the design-choice experiments from DESIGN.md §6 (β_m
-//!     denominator, grid-size weighting, SFC ordering, cluster
-//!     efficiency).
-//!
-//! The rest of the crate body hosts helpers shared by both surfaces.
+//! The JSON harness ([`harness`] + [`suites`], driven by `samr bench`):
+//! fixed wall-clock suites that emit machine-readable
+//! `BENCH_<suite>.json` reports and support baseline regression checks.
+//! The crate body hosts the cached benchmark traces the suites (and the
+//! `ablations` example) share.
 
 #![warn(missing_docs)]
 

@@ -612,12 +612,14 @@ pub fn campaign_report(budget: BenchBudget) -> BenchReport {
         .push(bench_fn("campaign_smoke_2apps", budget, None, || {
             Campaign::run(&spec).len()
         }));
+    // Generate the reduced BL2D trace before timing: calibrating on its
+    // first-touch generation would size the loop to one iteration.
+    let trace = bench_trace(AppKind::Bl2d);
     rep.benches.push(bench_fn(
         "bench_trace_partition_sweep",
         budget,
         None,
         || {
-            let trace = bench_trace(AppKind::Bl2d);
             let p = HybridPartitioner::default();
             let mut acc = 0usize;
             for s in trace.snapshots.iter().step_by(8) {

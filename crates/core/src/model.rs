@@ -24,10 +24,11 @@ pub struct ModelConfig {
     /// surface.
     pub p_ref: usize,
     /// β_m denominator (the paper's choice is `Current`; `Previous` is
-    /// the ablation).
+    /// ablation ABL1 in `examples/ablations.rs`).
     pub denominator: BetaMDenominatorConfig,
     /// Apply the §4.2 absolute-importance grid-size weighting inside
-    /// Trade-off 2 (ablation ABL2 turns it off).
+    /// Trade-off 2 (ablation ABL2 in `examples/ablations.rs` turns it
+    /// off).
     pub weight_by_grid_size: bool,
     /// Time scale of the invocation-interval normalization (in trace
     /// time units).

@@ -17,7 +17,8 @@
 //! saturating exponential and takes `d2 = request / (request + offer)` as
 //! the dimension-2 coordinate (0 → any cheap partitioning will do, 1 → a
 //! long, high-quality partitioning pass is warranted). The choice is
-//! documented as a reconstruction and exercised by ablation ABL2.
+//! documented as a reconstruction and exercised by ablation ABL2
+//! (`examples/ablations.rs`).
 
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +67,7 @@ impl Tradeoff2State {
     /// the Trade-off 2 quantities.
     ///
     /// `weight_by_grid_size = false` disables the §4.2 absolute-importance
-    /// factor (ablation ABL2).
+    /// factor (ablation ABL2 in `examples/ablations.rs`).
     pub fn observe(
         &mut self,
         now: f64,

@@ -27,7 +27,7 @@ pub enum BetaMDenominator {
     /// `|H_t|` again gives the right (smaller) scale.
     Current,
     /// `|H_{t-1}|` — the alternative the paper argues against; kept for
-    /// the ablation experiment (ABL1 in DESIGN.md).
+    /// the ablation experiment (ABL1 in `examples/ablations.rs`).
     Previous,
 }
 

@@ -1,12 +1,11 @@
 //! # samr-engine — the campaign engine
 //!
 //! The paper's contribution is a *pipeline*: application trace → penalty
-//! model → partitioner selection → execution simulation. Before this
-//! crate existed, that wiring was copy-pasted across the facade's
-//! experiment harness, six examples, four criterion benches and the
-//! `samr` CLI, each hard-coding one (app × partitioner × nprocs)
-//! combination. `samr-engine` makes the sweep itself a first-class,
-//! composable, statically described artifact:
+//! model → partitioner selection → execution simulation. `samr-engine`
+//! wires it once — the examples, the benchmark suites and the `samr`
+//! CLI all run through it instead of each hard-coding one
+//! (app × partitioner × nprocs) combination — and makes the sweep
+//! itself a first-class, composable, statically described artifact:
 //!
 //! - [`Scenario`]: one fully described pipeline run — application kind,
 //!   trace configuration, partitioner specification and simulation

@@ -7,7 +7,7 @@ use crate::validation::ShapeStats;
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_core::ModelState;
 use samr_sim::{SimConfig, SimResult, StreamStats};
-use samr_trace::{shared_source, AnySnapshotSource, HierarchyTrace, MemorySource};
+use samr_trace::{shared_source, AnySnapshotSource};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
@@ -167,8 +167,7 @@ impl Scenario {
 }
 
 /// Assemble a scenario outcome from its simulation result, streaming
-/// statistics and shared model series (the tail shared by the streaming
-/// and batch paths).
+/// statistics and shared model series.
 fn outcome_from(
     scenario: &Scenario,
     sim: SimResult,
@@ -189,31 +188,6 @@ fn outcome_from(
         stats,
         model,
     }
-}
-
-/// Execute a scenario on an explicit trace and model series (the shared
-/// path behind the figure-regeneration bundle) — a [`MemorySource`]
-/// over the trace through the same windowed driver as [`Scenario::run`].
-///
-/// Static partitioners are simulated snapshot-parallel within the
-/// window; stateful selectors (whose decisions depend on invocation
-/// order) run strictly sequentially. Both paths produce identical
-/// metrics for a static partitioner, so the choice is an execution
-/// detail, not a semantic one.
-pub(crate) fn run_on_trace<const D: usize>(
-    scenario: &Scenario,
-    trace: &HierarchyTrace<D>,
-    model: Arc<Vec<ModelState>>,
-) -> ScenarioOutcome {
-    let (sim, stats) = scenario
-        .policy
-        .simulate_source(
-            &scenario.partitioner,
-            &mut MemorySource::new(trace),
-            &scenario.sim,
-        )
-        .expect("in-memory snapshot sources cannot fail");
-    outcome_from(scenario, sim, stats, model)
 }
 
 /// The measured outcome of one scenario.

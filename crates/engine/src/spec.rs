@@ -18,15 +18,12 @@
 //! blocking/splitting — so campaigns can sweep *configurations*, not
 //! just families. Preset slugs replace `:` with `-` and stay file-safe.
 
-use samr_meta::compare::run_sequential_source;
 use samr_meta::{MetaPartitioner, OctantMetaPartitioner};
 use samr_partition::{
     DomainSfcParams, HybridParams, Partitioner, PartitionerChoice, PatchAssign, PatchParams,
     SfcCurve,
 };
-use samr_sim::{default_window, simulate_source, MachineModel, SimConfig, SimResult};
-use samr_trace::io::TraceIoError;
-use samr_trace::{HierarchyTrace, MemorySource, SnapshotSource};
+use samr_sim::{default_window, MachineModel};
 use serde::{Deserialize, Serialize};
 
 /// A named, serializable partitioner specification.
@@ -208,41 +205,6 @@ impl PartitionerSpec {
         } else {
             default_window()
         }
-    }
-
-    /// Simulate a snapshot stream under this spec: windowed
-    /// snapshot-parallel for static choices, strictly sequential
-    /// (window 1) for stateful selectors. The single simulate entry
-    /// point shared by scenario execution and the CLI; peak residency is
-    /// `O(window)`.
-    pub fn simulate_source<const D: usize>(
-        &self,
-        source: &mut (dyn SnapshotSource<D> + '_),
-        cfg: &SimConfig,
-    ) -> Result<SimResult, TraceIoError> {
-        let partitioner = self.build::<D>(&cfg.machine);
-        if self.stateful() {
-            let (steps, total_time) = run_sequential_source(source, partitioner.as_ref(), cfg)?;
-            Ok(SimResult {
-                partitioner: partitioner.name(),
-                nprocs: cfg.nprocs,
-                steps,
-                total_time,
-            })
-        } else {
-            simulate_source(source, partitioner.as_ref(), cfg, self.window())
-        }
-    }
-
-    /// Simulate a whole in-memory trace under this spec — the batch
-    /// facade over [`PartitionerSpec::simulate_source`].
-    pub fn simulate<const D: usize>(
-        &self,
-        trace: &HierarchyTrace<D>,
-        cfg: &SimConfig,
-    ) -> SimResult {
-        self.simulate_source(&mut MemorySource::new(trace), cfg)
-            .expect("in-memory snapshot sources cannot fail")
     }
 }
 

@@ -7,20 +7,18 @@
 //! communication and migration — the blue curves), the load-imbalance
 //! series (Figure 1) and the *shape statistics* the paper's visual
 //! comparison corresponds to (correlations, amplitude ratios, peak lags,
-//! dominant oscillation periods). The examples, integration tests and
-//! criterion benches all consume this type, so all three report the same
-//! numbers — and all of them are now thin wrappers over the campaign
-//! engine rather than hand-wired pipelines.
+//! dominant oscillation periods). The examples and integration tests
+//! both consume this type, so both report the same numbers — and both
+//! are thin wrappers over the campaign engine rather than hand-wired
+//! pipelines.
 
-use crate::scenario::{run_on_trace, Scenario, ScenarioOutcome};
+use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::spec::PartitionerSpec;
-use crate::store::{cached_model, cached_trace};
 use samr_apps::{AppKind, TraceGenConfig};
-use samr_core::{ModelPipeline, ModelState};
+use samr_core::ModelState;
 use samr_partition::PartitionerChoice;
 use samr_sim::metrics::{dominant_period, peak_lag, pearson};
 use samr_sim::{SeriesSummary, SimConfig, SimResult};
-use samr_trace::HierarchyTrace;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -107,36 +105,11 @@ impl ValidationRun {
     /// campaign engine: the hybrid and domain-based scenarios over the
     /// shared cached trace.
     pub fn execute(app: AppKind, cfg: &TraceGenConfig, sim_cfg: &SimConfig) -> Self {
-        let trace = cached_trace(app, cfg);
-        let model = cached_model(app, cfg);
-        let trace2 = trace
-            .as_2d()
-            .expect("validation figures reproduce the paper's 2-D applications");
-        Self::from_parts(app, cfg, trace2, model, sim_cfg)
-    }
-
-    /// Same, from an already generated trace (used by the benches, whose
-    /// traces live in the shared store under the bench configuration).
-    pub fn from_trace(app: AppKind, trace: &HierarchyTrace<2>, sim_cfg: &SimConfig) -> Self {
-        let model = Arc::new(ModelPipeline::new().run(trace));
-        // The trace is explicit, so the scenario's trace config is
-        // documentary; record the paper configuration it derives from.
-        Self::from_parts(app, &TraceGenConfig::paper(), trace, model, sim_cfg)
-    }
-
-    fn from_parts(
-        app: AppKind,
-        cfg: &TraceGenConfig,
-        trace: &HierarchyTrace<2>,
-        model: Arc<Vec<ModelState>>,
-        sim_cfg: &SimConfig,
-    ) -> Self {
+        let run = |partitioner: PartitionerSpec| {
+            Scenario::new(app, cfg.clone(), partitioner, *sim_cfg).run()
+        };
         let [hybrid_spec, domain_spec] = figure_specs();
-        let scenario =
-            |partitioner: PartitionerSpec| Scenario::new(app, cfg.clone(), partitioner, *sim_cfg);
-        let hybrid = run_on_trace(&scenario(hybrid_spec), trace, Arc::clone(&model));
-        let domain = run_on_trace(&scenario(domain_spec), trace, model);
-        Self::from_outcomes(hybrid, domain)
+        Self::from_outcomes(run(hybrid_spec), run(domain_spec))
     }
 
     /// Assemble a figure bundle from the two scenario outcomes a figure

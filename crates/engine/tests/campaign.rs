@@ -190,7 +190,7 @@ impl<const D: usize, S: samr_trace::SnapshotSource<D>> samr_trace::SnapshotSourc
 
 #[test]
 fn windowed_driver_bounds_live_snapshots_at_the_window() {
-    use samr_sim::{simulate_source_stats, SimConfig};
+    use samr_sim::{simulate_policy_source_stats, SimConfig, StaticPolicy};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
@@ -201,12 +201,21 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
         ..SimConfig::default()
     };
 
+    // The scenario driver's result for a spec, from an in-memory source.
+    let engine = |spec: &PartitionerSpec| {
+        let source = &mut samr_trace::MemorySource::new(trace);
+        PolicySpec::Static
+            .simulate_source::<2>(spec, source, &cfg)
+            .unwrap()
+            .0
+    };
+
     // Static partitioner, several windows: the count of live snapshots
     // never exceeds the window plus the one carried predecessor, while
-    // the whole stream is consumed and the output matches the batch
+    // the whole stream is consumed and the output matches the scenario
     // driver bit for bit.
     let static_spec = PartitionerSpec::parse("hybrid").unwrap();
-    let batch = static_spec.simulate(trace, &cfg);
+    let expected = engine(&static_spec);
     for window in [2usize, 4, 7] {
         let yielded = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let mut source = CountingSource {
@@ -214,8 +223,9 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
             yielded: Arc::clone(&yielded),
         };
         let partitioner = static_spec.build::<2>(&cfg.machine);
+        let mut policy = StaticPolicy::new(partitioner.as_ref());
         let (result, stats) =
-            simulate_source_stats(&mut source, partitioner.as_ref(), &cfg, window).unwrap();
+            simulate_policy_source_stats(&mut source, &mut policy, &cfg, window).unwrap();
         assert_eq!(yielded.load(Ordering::Relaxed), trace.len());
         assert_eq!(stats.snapshots, trace.len());
         assert!(
@@ -223,7 +233,7 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
             "window {window}: {} snapshots were live",
             stats.peak_resident
         );
-        assert_eq!(result, batch, "window {window} changed the metrics");
+        assert_eq!(result, expected, "window {window} changed the metrics");
     }
 
     // Stateful selector: window 1, at most the current pair live.
@@ -235,12 +245,12 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
         yielded: Arc::clone(&yielded),
     };
     let partitioner = meta_spec.build::<2>(&cfg.machine);
-    let (result, stats) =
-        simulate_source_stats(&mut source, partitioner.as_ref(), &cfg, 1).unwrap();
+    let mut policy = StaticPolicy::new(partitioner.as_ref());
+    let (result, stats) = simulate_policy_source_stats(&mut source, &mut policy, &cfg, 1).unwrap();
     assert_eq!(yielded.load(Ordering::Relaxed), trace.len());
     assert!(stats.peak_resident <= 2, "{}", stats.peak_resident);
-    // And the streamed sequential run equals the batch sequential run.
-    assert_eq!(result.steps, meta_spec.simulate(trace, &cfg).steps);
+    // And the counted sequential run equals the scenario driver's run.
+    assert_eq!(result.steps, engine(&meta_spec).steps);
 }
 
 #[test]

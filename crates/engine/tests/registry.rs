@@ -1,12 +1,16 @@
 //! Partitioner-registry contract: every named preset round-trips
-//! through `parse`, and the slugs scenarios derive from the registry
-//! stay unique and file-safe across the full registry × machine axis —
-//! the invariant distributed campaign artifacts depend on, since shard
-//! merges address scenarios by slug-named files.
+//! through `parse`, the slugs scenarios derive from the registry stay
+//! unique and file-safe across the full registry × machine axis — the
+//! invariant distributed campaign artifacts depend on, since shard
+//! merges address scenarios by slug-named files — and every static
+//! preset simulates identically at every streaming window.
 
 use samr_apps::{AppKind, TraceGenConfig};
-use samr_engine::{PartitionerSpec, Scenario};
-use samr_sim::{MachineModel, SimConfig};
+use samr_engine::{cached_trace, PartitionerSpec, Scenario};
+use samr_sim::{
+    default_window, simulate_policy_source_stats, MachineModel, SimConfig, SimResult, StaticPolicy,
+};
+use samr_trace::{HierarchyTrace, MemorySource};
 use std::collections::HashSet;
 
 /// Characters that are safe in artifact file names on every platform
@@ -85,4 +89,56 @@ fn scenario_slugs_are_unique_across_the_registry_machine_axis() {
         n,
         PartitionerSpec::registry().len() * MachineModel::registry().len()
     );
+}
+
+/// The static driver's result for `spec` over `trace` at each window.
+fn at_windows<const D: usize>(
+    spec: &PartitionerSpec,
+    trace: &HierarchyTrace<D>,
+    cfg: &SimConfig,
+    windows: &[usize],
+) -> Vec<SimResult> {
+    let partitioner = spec.build::<D>(&cfg.machine);
+    windows
+        .iter()
+        .map(|&window| {
+            let source = &mut MemorySource::new(trace);
+            let mut policy = StaticPolicy::new(partitioner.as_ref());
+            simulate_policy_source_stats(source, &mut policy, cfg, window)
+                .unwrap()
+                .0
+        })
+        .collect()
+}
+
+#[test]
+fn every_static_preset_is_window_invariant_in_2d_and_3d() {
+    // Window > 1 pre-partitions each window in parallel with fresh
+    // scratch; window 1 partitions on demand through the reused scratch.
+    // Every static preset must give the same result either way.
+    let tp2d = cached_trace(AppKind::Tp2d, &TraceGenConfig::smoke());
+    let sp3d = cached_trace(
+        AppKind::Sp3d,
+        &TraceGenConfig {
+            base_cells: 16,
+            steps: 6,
+            ..TraceGenConfig::smoke()
+        },
+    );
+    let cfg = SimConfig {
+        nprocs: 8,
+        ..SimConfig::default()
+    };
+    let windows = [1, 3, default_window()];
+    for (name, spec) in PartitionerSpec::registry() {
+        if spec.stateful() {
+            continue;
+        }
+        let runs2 = at_windows(&spec, tp2d.as_2d().expect("TP2D is 2-D"), &cfg, &windows);
+        let runs3 = at_windows(&spec, sp3d.as_3d().expect("SP3D is 3-D"), &cfg, &windows);
+        for (w, (r2, r3)) in windows.iter().zip(runs2.iter().zip(&runs3)) {
+            assert_eq!(r2, &runs2[0], "{name}: TP2D at window {w}");
+            assert_eq!(r3, &runs3[0], "{name}: SP3D at window {w}");
+        }
+    }
 }

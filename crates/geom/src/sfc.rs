@@ -6,7 +6,7 @@
 //! processor chunks. The paper notes (§5.2) that a *partially ordered* SFC
 //! mapping trades ordering quality for speed and may inflate data
 //! migration — both full and partial orderings are provided so that this
-//! trade-off is reproducible (ablation `ablation_sfc`).
+//! trade-off is reproducible (`ablation_sfc` in `examples/ablations.rs`).
 //!
 //! The 2-D curves are bit-identical to the historical implementations of
 //! the original 2-D code base; the 3-D Hilbert curve uses Skilling's

@@ -11,9 +11,9 @@
 use crate::meta::MetaPartitioner;
 use crate::octant_meta::OctantMetaPartitioner;
 use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner, PatchPartitioner};
-use samr_sim::{simulate_source_stats, SimConfig, StepMetrics};
+use samr_sim::{simulate_policy_source_stats, SimConfig, SimResult, StaticPolicy};
 use samr_trace::io::TraceIoError;
-use samr_trace::{HierarchyTrace, MemorySource, SnapshotSource};
+use samr_trace::{HierarchyTrace, MemorySource};
 use serde::{Deserialize, Serialize};
 
 /// Result of one partitioner (static or dynamic) over a trace.
@@ -74,96 +74,55 @@ impl ComparisonResult {
     }
 }
 
-/// Run one (possibly stateful) partitioner sequentially over a snapshot
-/// stream. Sequential order is required for the meta-partitioner, whose
-/// classification depends on the previous hierarchy — this is the
-/// windowed streaming driver pinned to window 1, so at most two
-/// snapshots (the current pair) are ever resident.
-pub fn run_sequential_source<const D: usize>(
-    source: &mut (dyn SnapshotSource<D> + '_),
-    partitioner: &(dyn Partitioner<D> + Sync),
-    cfg: &SimConfig,
-) -> Result<(Vec<StepMetrics>, f64), TraceIoError> {
-    let (result, _) = simulate_source_stats(source, partitioner, cfg, 1)?;
-    Ok((result.steps, result.total_time))
-}
-
-/// Run one (possibly stateful) partitioner sequentially over a whole
-/// trace — the batch facade over [`run_sequential_source`].
-pub fn run_sequential<const D: usize>(
+/// Run one (possibly stateful) partitioner over the trace on the
+/// strictly sequential window-1 driver — the meta-partitioner's
+/// classification depends on the previous hierarchy — and summarize it.
+fn run<const D: usize>(
     trace: &HierarchyTrace<D>,
     partitioner: &(dyn Partitioner<D> + Sync),
     cfg: &SimConfig,
-) -> (Vec<StepMetrics>, f64) {
-    run_sequential_source(&mut MemorySource::new(trace), partitioner, cfg)
-        .expect("in-memory snapshot sources cannot fail")
-}
-
-fn outcome(name: String, steps: &[StepMetrics], total: f64) -> RunOutcome {
-    let n = steps.len().max(1) as f64;
-    RunOutcome {
+) -> Result<RunOutcome, TraceIoError> {
+    let mut policy = StaticPolicy::new(partitioner);
+    let (result, _) =
+        simulate_policy_source_stats(&mut MemorySource::new(trace), &mut policy, cfg, 1)?;
+    let SimResult {
+        partitioner: name,
+        steps,
+        total_time,
+        ..
+    } = result;
+    let n = steps.len() as f64;
+    Ok(RunOutcome {
         name,
-        total_time: total,
+        total_time,
         mean_imbalance: steps.iter().map(|s| s.load_imbalance).sum::<f64>() / n,
         mean_rel_comm: steps.iter().map(|s| s.rel_comm).sum::<f64>() / n,
         mean_rel_migration: steps.iter().map(|s| s.rel_migration).sum::<f64>() / n,
-    }
-}
-
-/// Compare the three static partitioner families (default
-/// configurations) against the meta-partitioner. The snapshot stream is
-/// opened through `open` exactly **once** and drained into a shared
-/// in-memory trace that every pass replays — N compared partitioners
-/// cost one trace generation (an `open` backed by a generator used to
-/// regenerate the whole trace per pass). Each pass runs strictly
-/// sequentially (the selectors are stateful).
-pub fn compare_on_sources<const D: usize, S, F>(
-    mut open: F,
-    cfg: &SimConfig,
-) -> Result<ComparisonResult, TraceIoError>
-where
-    S: SnapshotSource<D>,
-    F: FnMut() -> Result<S, TraceIoError>,
-{
-    let trace = {
-        let mut source = open()?;
-        let mut t = HierarchyTrace::new(source.meta().clone());
-        while let Some(snap) = source.next_snapshot()? {
-            t.push(snap);
-        }
-        t
-    };
-    let statics: Vec<Box<dyn Partitioner<D> + Sync>> = vec![
-        Box::new(DomainSfcPartitioner::default()),
-        Box::new(PatchPartitioner::default()),
-        Box::new(HybridPartitioner::default()),
-    ];
-    let mut static_runs = Vec::with_capacity(statics.len());
-    for p in &statics {
-        let (steps, total) =
-            run_sequential_source(&mut MemorySource::new(&trace), p.as_ref(), cfg)?;
-        static_runs.push(outcome(p.name(), &steps, total));
-    }
-    let meta = MetaPartitioner::for_machine(&cfg.machine);
-    let (steps, total) = run_sequential_source(&mut MemorySource::new(&trace), &meta, cfg)?;
-    let octant = OctantMetaPartitioner::new();
-    let (osteps, ototal) = run_sequential_source(&mut MemorySource::new(&trace), &octant, cfg)?;
-    Ok(ComparisonResult {
-        static_runs,
-        meta_run: outcome(meta.name(), &steps, total),
-        octant_run: outcome(octant.name(), &osteps, ototal),
     })
 }
 
-/// Compare the three static partitioner families (default configurations)
-/// against the meta-partitioner on one in-memory trace — the batch
-/// facade over [`compare_on_sources`].
+/// Compare the three static partitioner families (default
+/// configurations) against the meta-partitioner and the octant baseline
+/// on one in-memory trace. Each pass runs strictly sequentially (the
+/// selectors are stateful). An empty trace is an error.
 pub fn compare_on_trace<const D: usize>(
     trace: &HierarchyTrace<D>,
     cfg: &SimConfig,
-) -> ComparisonResult {
-    compare_on_sources(|| Ok(MemorySource::new(trace)), cfg)
-        .expect("in-memory snapshot sources cannot fail")
+) -> Result<ComparisonResult, TraceIoError> {
+    let statics: [&(dyn Partitioner<D> + Sync); 3] = [
+        &DomainSfcPartitioner::default(),
+        &PatchPartitioner::default(),
+        &HybridPartitioner::default(),
+    ];
+    let static_runs = statics
+        .into_iter()
+        .map(|p| run(trace, p, cfg))
+        .collect::<Result<_, _>>()?;
+    Ok(ComparisonResult {
+        static_runs,
+        meta_run: run(trace, &MetaPartitioner::for_machine(&cfg.machine), cfg)?,
+        octant_run: run(trace, &OctantMetaPartitioner::new(), cfg)?,
+    })
 }
 
 #[cfg(test)]
@@ -181,7 +140,7 @@ mod tests {
     #[test]
     fn comparison_produces_all_outcomes() {
         let trace = generate_trace(AppKind::Tp2d, &TraceGenConfig::smoke());
-        let res = compare_on_trace(&trace, &cfg());
+        let res = compare_on_trace(&trace, &cfg()).unwrap();
         assert_eq!(res.static_runs.len(), 3);
         assert!(res.meta_run.total_time > 0.0);
         for r in &res.static_runs {
@@ -196,7 +155,7 @@ mod tests {
         // badly to the oracle static choice and should beat the worst
         // static choice.
         let trace = generate_trace(AppKind::Bl2d, &TraceGenConfig::smoke());
-        let res = compare_on_trace(&trace, &cfg());
+        let res = compare_on_trace(&trace, &cfg()).unwrap();
         assert!(
             res.meta_vs_worst() < 1.0,
             "meta ({}) should beat the worst static ({})",
@@ -212,33 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn comparison_generates_the_trace_once() {
-        // Five partitioners are compared, but the source is opened (and
-        // the trace therefore generated) exactly once.
-        let trace = generate_trace(AppKind::Tp2d, &TraceGenConfig::smoke());
-        let mut opens = 0usize;
-        let shared = compare_on_sources::<2, _, _>(
-            || {
-                opens += 1;
-                Ok(MemorySource::new(&trace))
-            },
-            &cfg(),
-        )
-        .unwrap();
-        assert_eq!(opens, 1);
-        // And the shared replay changes nothing about the outcomes.
-        assert_eq!(shared, compare_on_trace(&trace, &cfg()));
-    }
-
-    #[test]
-    fn sequential_runner_matches_simulate_for_stateless() {
-        use samr_sim::simulate_trace;
-        let trace = generate_trace(AppKind::Sc2d, &TraceGenConfig::smoke());
-        let p = DomainSfcPartitioner::default();
-        let cfg = cfg();
-        let (steps, total) = run_sequential(&trace, &p, &cfg);
-        let par = simulate_trace(&trace, &p, &cfg);
-        assert_eq!(steps, par.steps);
-        assert!((total - par.total_time).abs() < 1e-9);
+    fn an_empty_trace_is_an_error() {
+        let meta = generate_trace(AppKind::Tp2d, &TraceGenConfig::smoke()).meta;
+        let err = compare_on_trace(&HierarchyTrace::new(meta), &cfg()).unwrap_err();
+        assert!(err.to_string().contains("empty"), "{err}");
     }
 }

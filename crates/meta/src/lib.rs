@@ -30,7 +30,7 @@ pub mod octant_meta;
 pub mod policy;
 pub mod selector;
 
-pub use compare::{compare_on_sources, compare_on_trace, ComparisonResult};
+pub use compare::{compare_on_trace, ComparisonResult};
 pub use meta::MetaPartitioner;
 pub use octant_meta::OctantMetaPartitioner;
 pub use policy::{adaptive_presets, AdaptiveConfig, AdaptivePolicy};

@@ -221,10 +221,17 @@ mod tests {
     use samr_grid::GridHierarchy;
     use samr_partition::DomainSfcPartitioner;
     use samr_sim::migration::naive_migration_cells;
-    use samr_sim::{
-        simulate_policy_source_stats, simulate_source_stats, simulate_trace, SimConfig,
-    };
+    use samr_sim::{simulate_policy_source_stats, SimConfig, SimResult, StaticPolicy};
     use samr_trace::{HierarchyTrace, MemorySource, Snapshot, TraceMeta};
+
+    /// The local partitioner alone, unchanged for the whole run.
+    fn static_domain(t: &HierarchyTrace<2>, cfg: &SimConfig) -> SimResult {
+        let p = DomainSfcPartitioner::default();
+        let source = &mut MemorySource::new(t);
+        simulate_policy_source_stats(source, &mut StaticPolicy::new(&p), cfg, 1)
+            .unwrap()
+            .0
+    }
 
     fn r(x0: i64, y0: i64, x1: i64, y1: i64) -> Rect2 {
         Rect2::from_coords(x0, y0, x1, y1)
@@ -293,13 +300,7 @@ mod tests {
         );
         let (adaptive, stats) =
             simulate_policy_source_stats(&mut MemorySource::new(&t), &mut policy, &cfg, 1).unwrap();
-        let (stat, _) = simulate_source_stats(
-            &mut MemorySource::new(&t),
-            &DomainSfcPartitioner::default(),
-            &cfg,
-            1,
-        )
-        .unwrap();
+        let stat = static_domain(&t, &cfg);
         assert!(stats.switch_events.is_empty());
         assert_eq!(adaptive.steps, stat.steps);
         assert_eq!(adaptive.total_time, stat.total_time);
@@ -380,7 +381,7 @@ mod tests {
         // partitioner for the whole run, even with the switch charged.
         let t = phase_change_trace(24);
         let cfg = cfg();
-        let static_run = simulate_trace(&t, &DomainSfcPartitioner::default(), &cfg);
+        let static_run = static_domain(&t, &cfg);
         let mut policy = AdaptivePolicy::<2>::new(
             Box::new(DomainSfcPartitioner::default()),
             AdaptiveConfig::balance(),

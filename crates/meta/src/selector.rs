@@ -145,7 +145,8 @@ impl Selector {
     /// splitting aggressiveness). The meta never selects partially
     /// ordered SFC mappings: the ordering's marginal speed advantage is
     /// far outweighed by the data migration its unstable cuts cause (the
-    /// paper's §5.2 suspicion, confirmed by the `ablation_sfc` bench).
+    /// paper's §5.2 suspicion, confirmed by `ablation_sfc` in
+    /// `examples/ablations.rs`).
     pub fn map(&self, input: &SelectionInput) -> PartitionerChoice {
         let c = &self.config;
         let p = &input.point;

@@ -7,7 +7,7 @@ use samr_meta::{AdaptiveConfig, AdaptivePolicy};
 use samr_partition::{DomainSfcPartitioner, Partitioner, PartitionerChoice};
 use samr_sim::migration::naive_migration_cells;
 use samr_sim::policy::PartitionPolicy;
-use samr_sim::{simulate_policy_source_stats, simulate_source_stats, MachineModel, SimConfig};
+use samr_sim::{simulate_policy_source_stats, MachineModel, SimConfig, StaticPolicy};
 use samr_trace::{HierarchyTrace, MemorySource, Snapshot, TraceMeta};
 
 fn meta() -> TraceMeta<2> {
@@ -108,11 +108,9 @@ proptest! {
         let (adaptive, stats) = simulate_policy_source_stats(
             &mut MemorySource::new(&t), &mut policy, &cfg, window,
         ).unwrap();
-        let (stat, _) = simulate_source_stats(
-            &mut MemorySource::new(&t),
-            &DomainSfcPartitioner::default(),
-            &cfg,
-            window,
+        let local = DomainSfcPartitioner::default();
+        let (stat, _) = simulate_policy_source_stats(
+            &mut MemorySource::new(&t), &mut StaticPolicy::new(&local), &cfg, window,
         ).unwrap();
         prop_assert!(stats.switch_events.is_empty());
         prop_assert_eq!(adaptive.steps, stat.steps);

@@ -207,10 +207,9 @@ impl<const D: usize> FragIndex<D> {
 /// Reusable buffers for the indexed metric paths: one fragment index plus
 /// the clip/volume arenas threaded through [`crate::comm::comm_accounting`],
 /// [`crate::migration::migration_accounting`] and
-/// [`crate::simulate::step_metrics_with`]. Like
+/// [`crate::simulate::step_metrics`]. Like
 /// [`samr_partition::PartitionScratch`], the scratch only changes where
-/// intermediates live — results are identical to the scratch-free entry
-/// points.
+/// intermediates live — results never depend on its prior contents.
 pub struct MetricScratch<const D: usize> {
     /// The per-level fragment index (rebuilt once per level walked).
     pub(crate) index: FragIndex<D>,

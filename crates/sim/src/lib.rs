@@ -24,13 +24,13 @@
 //!   partitioner" decision ([`StaticPolicy`] here; adaptive policies
 //!   implement the same [`PartitionPolicy`] contract upstack in
 //!   `samr-meta`);
-//! - [`stream`]: the windowed streaming driver — a
-//!   [`samr_trace::SnapshotSource`] in, per-step metrics out, with peak
-//!   residency bounded by the window size (snapshot-parallel within each
-//!   window; strictly sequential at window 1 for stateful selectors and
-//!   switching policies);
-//! - [`simulate`]: the batch facade that runs a whole
-//!   [`samr_trace::HierarchyTrace`] through the windowed driver.
+//! - [`stream`]: the simulation driver — a
+//!   [`samr_trace::SnapshotSource`] and a [`PartitionPolicy`] in,
+//!   per-step metrics out, with peak residency bounded by the window size
+//!   (snapshot-parallel within each window; strictly sequential at
+//!   window 1 for stateful selectors and switching policies);
+//! - [`simulate`]: the simulation configuration and result, and the
+//!   per-step metric fold the driver runs.
 
 #![warn(missing_docs)]
 
@@ -47,8 +47,5 @@ pub use exec::MachineModel;
 pub use index::{FragIndex, MetricScratch};
 pub use metrics::{SeriesSummary, StepMetrics};
 pub use policy::{PartitionPolicy, PolicySwitch, StaticPolicy, SwitchEvent};
-pub use simulate::{simulate_trace, step_metrics, step_metrics_with, SimConfig, SimResult};
-pub use stream::{
-    default_window, simulate_policy_source_stats, simulate_source, simulate_source_stats,
-    StreamStats,
-};
+pub use simulate::{step_metrics, SimConfig, SimResult};
+pub use stream::{default_window, simulate_policy_source_stats, StreamStats};

@@ -1,37 +1,17 @@
 //! Data-migration accounting between consecutive partitionings.
 //!
-//! Like [`crate::comm`], every metric has an indexed production path (a
-//! [`FragIndex`](crate::index::FragIndex) over the *current* partition's
-//! fragments, queried with the previous step's boxes) and a `naive_*`
-//! all-pairs oracle property-tested to produce identical counts.
+//! Like [`crate::comm`], the production path [`migration_accounting`]
+//! walks a [`FragIndex`](crate::index::FragIndex) over the *current*
+//! partition's fragments, queried with the previous step's boxes, and
+//! every quantity it produces has a `naive_*` all-pairs oracle
+//! property-tested to produce identical counts.
 
 use crate::index::MetricScratch;
 use samr_geom::boxops;
 use samr_grid::GridHierarchy;
 use samr_partition::Partition;
 
-/// Number of grid points transmitted at the redistribution between the
-/// distribution of `H_{t-1}` and that of `H_t` — the Berger–Colella
-/// regrid data-transfer accounting:
-///
-/// 1. **surviving cells** (same level, present at both steps) whose owner
-///    changed are copied from the old owner;
-/// 2. **newly created cells** (refined into existence at `t`) are filled
-///    by interpolation from their parent level — a transfer whenever the
-///    parent cell's (new) owner differs from the fine cell's owner.
-///
-/// Cells that disappear (coarsened away) are deleted in place and cost
-/// nothing.
-pub fn migration_cells<const D: usize>(
-    prev: &GridHierarchy<D>,
-    prev_part: &Partition<D>,
-    cur: &GridHierarchy<D>,
-    cur_part: &Partition<D>,
-) -> u64 {
-    moved_survivors(prev_part, cur_part) + interpolation_transfers(prev, cur, cur_part)
-}
-
-/// All-pairs oracle for [`migration_cells`].
+/// All-pairs oracle for the total [`migration_accounting`] returns.
 pub fn naive_migration_cells<const D: usize>(
     prev: &GridHierarchy<D>,
     prev_part: &Partition<D>,
@@ -41,26 +21,8 @@ pub fn naive_migration_cells<const D: usize>(
     naive_moved_survivors(prev_part, cur_part) + naive_interpolation_transfers(prev, cur, cur_part)
 }
 
-/// Component 1: same-level cells that exist at both steps and changed
-/// owner.
-pub fn moved_survivors<const D: usize>(prev_part: &Partition<D>, cur_part: &Partition<D>) -> u64 {
-    let mut scratch = MetricScratch::default();
-    let mut moved = 0u64;
-    let levels = prev_part.levels.len().min(cur_part.levels.len());
-    for l in 0..levels {
-        scratch.index.build(&cur_part.levels[l].fragments);
-        for old in &prev_part.levels[l].fragments {
-            scratch.index.query(&old.rect, |_, rect, owner| {
-                if owner != old.owner {
-                    moved += old.rect.overlap_cells(&rect);
-                }
-            });
-        }
-    }
-    moved
-}
-
-/// All-pairs oracle for [`moved_survivors`].
+/// All-pairs oracle for component 1 of [`migration_accounting`]:
+/// same-level cells that exist at both steps and changed owner.
 pub fn naive_moved_survivors<const D: usize>(
     prev_part: &Partition<D>,
     cur_part: &Partition<D>,
@@ -79,40 +41,8 @@ pub fn naive_moved_survivors<const D: usize>(
     moved
 }
 
-/// Component 2: newly refined cells interpolated from a remote parent.
-/// Counted in fine grid points.
-pub fn interpolation_transfers<const D: usize>(
-    prev: &GridHierarchy<D>,
-    cur: &GridHierarchy<D>,
-    cur_part: &Partition<D>,
-) -> u64 {
-    let mut scratch = MetricScratch::default();
-    let mut transfers = 0u64;
-    for l in 1..cur.levels.len() {
-        let prev_rects: Vec<samr_geom::AABox<D>> = if l < prev.levels.len() {
-            prev.levels[l].rects()
-        } else {
-            Vec::new()
-        };
-        scratch.index.build(&cur_part.levels[l - 1].fragments);
-        for frag in &cur_part.levels[l].fragments {
-            // The part of this fragment that did not exist at t-1.
-            for new_piece in boxops::subtract_all(&frag.rect, &prev_rects) {
-                let parent = new_piece.coarsen(cur.ratio);
-                scratch.index.query(&parent, |_, rect, owner| {
-                    if owner != frag.owner {
-                        if let Some(ov) = parent.intersect(&rect) {
-                            transfers += ov.refine(cur.ratio).overlap_cells(&new_piece);
-                        }
-                    }
-                });
-            }
-        }
-    }
-    transfers
-}
-
-/// All-pairs oracle for [`interpolation_transfers`].
+/// All-pairs oracle for component 2 of [`migration_accounting`]: newly
+/// refined cells interpolated from a remote parent, in fine grid points.
 pub fn naive_interpolation_transfers<const D: usize>(
     prev: &GridHierarchy<D>,
     cur: &GridHierarchy<D>,
@@ -127,6 +57,7 @@ pub fn naive_interpolation_transfers<const D: usize>(
         };
         let coarse = &cur_part.levels[l - 1].fragments;
         for frag in &cur_part.levels[l].fragments {
+            // The part of this fragment that did not exist at t-1.
             for new_piece in boxops::subtract_all(&frag.rect, &prev_rects) {
                 let parent = new_piece.coarsen(cur.ratio);
                 for cf in coarse {
@@ -143,22 +74,8 @@ pub fn naive_interpolation_transfers<const D: usize>(
     transfers
 }
 
-/// Per-processor outbound migration volume (grid points leaving each
-/// processor at the redistribution, including interpolation sources), for
-/// the execution-time model.
-pub fn per_proc_migration<const D: usize>(
-    prev: &GridHierarchy<D>,
-    prev_part: &Partition<D>,
-    cur: &GridHierarchy<D>,
-    cur_part: &Partition<D>,
-    nprocs: usize,
-) -> Vec<u64> {
-    let mut scratch = MetricScratch::default();
-    migration_accounting(prev, prev_part, cur, cur_part, nprocs, &mut scratch);
-    std::mem::take(&mut scratch.mig)
-}
-
-/// All-pairs oracle for [`per_proc_migration`].
+/// All-pairs oracle for the per-processor volumes
+/// [`migration_accounting`] leaves in [`MetricScratch::per_proc_mig`].
 pub fn naive_per_proc_migration<const D: usize>(
     prev: &GridHierarchy<D>,
     prev_part: &Partition<D>,
@@ -202,11 +119,25 @@ pub fn naive_per_proc_migration<const D: usize>(
     out
 }
 
-/// One-pass migration accounting: computes [`migration_cells`] (returned)
-/// and [`per_proc_migration`] (into `scratch.mig`) with a single index
-/// build per current level — the moved-survivor pass queries the level's
-/// own index, the interpolation pass for the next-finer level queries it
-/// as the parent index before it is rebuilt.
+/// Number of grid points transmitted at the redistribution between the
+/// distribution of `H_{t-1}` and that of `H_t` — the Berger–Colella
+/// regrid data-transfer accounting:
+///
+/// 1. **surviving cells** (same level, present at both steps) whose owner
+///    changed are copied from the old owner;
+/// 2. **newly created cells** (refined into existence at `t`) are filled
+///    by interpolation from their parent level — a transfer whenever the
+///    parent cell's (new) owner differs from the fine cell's owner.
+///
+/// Cells that disappear (coarsened away) are deleted in place and cost
+/// nothing. Each processor's outbound volume (grid points leaving it,
+/// including interpolation sources, for the execution-time model) lands
+/// in `scratch`.
+///
+/// One pass with a single index build per current level: the
+/// moved-survivor pass queries the level's own index, and the
+/// interpolation pass for the next-finer level queries it as the parent
+/// index before it is rebuilt.
 pub fn migration_accounting<const D: usize>(
     prev: &GridHierarchy<D>,
     prev_part: &Partition<D>,
@@ -274,6 +205,19 @@ mod tests {
         Rect2::from_coords(x0, y0, x1, y1)
     }
 
+    /// One accounting pass on a fresh scratch: the total and the
+    /// per-processor outbound volumes.
+    fn account(
+        prev: &GridHierarchy<2>,
+        prev_part: &Partition<2>,
+        cur: &GridHierarchy<2>,
+        cur_part: &Partition<2>,
+    ) -> (u64, Vec<u64>) {
+        let mut scratch = MetricScratch::default();
+        let total = migration_accounting(prev, prev_part, cur, cur_part, 2, &mut scratch);
+        (total, scratch.per_proc_mig().to_vec())
+    }
+
     fn h8() -> GridHierarchy<2> {
         GridHierarchy::base_only(Rect2::from_extents(8, 8), 2)
     }
@@ -300,7 +244,7 @@ mod tests {
     fn identical_partitions_migrate_nothing() {
         let h = h8();
         let p = part(3);
-        assert_eq!(migration_cells(&h, &p, &h, &p), 0);
+        assert_eq!(account(&h, &p, &h, &p).0, 0);
         assert_eq!(naive_migration_cells(&h, &p, &h, &p), 0);
     }
 
@@ -310,13 +254,13 @@ mod tests {
         let a = part(3);
         let b = part(5);
         // Columns 4..5 (16 cells) move from proc 1 to proc 0.
-        assert_eq!(migration_cells(&h, &a, &h, &b), 16);
+        let (total, out) = account(&h, &a, &h, &b);
+        assert_eq!(total, 16);
         assert_eq!(naive_migration_cells(&h, &a, &h, &b), 16);
-        let out = per_proc_migration(&h, &a, &h, &b, 2);
         assert_eq!(out, vec![0, 16]);
         assert_eq!(naive_per_proc_migration(&h, &a, &h, &b, 2), out);
         // Reverse direction mirrors.
-        assert_eq!(per_proc_migration(&h, &b, &h, &a, 2), vec![16, 0]);
+        assert_eq!(account(&h, &b, &h, &a).1, vec![16, 0]);
     }
 
     #[test]
@@ -327,7 +271,7 @@ mod tests {
         for f in &mut b.levels[0].fragments {
             f.owner = 1 - f.owner;
         }
-        assert_eq!(migration_cells(&h, &a, &h, &b), 64);
+        assert_eq!(account(&h, &a, &h, &b).0, 64);
         assert_eq!(naive_migration_cells(&h, &a, &h, &b), 64);
     }
 
@@ -366,7 +310,7 @@ mod tests {
                 }],
             }],
         };
-        assert_eq!(migration_cells(&h_prev, &p_prev, &h_cur, &p_cur), 0);
+        assert_eq!(account(&h_prev, &p_prev, &h_cur, &p_cur).0, 0);
         assert_eq!(naive_migration_cells(&h_prev, &p_prev, &h_cur, &p_cur), 0);
     }
 
@@ -422,17 +366,12 @@ mod tests {
         // plus the 32 newly created cells [12..15]x[4..11] interpolated
         // from base cells owned by proc 0 while the fine fragment sits on
         // proc 1.
-        assert_eq!(moved_survivors(&p_prev, &p_cur), 32);
         assert_eq!(naive_moved_survivors(&p_prev, &p_cur), 32);
-        assert_eq!(interpolation_transfers(&h_prev, &h_cur, &p_cur), 32);
         assert_eq!(naive_interpolation_transfers(&h_prev, &h_cur, &p_cur), 32);
-        assert_eq!(migration_cells(&h_prev, &p_prev, &h_cur, &p_cur), 64);
-        // The combined accounting agrees with the parts.
-        let mut scratch = MetricScratch::default();
-        let total = migration_accounting(&h_prev, &p_prev, &h_cur, &p_cur, 2, &mut scratch);
+        let (total, out) = account(&h_prev, &p_prev, &h_cur, &p_cur);
         assert_eq!(total, 64);
         assert_eq!(
-            scratch.per_proc_mig(),
+            out,
             naive_per_proc_migration(&h_prev, &p_prev, &h_cur, &p_cur, 2)
         );
     }
@@ -473,13 +412,13 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(migration_cells(&h_prev, &p_prev, &h_cur, &p_cur), 0);
+        assert_eq!(account(&h_prev, &p_prev, &h_cur, &p_cur).0, 0);
         // Same new cells on the other processor: all 64 are interpolated
         // remotely.
         let mut p_remote = p_cur.clone();
         p_remote.levels[1].fragments[0].owner = 1;
-        assert_eq!(migration_cells(&h_prev, &p_prev, &h_cur, &p_remote), 64);
-        let out = per_proc_migration(&h_prev, &p_prev, &h_cur, &p_remote, 2);
+        let (total, out) = account(&h_prev, &p_prev, &h_cur, &p_remote);
+        assert_eq!(total, 64);
         assert_eq!(out, vec![64, 0]); // proc 0 ships the parent data
         assert_eq!(
             naive_per_proc_migration(&h_prev, &p_prev, &h_cur, &p_remote, 2),

@@ -1,4 +1,4 @@
-//! The trace-driven simulation driver.
+//! Simulation configuration, results and the per-step metric fold.
 
 use crate::comm::comm_accounting;
 use crate::exec::MachineModel;
@@ -6,8 +6,7 @@ use crate::index::MetricScratch;
 use crate::metrics::StepMetrics;
 use crate::migration::migration_accounting;
 use samr_grid::GridHierarchy;
-use samr_partition::{Partition, Partitioner};
-use samr_trace::HierarchyTrace;
+use samr_partition::Partition;
 use serde::{Deserialize, Serialize};
 
 /// Simulation configuration.
@@ -83,35 +82,13 @@ impl SimResult {
     }
 }
 
-/// Compute the metrics of one step given the previous step's state.
-/// `repartitioned` controls whether partitioning cost and migration are
-/// charged.
+/// Compute the metrics of one step given the previous step's state: one
+/// combined communication walk and one combined migration walk, with the
+/// fragment index and per-processor volume buffers held in `scratch`
+/// (whose prior contents never change the result). `partition_cost` is
+/// zero on steps that reused the previous distribution.
 #[allow(clippy::too_many_arguments)]
 pub fn step_metrics<const D: usize>(
-    step: u32,
-    h: &GridHierarchy<D>,
-    part: &Partition<D>,
-    prev: Option<(&GridHierarchy<D>, &Partition<D>)>,
-    cfg: &SimConfig,
-    partition_cost: f64,
-) -> StepMetrics {
-    step_metrics_with(
-        step,
-        h,
-        part,
-        prev,
-        cfg,
-        partition_cost,
-        &mut MetricScratch::default(),
-    )
-}
-
-/// [`step_metrics`] through a reusable [`MetricScratch`]: one combined
-/// communication walk and one combined migration walk per step, with the
-/// fragment index and per-processor volume buffers reused across steps.
-/// Returns exactly the same metrics as [`step_metrics`].
-#[allow(clippy::too_many_arguments)]
-pub fn step_metrics_with<const D: usize>(
     step: u32,
     h: &GridHierarchy<D>,
     part: &Partition<D>,
@@ -158,38 +135,29 @@ pub fn step_metrics_with<const D: usize>(
     }
 }
 
-/// Run a whole trace through `partitioner` on `cfg.nprocs` processors.
-///
-/// The batch facade over the windowed streaming driver
-/// ([`crate::stream::simulate_source`]): partitions are computed
-/// rayon-parallel within each window (a partitioner is a pure function
-/// of the hierarchy), metrics are accumulated in step order, and the
-/// result is identical for any thread count and window size.
-pub fn simulate_trace<const D: usize>(
-    trace: &HierarchyTrace<D>,
-    partitioner: &(dyn Partitioner<D> + Sync),
-    cfg: &SimConfig,
-) -> SimResult {
-    assert!(!trace.is_empty(), "cannot simulate an empty trace");
-    crate::stream::simulate_source(
-        &mut samr_trace::MemorySource::new(trace),
-        partitioner,
-        cfg,
-        crate::stream::default_window(),
-    )
-    .expect("in-memory snapshot sources cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::StaticPolicy;
+    use crate::stream::{default_window, simulate_policy_source_stats};
     use samr_geom::Rect2;
-    use samr_grid::GridHierarchy;
-    use samr_partition::{DomainSfcPartitioner, HybridPartitioner, PatchPartitioner};
-    use samr_trace::{Snapshot, TraceMeta};
+    use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner, PatchPartitioner};
+    use samr_trace::{HierarchyTrace, MemorySource, Snapshot, TraceMeta};
 
     fn r(x0: i64, y0: i64, x1: i64, y1: i64) -> Rect2 {
         Rect2::from_coords(x0, y0, x1, y1)
+    }
+
+    /// Run a whole trace through one partitioner on the windowed driver.
+    fn simulate(
+        trace: &HierarchyTrace<2>,
+        p: &(dyn Partitioner<2> + Sync),
+        cfg: &SimConfig,
+    ) -> SimResult {
+        let source = &mut MemorySource::new(trace);
+        simulate_policy_source_stats(source, &mut StaticPolicy::new(p), cfg, default_window())
+            .unwrap()
+            .0
     }
 
     /// A synthetic trace: a refined box sweeping across the domain.
@@ -256,7 +224,7 @@ mod tests {
             nprocs: 4,
             ..SimConfig::default()
         };
-        let res = simulate_trace(&trace, &DomainSfcPartitioner::default(), &cfg);
+        let res = simulate(&trace, &DomainSfcPartitioner::default(), &cfg);
         assert_eq!(res.steps.len(), 6);
         for s in &res.steps[1..] {
             assert_eq!(s.migration_cells, 0, "step {}", s.step);
@@ -273,7 +241,7 @@ mod tests {
             nprocs: 4,
             ..SimConfig::default()
         };
-        let res = simulate_trace(&trace, &DomainSfcPartitioner::default(), &cfg);
+        let res = simulate(&trace, &DomainSfcPartitioner::default(), &cfg);
         let total_mig: u64 = res.steps.iter().map(|s| s.migration_cells).sum();
         assert!(total_mig > 0, "a moving feature must migrate data");
         // Relative metrics are sane.
@@ -291,31 +259,32 @@ mod tests {
             nprocs: 5,
             ..SimConfig::default()
         };
-        let a = simulate_trace(&trace, &HybridPartitioner::default(), &cfg);
-        let b = simulate_trace(&trace, &HybridPartitioner::default(), &cfg);
+        let a = simulate(&trace, &HybridPartitioner::default(), &cfg);
+        let b = simulate(&trace, &HybridPartitioner::default(), &cfg);
         assert_eq!(a, b);
     }
 
     #[test]
     fn domain_based_has_no_inter_level_comm() {
-        use crate::comm::inter_level_comm;
         let trace = moving_trace(3);
         let p = DomainSfcPartitioner::default();
+        let mut scratch = MetricScratch::default();
         for snap in &trace.snapshots {
             let part = p.partition(&snap.hierarchy, 4);
-            assert_eq!(inter_level_comm(&snap.hierarchy, &part), 0);
+            let acc = comm_accounting(&snap.hierarchy, &part, 1, &mut scratch);
+            assert_eq!(acc.inter, 0);
         }
     }
 
     #[test]
     fn patch_based_pays_inter_level_comm() {
-        use crate::comm::inter_level_comm;
         let trace = moving_trace(3);
         let p = PatchPartitioner::default();
+        let mut scratch = MetricScratch::default();
         let mut any = 0u64;
         for snap in &trace.snapshots {
             let part = p.partition(&snap.hierarchy, 4);
-            any += inter_level_comm(&snap.hierarchy, &part);
+            any += comm_accounting(&snap.hierarchy, &part, 1, &mut scratch).inter;
         }
         assert!(any > 0, "patch-based should split parents from children");
     }
@@ -327,7 +296,7 @@ mod tests {
             nprocs: 1,
             ..SimConfig::default()
         };
-        let res = simulate_trace(&trace, &PatchPartitioner::default(), &cfg);
+        let res = simulate(&trace, &PatchPartitioner::default(), &cfg);
         for s in &res.steps {
             assert_eq!(s.comm_cells, 0);
             assert_eq!(s.migration_cells, 0);
@@ -346,13 +315,20 @@ mod tests {
         };
         let p = HybridPartitioner::default();
         let mut scratch = MetricScratch::default();
-        let mut prev: Option<(GridHierarchy<2>, samr_partition::Partition<2>)> = None;
+        let mut prev: Option<(GridHierarchy<2>, Partition<2>)> = None;
         for snap in &trace.snapshots {
             let part = p.partition(&snap.hierarchy, cfg.nprocs);
             let prev_ref = prev.as_ref().map(|(h, pp)| (h, pp));
-            let fresh = step_metrics(snap.step, &snap.hierarchy, &part, prev_ref, &cfg, 1.0);
-            let prev_ref = prev.as_ref().map(|(h, pp)| (h, pp));
-            let reused = step_metrics_with(
+            let fresh = step_metrics(
+                snap.step,
+                &snap.hierarchy,
+                &part,
+                prev_ref,
+                &cfg,
+                1.0,
+                &mut MetricScratch::default(),
+            );
+            let reused = step_metrics(
                 snap.step,
                 &snap.hierarchy,
                 &part,
@@ -373,7 +349,7 @@ mod tests {
             nprocs: 4,
             ..SimConfig::default()
         };
-        let res = simulate_trace(&trace, &HybridPartitioner::default(), &cfg);
+        let res = simulate(&trace, &HybridPartitioner::default(), &cfg);
         let sum: f64 = res.steps.iter().map(|s| s.step_time).sum();
         assert!((res.total_time - sum).abs() < 1e-9);
         assert!(res.total_time > 0.0);

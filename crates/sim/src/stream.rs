@@ -1,64 +1,43 @@
 //! Windowed streaming simulation driver — bounded-memory execution of a
 //! snapshot stream through a partitioner.
 //!
-//! [`simulate_source`] pulls snapshots from a [`SnapshotSource`] into a
-//! ring of at most `window` snapshots, partitions the window
-//! rayon-parallel (partitioners are pure functions of the hierarchy),
-//! then folds the window's step metrics in order, carrying exactly one
+//! [`simulate_policy_source_stats`] pulls snapshots from a
+//! [`SnapshotSource`] into a ring of at most `window` snapshots,
+//! partitions the window rayon-parallel under a static policy
+//! (partitioners are pure functions of the hierarchy), then folds the
+//! window's step metrics in order, carrying exactly one
 //! `(snapshot, partition)` pair across window boundaries (step metrics
 //! need the predecessor for migration). Peak residency is therefore
 //! `window` in-flight snapshots plus the single carried predecessor —
-//! `O(window)`, never `O(steps)` — while the snapshot-parallel speed of
-//! the batch driver is kept.
+//! `O(window)`, never `O(steps)` — and the result is identical for any
+//! thread count and window size.
 //!
 //! With `window == 1` the driver degrades to the strictly sequential
 //! regime stateful partitioner selectors require: partitioners are
-//! invoked one snapshot at a time, in step order, and — matching the
-//! meta-partitioner comparison driver — *not* invoked at all on steps
-//! whose hierarchy is unchanged under `reuse_unchanged`, so selector
-//! state evolves exactly as in a live run.
+//! invoked one snapshot at a time, in step order, and *not* invoked at
+//! all on steps whose hierarchy is unchanged under `reuse_unchanged`,
+//! so selector state evolves exactly as in a live run.
 
 use crate::index::MetricScratch;
-use crate::policy::{PartitionPolicy, PolicySwitch, StaticPolicy, SwitchEvent};
-use crate::simulate::{step_metrics_with, SimConfig, SimResult};
+use crate::policy::{PartitionPolicy, PolicySwitch, SwitchEvent};
+use crate::simulate::{step_metrics, SimConfig, SimResult};
 use rayon::prelude::*;
-use samr_partition::{Partition, PartitionScratch, Partitioner};
+use samr_partition::{Partition, PartitionScratch};
 use samr_trace::io::TraceIoError;
 use samr_trace::{Snapshot, SnapshotSource};
 
-/// The default window, resolved once per process.
-///
-/// Honors the `SAMR_STREAM_WINDOW` environment variable when set to a
-/// positive integer (a deliberate operator override, including `1` for
-/// the strictly sequential regime). Otherwise autotunes to twice the
-/// rayon pool width — every worker has a snapshot to partition plus one
-/// queued — clamped to `2..=64` so residency stays bounded on very wide
-/// machines where more queueing buys no throughput.
+/// The default window, resolved once per process: twice the rayon pool
+/// width — every worker has a snapshot to partition plus one queued —
+/// clamped to `2..=64` so residency stays bounded on very wide machines
+/// where more queueing buys no throughput.
 pub fn default_window() -> usize {
     static WINDOW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WINDOW.get_or_init(|| {
-        let autotuned = (2 * rayon::current_num_threads()).clamp(2, 64);
-        match std::env::var("SAMR_STREAM_WINDOW") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(w) if w >= 1 => w,
-                // An override the operator set but we cannot honor must
-                // not be swallowed: say what was rejected and what runs.
-                _ => {
-                    eprintln!(
-                        "warning: SAMR_STREAM_WINDOW='{v}' is not a positive integer; \
-                         using the autotuned window of {autotuned}"
-                    );
-                    autotuned
-                }
-            },
-            Err(_) => autotuned,
-        }
-    })
+    *WINDOW.get_or_init(|| (2 * rayon::current_num_threads()).clamp(2, 64))
 }
 
 /// Residency and adaptation accounting of one
-/// [`simulate_source_stats`] / [`simulate_policy_source_stats`] run, for
-/// tests and capacity planning.
+/// [`simulate_policy_source_stats`] run, for tests and capacity
+/// planning.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamStats {
     /// Most snapshots ever live in the driver at once: the filled window
@@ -83,37 +62,11 @@ impl StreamStats {
     }
 }
 
-/// Run a snapshot stream through `partitioner` on `cfg.nprocs`
-/// processors; see the module docs for the windowing contract. Produces
-/// byte-identical results to the batch [`crate::simulate_trace`] for any
-/// window, and to the sequential comparison driver for `window == 1`.
-pub fn simulate_source<const D: usize>(
-    source: &mut (dyn SnapshotSource<D> + '_),
-    partitioner: &(dyn Partitioner<D> + Sync),
-    cfg: &SimConfig,
-    window: usize,
-) -> Result<SimResult, TraceIoError> {
-    simulate_source_stats(source, partitioner, cfg, window).map(|(result, _)| result)
-}
-
-/// [`simulate_source`] plus residency statistics.
-///
-/// The fixed-partitioner facade over [`simulate_policy_source_stats`]:
-/// wraps `partitioner` in a [`StaticPolicy`], which the policy driver
-/// reproduces byte-identically (pinned by this module's tests against
-/// the batch driver).
-pub fn simulate_source_stats<const D: usize>(
-    source: &mut (dyn SnapshotSource<D> + '_),
-    partitioner: &(dyn Partitioner<D> + Sync),
-    cfg: &SimConfig,
-    window: usize,
-) -> Result<(SimResult, StreamStats), TraceIoError> {
-    let mut policy = StaticPolicy::new(partitioner);
-    simulate_policy_source_stats(source, &mut policy, cfg, window)
-}
-
-/// Run a snapshot stream under a [`PartitionPolicy`] — the policy owns
-/// the partitioner and may switch it mid-stream.
+/// Run a snapshot stream under a [`PartitionPolicy`] on `cfg.nprocs`
+/// processors — the policy owns the partitioner and may switch it
+/// mid-stream; wrap a single partitioner in a
+/// [`StaticPolicy`](crate::policy::StaticPolicy) to run it unchanged.
+/// See the module docs for the windowing contract.
 ///
 /// Per snapshot the driver (1) repartitions with the policy's *current*
 /// partitioner (or reuses the previous distribution when the hierarchy
@@ -216,7 +169,7 @@ pub fn simulate_policy_source_stats<const D: usize>(
             } else {
                 Some((&buf[i - 1].hierarchy, &eff[i - 1]))
             };
-            let m = step_metrics_with(
+            let m = step_metrics(
                 buf[i].step,
                 &buf[i].hierarchy,
                 &eff[i],
@@ -269,14 +222,25 @@ pub fn simulate_policy_source_stats<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate::simulate_trace;
+    use crate::policy::StaticPolicy;
     use samr_geom::Rect2;
     use samr_grid::GridHierarchy;
-    use samr_partition::{DomainSfcPartitioner, HybridPartitioner};
+    use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner};
     use samr_trace::{HierarchyTrace, MemorySource, TraceMeta};
 
     fn r(x0: i64, y0: i64, x1: i64, y1: i64) -> Rect2 {
         Rect2::from_coords(x0, y0, x1, y1)
+    }
+
+    /// Run a whole trace through one partitioner at `window`.
+    fn run(
+        t: &HierarchyTrace<2>,
+        p: &(dyn Partitioner<2> + Sync),
+        cfg: &SimConfig,
+        window: usize,
+    ) -> Result<(SimResult, StreamStats), TraceIoError> {
+        let source = &mut MemorySource::new(t);
+        simulate_policy_source_stats(source, &mut StaticPolicy::new(p), cfg, window)
     }
 
     /// A moving-box trace with an unchanged-hierarchy plateau in the
@@ -313,18 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn every_window_size_matches_the_batch_driver() {
+    fn every_window_size_gives_the_sequential_result() {
         let t = trace(11);
         let cfg = SimConfig {
             nprocs: 4,
             ..SimConfig::default()
         };
         let p = DomainSfcPartitioner::default();
-        let batch = simulate_trace(&t, &p, &cfg);
+        let (sequential, _) = run(&t, &p, &cfg, 1).unwrap();
         for window in [1usize, 2, 3, 5, 11, 64] {
-            let (streamed, stats) =
-                simulate_source_stats(&mut MemorySource::new(&t), &p, &cfg, window).unwrap();
-            assert_eq!(streamed, batch, "window {window} diverged");
+            let (streamed, stats) = run(&t, &p, &cfg, window).unwrap();
+            assert_eq!(streamed, sequential, "window {window} diverged");
             assert_eq!(stats.snapshots, t.len());
             assert!(
                 stats.switch_events.is_empty(),
@@ -369,8 +332,7 @@ mod tests {
             inner: HybridPartitioner::default(),
             calls: Mutex::new(Vec::new()),
         };
-        let (res, stats) =
-            simulate_source_stats(&mut MemorySource::new(&t), &rec, &cfg, 1).unwrap();
+        let (res, stats) = run(&t, &rec, &cfg, 1).unwrap();
         assert_eq!(res.steps.len(), 8);
         assert!(stats.peak_resident <= 2, "{}", stats.peak_resident);
         // Steps 4 and 5 repeat step 3's hierarchy: exactly 6 invocations,
@@ -441,7 +403,7 @@ mod tests {
             nprocs: 4,
             ..SimConfig::default()
         };
-        let static_run = simulate_trace(&t, &DomainSfcPartitioner::default(), &cfg);
+        let (static_run, _) = run(&t, &DomainSfcPartitioner::default(), &cfg, 1).unwrap();
         assert_eq!(static_run.steps[4].partition_cost, 0.0, "plateau reuses");
         let mut policy = FlipAfter::new(3);
         let (res, stats) =
@@ -501,12 +463,9 @@ mod tests {
     }
 
     #[test]
-    fn default_window_is_positive_and_bounded_without_override() {
+    fn default_window_is_autotuned_within_bounds() {
         let w = default_window();
-        assert!(w >= 1);
-        if std::env::var("SAMR_STREAM_WINDOW").is_err() {
-            assert!((2..=64).contains(&w), "autotuned window {w} out of range");
-        }
+        assert!((2..=64).contains(&w), "autotuned window {w} out of range");
     }
 
     #[test]
@@ -524,6 +483,6 @@ mod tests {
         let t = HierarchyTrace::new(meta);
         let cfg = SimConfig::default();
         let p = DomainSfcPartitioner::default();
-        assert!(simulate_source(&mut MemorySource::new(&t), &p, &cfg, 4).is_err());
+        assert!(run(&t, &p, &cfg, 4).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Indexed metric paths == retained all-pairs `naive_*` oracles.
+//! The accounting passes == retained all-pairs `naive_*` oracles.
 //!
 //! Every accumulated quantity is an order-independent `u64` sum, so the
 //! grid-bucket index must reproduce the naive loops *exactly* — these
@@ -8,17 +8,17 @@
 //! two and three dimensions.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use samr_geom::{Box3, Point2, Rect2};
 use samr_grid::GridHierarchy;
 use samr_partition::{Fragment, LevelPartition, Partition};
 use samr_sim::comm::{
-    comm_accounting, inter_level_comm, intra_level_comm, intra_level_involved,
-    naive_inter_level_comm, naive_intra_level_comm, naive_intra_level_involved,
-    naive_per_proc_comm, per_proc_comm,
+    comm_accounting, naive_inter_level_comm, naive_intra_level_comm, naive_intra_level_involved,
+    naive_per_proc_comm,
 };
 use samr_sim::migration::{
-    interpolation_transfers, migration_accounting, moved_survivors, naive_interpolation_transfers,
-    naive_migration_cells, naive_moved_survivors, naive_per_proc_migration, per_proc_migration,
+    migration_accounting, naive_interpolation_transfers, naive_migration_cells,
+    naive_moved_survivors, naive_per_proc_migration,
 };
 use samr_sim::MetricScratch;
 
@@ -100,31 +100,47 @@ fn arb_hierarchy() -> impl Strategy<Value = GridHierarchy<2>> {
     })
 }
 
+/// `comm_accounting` on a fresh and then on the same dirty scratch must
+/// both reproduce every comm oracle: intra, inter, involved and the
+/// per-processor volumes.
+fn comm_matches_oracles<const D: usize>(
+    h: &GridHierarchy<D>,
+    part: &Partition<D>,
+    ghost: i64,
+) -> Result<(), TestCaseError> {
+    let mut scratch = MetricScratch::default();
+    let acc = comm_accounting(h, part, ghost, &mut scratch);
+    prop_assert_eq!(acc.intra, naive_intra_level_comm(h, part, ghost));
+    prop_assert_eq!(acc.inter, naive_inter_level_comm(h, part));
+    prop_assert_eq!(
+        acc.intra_involved,
+        naive_intra_level_involved(h, part, ghost)
+    );
+    let naive_vols = naive_per_proc_comm(h, part, ghost);
+    prop_assert_eq!(scratch.per_proc_vols(), naive_vols.as_slice());
+    let again = comm_accounting(h, part, ghost, &mut scratch);
+    prop_assert_eq!(acc, again);
+    Ok(())
+}
+
+/// With a base-only current hierarchy no level is refined into
+/// existence, so `migration_accounting` counts the moved survivors alone
+/// — over every level the two partitions share.
+fn moved_survivors_match_oracle<const D: usize>(
+    base: &GridHierarchy<D>,
+    prev_part: &Partition<D>,
+    cur_part: &Partition<D>,
+) -> Result<(), TestCaseError> {
+    let mut scratch = MetricScratch::default();
+    let moved = migration_accounting(base, prev_part, base, cur_part, NPROCS, &mut scratch);
+    prop_assert_eq!(moved, naive_moved_survivors(prev_part, cur_part));
+    let naive_mig = naive_per_proc_migration(base, prev_part, base, cur_part, NPROCS);
+    prop_assert_eq!(scratch.per_proc_mig(), naive_mig.as_slice());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn comm_metrics_match_oracles_2d(
-        frags in arb_frags2(40),
-        nlevels in 1usize..4,
-        ghost in 1i64..3,
-    ) {
-        let h = GridHierarchy::base_only(Rect2::from_extents(64, 64), 2);
-        let part = deal(frags, nlevels);
-        prop_assert_eq!(
-            intra_level_comm(&h, &part, ghost),
-            naive_intra_level_comm(&h, &part, ghost)
-        );
-        prop_assert_eq!(inter_level_comm(&h, &part), naive_inter_level_comm(&h, &part));
-        prop_assert_eq!(
-            intra_level_involved(&h, &part, ghost),
-            naive_intra_level_involved(&h, &part, ghost)
-        );
-        prop_assert_eq!(
-            per_proc_comm(&h, &part, ghost),
-            naive_per_proc_comm(&h, &part, ghost)
-        );
-    }
 
     #[test]
     fn comm_accounting_matches_oracles_2d(
@@ -133,39 +149,16 @@ proptest! {
         ghost in 1i64..3,
     ) {
         let h = GridHierarchy::base_only(Rect2::from_extents(64, 64), 2);
-        let part = deal(frags, nlevels);
-        let mut scratch = MetricScratch::default();
-        let acc = comm_accounting(&h, &part, ghost, &mut scratch);
-        prop_assert_eq!(acc.intra, naive_intra_level_comm(&h, &part, ghost));
-        prop_assert_eq!(acc.inter, naive_inter_level_comm(&h, &part));
-        prop_assert_eq!(acc.intra_involved, naive_intra_level_involved(&h, &part, ghost));
-        let naive_vols = naive_per_proc_comm(&h, &part, ghost);
-        prop_assert_eq!(scratch.per_proc_vols(), naive_vols.as_slice());
-        // The same dirty scratch reproduces itself.
-        let again = comm_accounting(&h, &part, ghost, &mut scratch);
-        prop_assert_eq!(acc, again);
+        comm_matches_oracles(&h, &deal(frags, nlevels), ghost)?;
     }
 
     #[test]
-    fn comm_metrics_match_oracles_3d(
+    fn comm_accounting_matches_oracles_3d(
         frags in arb_frags3(30),
         nlevels in 1usize..4,
     ) {
         let h = GridHierarchy::base_only(Box3::from_extents(32, 32, 32), 2);
-        let part = deal(frags, nlevels);
-        prop_assert_eq!(
-            intra_level_comm(&h, &part, 1),
-            naive_intra_level_comm(&h, &part, 1)
-        );
-        prop_assert_eq!(inter_level_comm(&h, &part), naive_inter_level_comm(&h, &part));
-        prop_assert_eq!(
-            intra_level_involved(&h, &part, 1),
-            naive_intra_level_involved(&h, &part, 1)
-        );
-        prop_assert_eq!(
-            per_proc_comm(&h, &part, 1),
-            naive_per_proc_comm(&h, &part, 1)
-        );
+        comm_matches_oracles(&h, &deal(frags, nlevels), 1)?;
     }
 
     #[test]
@@ -174,12 +167,8 @@ proptest! {
         new_frags in arb_frags2(40),
         nlevels in 1usize..4,
     ) {
-        let prev_part = deal(old_frags, nlevels);
-        let cur_part = deal(new_frags, nlevels);
-        prop_assert_eq!(
-            moved_survivors(&prev_part, &cur_part),
-            naive_moved_survivors(&prev_part, &cur_part)
-        );
+        let base = GridHierarchy::base_only(Rect2::from_extents(64, 64), 2);
+        moved_survivors_match_oracle(&base, &deal(old_frags, nlevels), &deal(new_frags, nlevels))?;
     }
 
     #[test]
@@ -188,16 +177,12 @@ proptest! {
         new_frags in arb_frags3(25),
         nlevels in 1usize..3,
     ) {
-        let prev_part = deal(old_frags, nlevels);
-        let cur_part = deal(new_frags, nlevels);
-        prop_assert_eq!(
-            moved_survivors(&prev_part, &cur_part),
-            naive_moved_survivors(&prev_part, &cur_part)
-        );
+        let base = GridHierarchy::base_only(Box3::from_extents(32, 32, 32), 2);
+        moved_survivors_match_oracle(&base, &deal(old_frags, nlevels), &deal(new_frags, nlevels))?;
     }
 
     #[test]
-    fn migration_metrics_match_oracles(
+    fn migration_accounting_matches_oracles(
         prev_h in arb_hierarchy(),
         cur_h in arb_hierarchy(),
         old_frags in arb_frags2(30),
@@ -207,15 +192,17 @@ proptest! {
         // overlap-heavy boxes, which is all the metric paths read.
         let prev_part = deal(old_frags, prev_h.levels.len());
         let cur_part = deal(new_frags, cur_h.levels.len());
+        let mut scratch = MetricScratch::default();
+        // A previous partition with no levels has no survivors, which
+        // isolates the interpolation count.
+        let no_survivors = Partition { nprocs: NPROCS, levels: Vec::new() };
+        let interpolated = migration_accounting(
+            &prev_h, &no_survivors, &cur_h, &cur_part, NPROCS, &mut scratch,
+        );
         prop_assert_eq!(
-            interpolation_transfers(&prev_h, &cur_h, &cur_part),
+            interpolated,
             naive_interpolation_transfers(&prev_h, &cur_h, &cur_part)
         );
-        prop_assert_eq!(
-            per_proc_migration(&prev_h, &prev_part, &cur_h, &cur_part, NPROCS),
-            naive_per_proc_migration(&prev_h, &prev_part, &cur_h, &cur_part, NPROCS)
-        );
-        let mut scratch = MetricScratch::default();
         let total = migration_accounting(
             &prev_h, &prev_part, &cur_h, &cur_part, NPROCS, &mut scratch,
         );

@@ -3,11 +3,12 @@
 use proptest::prelude::*;
 use samr_geom::{Point2, Rect2};
 use samr_grid::GridHierarchy;
-use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner, PatchPartitioner};
-use samr_sim::comm::{
-    inter_level_comm, intra_level_comm, intra_level_involved, involved_comm_points, total_comm,
+use samr_partition::{
+    DomainSfcPartitioner, HybridPartitioner, Partition, Partitioner, PatchPartitioner,
 };
-use samr_sim::migration::{migration_cells, moved_survivors};
+use samr_sim::comm::{comm_accounting, CommAccounting};
+use samr_sim::migration::migration_accounting;
+use samr_sim::MetricScratch;
 
 fn arb_hierarchy() -> impl Strategy<Value = GridHierarchy<2>> {
     let blob = (2i64..20, 2i64..20, 2i64..10, 2i64..10);
@@ -29,6 +30,27 @@ fn arb_hierarchy() -> impl Strategy<Value = GridHierarchy<2>> {
     })
 }
 
+fn comm(h: &GridHierarchy<2>, part: &Partition<2>, ghost: i64) -> CommAccounting {
+    comm_accounting(h, part, ghost, &mut MetricScratch::default())
+}
+
+fn migration(
+    prev: &GridHierarchy<2>,
+    prev_part: &Partition<2>,
+    cur: &GridHierarchy<2>,
+    cur_part: &Partition<2>,
+) -> u64 {
+    let scratch = &mut MetricScratch::default();
+    migration_accounting(prev, prev_part, cur, cur_part, cur_part.nprocs, scratch)
+}
+
+/// Same-level cells that survive and change owner: a base-only current
+/// hierarchy refines nothing into existence, so only survivors count.
+fn moved(prev_part: &Partition<2>, cur_part: &Partition<2>) -> u64 {
+    let base = GridHierarchy::base_only(Rect2::from_extents(32, 32), 2);
+    migration(&base, prev_part, &base, cur_part)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -39,21 +61,18 @@ proptest! {
             PatchPartitioner::default().partition(&h, 1),
             HybridPartitioner::default().partition(&h, 1),
         ] {
-            prop_assert_eq!(total_comm(&h, &part, 1), 0);
-            prop_assert_eq!(involved_comm_points(&h, &part, 1), 0);
+            let acc = comm(&h, &part, 1);
+            prop_assert_eq!(acc.transfer_volume(), 0);
+            prop_assert_eq!(acc.involved_points(), 0);
         }
     }
 
     #[test]
     fn comm_monotone_in_ghost_width(h in arb_hierarchy(), nprocs in 2usize..12) {
         let part = HybridPartitioner::default().partition(&h, nprocs);
-        let g1 = intra_level_comm(&h, &part, 1);
-        let g2 = intra_level_comm(&h, &part, 2);
-        let g3 = intra_level_comm(&h, &part, 3);
-        prop_assert!(g1 <= g2 && g2 <= g3);
-        let i1 = intra_level_involved(&h, &part, 1);
-        let i2 = intra_level_involved(&h, &part, 2);
-        prop_assert!(i1 <= i2);
+        let [g1, g2, g3] = [1, 2, 3].map(|ghost| comm(&h, &part, ghost));
+        prop_assert!(g1.intra <= g2.intra && g2.intra <= g3.intra);
+        prop_assert!(g1.intra_involved <= g2.intra_involved);
     }
 
     #[test]
@@ -64,9 +83,8 @@ proptest! {
             PatchPartitioner::default().partition(&h, nprocs),
             HybridPartitioner::default().partition(&h, nprocs),
         ] {
-            prop_assert!(
-                intra_level_involved(&h, &part, 1) <= intra_level_comm(&h, &part, 1)
-            );
+            let acc = comm(&h, &part, 1);
+            prop_assert!(acc.intra_involved <= acc.intra);
         }
     }
 
@@ -74,19 +92,19 @@ proptest! {
     fn involvement_bounded_by_workload(h in arb_hierarchy(), nprocs in 2usize..12) {
         // Intra-level: a point is involved at most once per local step.
         let part = DomainSfcPartitioner::default().partition(&h, nprocs);
-        prop_assert!(intra_level_involved(&h, &part, 1) <= h.workload());
+        prop_assert!(comm(&h, &part, 1).intra_involved <= h.workload());
     }
 
     #[test]
     fn domain_based_never_pays_interlevel(h in arb_hierarchy(), nprocs in 2usize..12) {
         let part = DomainSfcPartitioner::default().partition(&h, nprocs);
-        prop_assert_eq!(inter_level_comm(&h, &part), 0);
+        prop_assert_eq!(comm(&h, &part, 1).inter, 0);
     }
 
     #[test]
     fn identical_partitions_never_migrate(h in arb_hierarchy(), nprocs in 1usize..12) {
         let part = HybridPartitioner::default().partition(&h, nprocs);
-        prop_assert_eq!(migration_cells(&h, &part, &h, &part), 0);
+        prop_assert_eq!(migration(&h, &part, &h, &part), 0);
     }
 
     #[test]
@@ -102,8 +120,8 @@ proptest! {
         let pa = p.partition(&a, nprocs);
         let pb = p.partition(&b, nprocs);
         prop_assert_eq!(
-            moved_survivors(&pa, &pb),
-            moved_survivors(&pb, &pa)
+            moved(&pa, &pb),
+            moved(&pb, &pa)
         );
     }
 
@@ -116,7 +134,7 @@ proptest! {
         let p = HybridPartitioner::default();
         let pa = p.partition(&a, nprocs);
         let pb = p.partition(&b, nprocs);
-        let m = migration_cells(&a, &pa, &b, &pb);
+        let m = migration(&a, &pa, &b, &pb);
         // Survivors <= |A ∩ B| <= |A|; interpolation transfers <= |B|.
         prop_assert!(m <= a.total_points() + b.total_points());
     }

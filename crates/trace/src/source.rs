@@ -10,8 +10,7 @@
 //!
 //! Adapters provided here:
 //!
-//! - [`MemorySource`]: borrows an in-memory [`HierarchyTrace`] (the batch
-//!   facade — `simulate_trace` and friends wrap it);
+//! - [`MemorySource`]: borrows an in-memory [`HierarchyTrace`];
 //! - [`SharedTraceSource`]: streams a cache-shared `Arc<AnyTrace>`
 //!   without cloning the whole trace;
 //! - [`AnySnapshotSource`]: the dimension-erased form the campaign

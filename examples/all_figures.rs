@@ -50,7 +50,8 @@ fn main() {
     println!("\n== META1: static vs dynamic selection (balanced machine) ==");
     for kind in AppKind::ALL {
         let trace = cached_trace(kind, &cfg);
-        let res = compare_on_trace(trace.as_2d().expect("paper app"), &SimConfig::default());
+        let res = compare_on_trace(trace.as_2d().expect("paper app"), &SimConfig::default())
+            .expect("generated traces are never empty");
         print!("{:5}:", kind.name());
         for r in &res.static_runs {
             print!("  {}={:.0}", r.name, r.total_time);

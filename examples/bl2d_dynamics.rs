@@ -11,7 +11,7 @@
 //! the injection discharge/recharge cycle).
 
 use samr::apps::AppKind;
-use samr::experiments::{configs, ValidationRun};
+use samr::engine::{configs, ValidationRun};
 use samr::sim::metrics::dominant_period;
 
 fn main() {

@@ -10,7 +10,7 @@
 //! legacy discrete view of the same trajectory would have been.
 
 use samr::apps::AppKind;
-use samr::experiments::{cached_trace, configs};
+use samr::engine::{cached_trace, configs};
 use samr::model::ModelPipeline;
 
 fn main() {

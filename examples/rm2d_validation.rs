@@ -11,7 +11,7 @@
 //! pipeline.
 
 use samr::apps::AppKind;
-use samr::experiments::{configs, ValidationRun};
+use samr::engine::{configs, ValidationRun};
 
 fn main() {
     let reduced = std::env::args().any(|a| a == "--reduced");

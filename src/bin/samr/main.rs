@@ -60,11 +60,11 @@ use samr::engine::{
     CampaignPlan, CampaignSpec, ExecOutput, PartitionerSpec, PolicySpec, ShardExecutor,
     ShardStrategy, WorkerExecutor,
 };
-use samr::meta::compare_on_sources;
+use samr::meta::compare_on_trace;
 use samr::model::{ModelAccumulator, ModelConfig};
-use samr::sim::{MachineModel, SimConfig, SimResult};
+use samr::sim::{MachineModel, SimConfig};
 use samr::trace::io::{open_trace_source, write_binary_source, JsonlSnapshotWriter, TraceIoError};
-use samr::trace::{AnySnapshotSource, Snapshot, SnapshotSource};
+use samr::trace::{AnySnapshotSource, AnyTrace, Snapshot, SnapshotSource};
 use std::fs::File;
 
 mod bench;
@@ -228,9 +228,9 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         nprocs,
         ..SimConfig::default()
     };
-    let res: SimResult = match &mut source {
-        AnySnapshotSource::D2(s) => spec.simulate_source::<2>(s, &cfg),
-        AnySnapshotSource::D3(s) => spec.simulate_source::<3>(s, &cfg),
+    let (res, _) = match &mut source {
+        AnySnapshotSource::D2(s) => PolicySpec::Static.simulate_source::<2>(&spec, s, &cfg),
+        AnySnapshotSource::D3(s) => PolicySpec::Static.simulate_source::<3>(&spec, s, &cfg),
     }
     .map_err(|e| format!("simulate {path}: {e}"))?;
     println!(
@@ -256,9 +256,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("expected a trace file")?;
-    // Sniff the dimension once; the comparison drains the stream a
-    // single time into a shared trace and replays it per partitioner.
-    let dim = load_source(path)?.dim();
     let nprocs: usize = flag_value(args, "--nprocs")
         .map(|v| v.parse().map_err(|e| format!("bad nprocs: {e}")))
         .transpose()?
@@ -267,27 +264,15 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         nprocs,
         ..SimConfig::default()
     };
-    let res = match dim {
-        2 => compare_on_sources::<2, _, _>(
-            || {
-                open_trace_source(Path::new(path)).map(|s| match s {
-                    AnySnapshotSource::D2(s) => s,
-                    AnySnapshotSource::D3(_) => unreachable!("dimension sniffed as 2-D"),
-                })
-            },
-            &cfg,
-        ),
-        _ => compare_on_sources::<3, _, _>(
-            || {
-                open_trace_source(Path::new(path)).map(|s| match s {
-                    AnySnapshotSource::D3(s) => s,
-                    AnySnapshotSource::D2(_) => unreachable!("dimension sniffed as 3-D"),
-                })
-            },
-            &cfg,
-        ),
-    }
-    .map_err(|e| format!("compare {path}: {e}"))?;
+    // The comparison drains the stream once into a trace and replays it
+    // per partitioner.
+    let res = load_source(path)?
+        .collect()
+        .and_then(|trace| match trace {
+            AnyTrace::D2(t) => compare_on_trace(&t, &cfg),
+            AnyTrace::D3(t) => compare_on_trace(&t, &cfg),
+        })
+        .map_err(|e| format!("compare {path}: {e}"))?;
     println!("partitioner,total_time,mean_imbalance,mean_rel_comm,mean_rel_migration");
     for r in res
         .static_runs

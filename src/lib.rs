@@ -37,8 +37,6 @@
 //! }
 //! ```
 
-pub mod experiments;
-
 pub use samr_apps as apps;
 pub use samr_bench as bench;
 pub use samr_core as model;

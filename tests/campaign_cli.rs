@@ -300,3 +300,42 @@ fn spec_file_reproduces_the_axis_flags_campaign() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&redir).ok();
 }
+
+#[test]
+fn simulate_and_compare_reject_a_trace_with_no_snapshots() {
+    // A trace file holding only its JSON-lines header is input the
+    // program does not control: both commands must fail with a message,
+    // not a panic.
+    use samr::geom::Rect2;
+    use samr::trace::io::JsonlSnapshotWriter;
+    use samr::trace::TraceMeta;
+    let dir = temp_dir("empty-trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("empty.trace");
+    let meta = TraceMeta::<2> {
+        app: "SYN".into(),
+        description: "header only".into(),
+        base_domain: Rect2::from_extents(8, 8),
+        ratio: 2,
+        max_levels: 2,
+        regrid_interval: 4,
+        min_block: 2,
+        seed: 0,
+    };
+    let file = std::fs::File::create(&path).unwrap();
+    JsonlSnapshotWriter::new(file, &meta)
+        .unwrap()
+        .finish()
+        .unwrap();
+    for cmd in ["simulate", "compare"] {
+        let out = samr(&[cmd, path.to_str().unwrap(), "--nprocs", "4"]);
+        assert_eq!(out.status.code(), Some(1), "samr {cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("cannot simulate an empty snapshot stream"),
+            "samr {cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "samr {cmd}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

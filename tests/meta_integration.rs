@@ -2,7 +2,7 @@
 //! end on real application traces.
 
 use samr::apps::{AppKind, TraceGenConfig};
-use samr::experiments::cached_trace;
+use samr::engine::cached_trace;
 use samr::meta::{compare_on_trace, MetaPartitioner};
 use samr::partition::{validate_partition, Partitioner};
 use samr::sim::{MachineModel, SimConfig};
@@ -30,7 +30,7 @@ fn meta_beats_the_worst_static_choice_everywhere() {
     };
     for kind in AppKind::ALL {
         let trace = cached_trace(kind, &cfg);
-        let res = compare_on_trace(trace.as_2d().expect("paper app"), &sim_cfg);
+        let res = compare_on_trace(trace.as_2d().expect("paper app"), &sim_cfg).unwrap();
         assert!(
             res.meta_vs_worst() < 1.0,
             "{}: meta {:.0} vs worst static {:.0}",
@@ -52,7 +52,7 @@ fn meta_stays_close_to_the_oracle_static_choice() {
     };
     for kind in AppKind::ALL {
         let trace = cached_trace(kind, &cfg);
-        let res = compare_on_trace(trace.as_2d().expect("paper app"), &sim_cfg);
+        let res = compare_on_trace(trace.as_2d().expect("paper app"), &sim_cfg).unwrap();
         assert!(
             res.meta_vs_best() < 1.35,
             "{}: meta {:.0} vs best static {:.0}",
@@ -120,7 +120,8 @@ fn machine_and_application_change_the_static_winner() {
             machine: fast_net,
             ..SimConfig::default()
         },
-    );
+    )
+    .unwrap();
     let deep_winner = deep_res.best_static().name.clone();
     assert!(
         deep_winner.starts_with("patch"),
@@ -135,7 +136,8 @@ fn machine_and_application_change_the_static_winner() {
             nprocs: 8,
             ..SimConfig::default()
         },
-    );
+    )
+    .unwrap();
     let app_winner = app_res.best_static().name.clone();
     assert_ne!(
         deep_winner, app_winner,

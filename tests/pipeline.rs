@@ -3,14 +3,39 @@
 //! 2-D and 3-D — and every partitioner family.
 
 use samr::apps::{generate_trace, AppKind, TraceGenConfig};
-use samr::experiments::cached_trace;
+use samr::engine::cached_trace;
 use samr::model::ModelPipeline;
 use samr::partition::{
     validate_partition, DomainSfcPartitioner, HybridPartitioner, Partitioner, PatchPartitioner,
 };
-use samr::sim::{simulate_trace, SimConfig};
-use samr::trace::HierarchyTrace;
+use samr::sim::comm::comm_accounting;
+use samr::sim::{
+    default_window, simulate_policy_source_stats, MetricScratch, SimConfig, SimResult, StaticPolicy,
+};
+use samr::trace::{HierarchyTrace, MemorySource, SnapshotSource};
 use std::sync::Arc;
+
+/// Run a snapshot stream through one partitioner at `window`.
+fn simulate<const D: usize>(
+    source: &mut dyn SnapshotSource<D>,
+    p: &(dyn Partitioner<D> + Sync),
+    cfg: &SimConfig,
+    window: usize,
+) -> SimResult {
+    let mut policy = StaticPolicy::new(p);
+    simulate_policy_source_stats(source, &mut policy, cfg, window)
+        .unwrap()
+        .0
+}
+
+/// Run an in-memory trace through one partitioner at the default window.
+fn run_trace<const D: usize>(
+    trace: &HierarchyTrace<D>,
+    p: &(dyn Partitioner<D> + Sync),
+    cfg: &SimConfig,
+) -> SimResult {
+    simulate(&mut MemorySource::new(trace), p, cfg, default_window())
+}
 
 fn partitioners<const D: usize>() -> Vec<Box<dyn Partitioner<D> + Sync>> {
     vec![
@@ -113,8 +138,8 @@ fn simulation_is_deterministic_across_thread_counts() {
         ..SimConfig::default()
     };
     let p = HybridPartitioner::default();
-    let a = simulate_trace(&trace, &p, &cfg);
-    let b = simulate_trace(&trace, &p, &cfg);
+    let a = run_trace(&trace, &p, &cfg);
+    let b = run_trace(&trace, &p, &cfg);
     assert_eq!(a, b);
 }
 
@@ -126,7 +151,7 @@ fn simulation_runs_end_to_end_in_3d() {
         ..SimConfig::default()
     };
     for p in partitioners::<3>() {
-        let res = simulate_trace(&*trace, p.as_ref(), &cfg);
+        let res = run_trace(&*trace, p.as_ref(), &cfg);
         assert_eq!(res.steps.len(), trace.len());
         assert!(res.total_time > 0.0, "{}", p.name());
         let total_mig: u64 = res.steps.iter().map(|s| s.migration_cells).sum();
@@ -141,7 +166,7 @@ fn simulation_runs_end_to_end_in_3d() {
             assert!((0.0..=2.0).contains(&s.rel_migration));
         }
         // Determinism holds in 3-D too.
-        assert_eq!(res, simulate_trace(&*trace, p.as_ref(), &cfg));
+        assert_eq!(res, run_trace(&*trace, p.as_ref(), &cfg));
     }
 }
 
@@ -190,7 +215,6 @@ fn streamed_pipeline_matches_batch_for_every_app() {
     // incremental model fold must equal the batch pipeline bit for bit,
     // for every application of either dimension.
     use samr::apps::trace_source_any;
-    use samr::sim::{simulate_source, SimConfig};
     use samr::trace::AnySnapshotSource;
 
     let cfg2 = TraceGenConfig::smoke();
@@ -211,13 +235,8 @@ fn streamed_pipeline_matches_batch_for_every_app() {
             AnySnapshotSource::D2(mut src) => {
                 let t = trace2(kind, &cfg);
                 let p = HybridPartitioner::default();
-                let streamed = simulate_source(&mut src, &p, &sim_cfg, 3).unwrap();
-                assert_eq!(
-                    streamed,
-                    simulate_trace(&t, &p, &sim_cfg),
-                    "{}",
-                    kind.name()
-                );
+                let streamed = simulate(src.as_mut(), &p, &sim_cfg, 3);
+                assert_eq!(streamed, run_trace(&t, &p, &sim_cfg), "{}", kind.name());
                 let mut model_src = samr::apps::trace_source(kind, &cfg);
                 let states = ModelPipeline::new()
                     .run_source::<2>(&mut model_src)
@@ -227,13 +246,8 @@ fn streamed_pipeline_matches_batch_for_every_app() {
             AnySnapshotSource::D3(mut src) => {
                 let t = trace3();
                 let p = HybridPartitioner::default();
-                let streamed = simulate_source(&mut src, &p, &sim_cfg, 3).unwrap();
-                assert_eq!(
-                    streamed,
-                    simulate_trace(&t, &p, &sim_cfg),
-                    "{}",
-                    kind.name()
-                );
+                let streamed = simulate(src.as_mut(), &p, &sim_cfg, 3);
+                assert_eq!(streamed, run_trace(&t, &p, &sim_cfg), "{}", kind.name());
             }
         }
     }
@@ -241,15 +255,15 @@ fn streamed_pipeline_matches_batch_for_every_app() {
 
 #[test]
 fn domain_based_never_pays_inter_level_comm() {
-    use samr::sim::comm::inter_level_comm;
     let cfg = TraceGenConfig::smoke();
     let p = DomainSfcPartitioner::default();
+    let mut scratch = MetricScratch::default();
     for kind in AppKind::ALL {
         let trace = trace2(kind, &cfg);
         for snap in trace.snapshots.iter().step_by(4) {
             let part = p.partition(&snap.hierarchy, 8);
             assert_eq!(
-                inter_level_comm(&snap.hierarchy, &part),
+                comm_accounting(&snap.hierarchy, &part, 1, &mut scratch).inter,
                 0,
                 "{} step {}",
                 kind.name(),
@@ -259,9 +273,13 @@ fn domain_based_never_pays_inter_level_comm() {
     }
     // The defining domain-based property is dimension-independent.
     let trace = trace3();
+    let mut scratch = MetricScratch::default();
     for snap in trace.snapshots.iter().step_by(2) {
         let part = p.partition(&snap.hierarchy, 8);
-        assert_eq!(inter_level_comm(&snap.hierarchy, &part), 0);
+        assert_eq!(
+            comm_accounting(&snap.hierarchy, &part, 1, &mut scratch).inter,
+            0
+        );
     }
 }
 

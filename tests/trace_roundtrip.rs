@@ -3,7 +3,7 @@
 //! methodology depends on traces being a faithful interchange format).
 
 use samr::apps::{AppKind, TraceGenConfig};
-use samr::experiments::cached_trace;
+use samr::engine::cached_trace;
 use samr::model::ModelPipeline;
 use samr::trace::io::{
     decode_binary, decode_binary_any, encode_binary, encode_binary_any, read_jsonl, read_jsonl_any,

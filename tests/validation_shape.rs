@@ -15,7 +15,7 @@
 //! margins; the paper-scale numbers live in EXPERIMENTS.md.
 
 use samr::apps::AppKind;
-use samr::experiments::{configs, ValidationRun};
+use samr::engine::{configs, ValidationRun};
 use samr::sim::metrics::dominant_period;
 
 fn runs() -> Vec<ValidationRun> {
