@@ -680,9 +680,9 @@ pub fn adaptive_report(budget: BenchBudget) -> BenchReport {
     let run = |partitioner: &PartitionerSpec, pol: &PolicySpec| {
         let mut source = MemorySource::new(&trace);
         let (res, stats) = pol
-            .simulate_source::<2>(partitioner, &mut source, &sim)
+            .simulate_source::<2>(partitioner, &mut source, &[sim])
             .expect("in-memory sources never fail");
-        (res.total_time, stats.switches())
+        (res[0].total_time, stats.switches())
     };
 
     // Quality gate (the reason this suite exists): on the phase-change

@@ -25,12 +25,17 @@
 //! additionally relaunches a dead child (nonzero exit, signal, spawn
 //! failure) with `--resume` up to [`WorkerExecutor::retries`] times, so
 //! one killed worker costs one shard remainder, not the whole sweep.
+//!
+//! Every executor runs its slice of the plan as [`simulation_groups`]:
+//! consecutive scenarios that differ only in a machine the partitioner
+//! ignores run as one simulation ([`Scenario::run_group`]), and each
+//! member's artifacts are written and stamped as its own.
 
 use crate::atomic::atomic_write;
 use crate::merge::{ManifestEntry, ShardManifest};
 use crate::plan::{CampaignPlan, PlannedScenario};
 use crate::resume::CompletionRecord;
-use crate::scenario::ScenarioOutcome;
+use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::store::cached_model;
 use rayon::prelude::*;
 use samr_apps::AppKind;
@@ -106,35 +111,71 @@ fn warm_store(scenarios: &[&PlannedScenario]) {
     });
 }
 
-/// Run a slice of planned scenarios rayon-parallel, outcomes in input
-/// order.
-pub(crate) fn run_scenarios(scenarios: &[&PlannedScenario]) -> Vec<ScenarioOutcome> {
-    warm_store(scenarios);
-    scenarios.par_iter().map(|p| p.scenario.run()).collect()
+/// Split a slice of planned scenarios into simulation groups: maximal
+/// runs of consecutive scenarios that
+/// [share one simulation](Scenario::shares_simulation_with). In a plan
+/// those are the members of the innermost `machines` axis, unless the
+/// partitioner reads the machine. Groups form inside whatever slice an
+/// executor runs — one shard's scenarios, the remainder a resume left —
+/// so shard assignment and completion stay per scenario.
+pub fn simulation_groups<'s, 'a>(
+    scenarios: &'s [&'a PlannedScenario],
+) -> Vec<&'s [&'a PlannedScenario]> {
+    scenarios
+        .chunk_by(|a, b| a.scenario.shares_simulation_with(&b.scenario))
+        .collect()
 }
 
-/// Run a slice of planned scenarios rayon-parallel, writing and
-/// stamping each scenario's artifacts *the moment it finishes* —
-/// checkpointing is per scenario, not per batch, so a process killed
-/// mid-sweep has durably banked every scenario that completed before
-/// the kill and `--resume` re-executes only the true remainder.
-/// Returns `(planned, outcome, rendered CSV)` triples in input order.
+/// Run one simulation group, one outcome per member in input order.
+fn run_group(group: &[&PlannedScenario]) -> Vec<ScenarioOutcome> {
+    let members: Vec<&Scenario> = group.iter().map(|p| &p.scenario).collect();
+    Scenario::run_group(&members)
+}
+
+/// Run a slice of planned scenarios, its simulation groups
+/// rayon-parallel, outcomes in input order.
+pub(crate) fn run_scenarios(scenarios: &[&PlannedScenario]) -> Vec<ScenarioOutcome> {
+    warm_store(scenarios);
+    let outcomes: Vec<Vec<ScenarioOutcome>> = simulation_groups(scenarios)
+        .par_iter()
+        .map(|group| run_group(group))
+        .collect();
+    outcomes.into_iter().flatten().collect()
+}
+
+/// Run a slice of planned scenarios, its simulation groups
+/// rayon-parallel, writing and stamping each scenario's artifacts *the
+/// moment its group finishes* — checkpointing is per scenario, not per
+/// batch, so a process killed mid-sweep has durably banked every
+/// scenario whose group completed before the kill and `--resume`
+/// re-executes only the true remainder. Returns `(planned, outcome,
+/// rendered CSV)` triples in input order.
 fn run_and_stamp<'a>(
     dir: &Path,
     plan_hash: &str,
     scenarios: &[&'a PlannedScenario],
 ) -> std::io::Result<Vec<(&'a PlannedScenario, ScenarioOutcome, String)>> {
     warm_store(scenarios);
-    let results: Vec<std::io::Result<(&PlannedScenario, ScenarioOutcome, String)>> = scenarios
+    type Stamped<'a> = (&'a PlannedScenario, ScenarioOutcome, String);
+    let results: Vec<std::io::Result<Vec<Stamped<'a>>>> = simulation_groups(scenarios)
         .par_iter()
-        .map(|p| {
-            let outcome = p.scenario.run();
-            let csv = outcome.to_csv();
-            write_scenario_artifacts(dir, p, plan_hash, &csv, &outcome)?;
-            Ok((*p, outcome, csv))
+        .map(|group| {
+            group
+                .iter()
+                .zip(run_group(group))
+                .map(|(p, outcome)| {
+                    let csv = outcome.to_csv();
+                    write_scenario_artifacts(dir, p, plan_hash, &csv, &outcome)?;
+                    Ok((*p, outcome, csv))
+                })
+                .collect()
         })
         .collect();
-    results.into_iter().collect()
+    let mut stamped = Vec::with_capacity(scenarios.len());
+    for group in results {
+        stamped.extend(group?);
+    }
+    Ok(stamped)
 }
 
 /// Split a shard's (or campaign's) scenario slice for resumption:

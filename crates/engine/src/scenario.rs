@@ -128,41 +128,82 @@ impl Scenario {
         )
     }
 
+    /// `true` when one simulation serves both scenarios: they differ at
+    /// most in the machine, and in that only if the partitioner does not
+    /// [read it](PartitionerSpec::reads_machine). The machine then only
+    /// prices each step, so [`Scenario::run_group`] partitions and
+    /// accounts every snapshot once for both.
+    pub fn shares_simulation_with(&self, other: &Scenario) -> bool {
+        let mut same = other.clone();
+        same.sim.machine = self.sim.machine;
+        same == *self
+            && (other.sim.machine == self.sim.machine || !self.partitioner.reads_machine())
+    }
+
     /// Execute the scenario against the shared trace/model store via the
     /// streaming path: the trace arrives as a snapshot stream (in-memory
     /// when the store's byte budget admits it, straight from the spill
     /// file otherwise), is windowed through the partitioner, and never
     /// needs to be whole in this scenario's memory. A spill-file I/O
     /// failure retries from the in-memory store (identical output)
-    /// rather than aborting the campaign.
+    /// rather than aborting the campaign. The one-member case of
+    /// [`Scenario::run_group`].
     pub fn run(&self) -> ScenarioOutcome {
-        assert_eq!(
-            self.dim,
-            self.app.dim(),
-            "scenario dim {} does not match {}'s dimension",
-            self.dim,
-            self.app.name()
+        Self::run_group(&[self])
+            .pop()
+            .expect("one outcome per member")
+    }
+
+    /// Execute a group of scenarios that
+    /// [share one simulation](Scenario::shares_simulation_with) as that
+    /// one simulation: each snapshot is partitioned and accounted once,
+    /// then timed on every member's machine. Returns one outcome per
+    /// member, in order, each equal to the member's own [`Scenario::run`].
+    ///
+    /// # Panics
+    ///
+    /// If `group` is empty or a member does not share the first
+    /// member's simulation.
+    pub fn run_group(group: &[&Scenario]) -> Vec<ScenarioOutcome> {
+        let first = *group.first().expect("a group has members");
+        assert!(
+            group.iter().all(|s| first.shares_simulation_with(s)),
+            "scenarios of one group may differ only in a machine the partitioner ignores"
         );
-        let model = cached_model(self.app, &self.trace);
+        assert_eq!(
+            first.dim,
+            first.app.dim(),
+            "scenario dim {} does not match {}'s dimension",
+            first.dim,
+            first.app.name()
+        );
+        let model = cached_model(first.app, &first.trace);
+        let cfgs: Vec<SimConfig> = group.iter().map(|s| s.sim).collect();
         let simulate = |source: &mut AnySnapshotSource| match source {
             AnySnapshotSource::D2(s) => {
-                self.policy
-                    .simulate_source::<2>(&self.partitioner, s, &self.sim)
+                first
+                    .policy
+                    .simulate_source::<2>(&first.partitioner, s, &cfgs)
             }
             AnySnapshotSource::D3(s) => {
-                self.policy
-                    .simulate_source::<3>(&self.partitioner, s, &self.sim)
+                first
+                    .policy
+                    .simulate_source::<3>(&first.partitioner, s, &cfgs)
             }
         };
-        let (sim, stats) = cached_source(self.app, &self.trace)
+        let (sims, stats) = cached_source(first.app, &first.trace)
             .and_then(|mut source| simulate(&mut source))
             .unwrap_or_else(|_| {
                 // Disk trouble (full temp dir, reaped spill file) must
                 // not kill a multi-scenario sweep: regenerate in memory.
-                let mut source = shared_source(cached_trace(self.app, &self.trace));
+                let mut source = shared_source(cached_trace(first.app, &first.trace));
                 simulate(&mut source).expect("in-memory snapshot sources cannot fail")
             });
-        outcome_from(self, sim, stats, model)
+        group
+            .iter()
+            .zip(sims)
+            .map(|(scenario, sim)| outcome_from(scenario, sim, stats.clone(), Arc::clone(&model)))
+            .collect()
     }
 }
 

@@ -28,7 +28,8 @@ use samr_core::{ModelPipeline, ModelState};
 use samr_trace::io::{open_trace_source, write_binary_source, TraceIoError};
 use samr_trace::{shared_source, AnySnapshotSource, AnyTrace};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -118,9 +119,12 @@ fn spill_path(key: &str) -> PathBuf {
     spill_dir().join(format!("{hash}.trc"))
 }
 
-/// Generate the trace as a stream and spill it to disk (binary codec),
-/// never holding more than one snapshot; returns the spill path.
-fn generate_spill(kind: AppKind, cfg: &TraceGenConfig, path: &PathBuf) -> Result<(), TraceIoError> {
+/// Generate the trace as a stream and spill it to `path` (binary
+/// codec), never holding more than one snapshot. The bytes go to a
+/// unique temporary sibling renamed into place whole; on any failure the
+/// temporary is removed, as [`crate::atomic_write`] does, so nothing is
+/// left behind in the shared spill directory.
+fn generate_spill(kind: AppKind, cfg: &TraceGenConfig, path: &Path) -> Result<(), TraceIoError> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
@@ -130,18 +134,23 @@ fn generate_spill(kind: AppKind, cfg: &TraceGenConfig, path: &PathBuf) -> Result
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    {
-        let file = std::fs::File::create(&tmp)?;
-        let mut w = std::io::BufWriter::new(file);
+    let written = (|| {
+        let mut w = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         match trace_source_any(kind, cfg) {
             AnySnapshotSource::D2(mut s) => write_binary_source::<2, _>(&mut s, &mut w)?,
             AnySnapshotSource::D3(mut s) => write_binary_source::<3, _>(&mut s, &mut w)?,
         };
+        w.flush()?;
+        // Concurrent generators race benignly: the content is
+        // deterministic, so whichever rename lands last is
+        // byte-identical.
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    })();
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
     }
-    // Concurrent generators race benignly: the content is deterministic,
-    // so whichever rename lands last is byte-identical.
-    std::fs::rename(&tmp, path)?;
-    Ok(())
+    written
 }
 
 /// Admit a trace to the in-memory store, tracking its footprint.
@@ -327,6 +336,31 @@ mod tests {
         // zero budget: the projected size always exceeds it.
         let file_bytes = std::fs::metadata(&path).unwrap().len();
         assert!(3 * file_bytes > 0);
+    }
+
+    #[test]
+    fn a_failed_spill_leaves_no_temporary_behind() {
+        // A non-empty directory squatting on the spill path makes the
+        // final rename fail after the whole trace was written.
+        let dir = std::env::temp_dir().join(format!("samr-spill-fail-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let path = dir.join("squatted.trc");
+        std::fs::create_dir_all(path.join("occupant")).unwrap();
+        let cfg = TraceGenConfig {
+            steps: 2,
+            ..TraceGenConfig::smoke()
+        };
+        assert!(generate_spill(AppKind::Sp3d, &cfg, &path).is_err());
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            vec!["squatted.trc".to_string()],
+            "left behind: {names:?}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!   [`samr_trace::SnapshotSource`] and a [`PartitionPolicy`] in,
 //!   per-step metrics out, with peak residency bounded by the window size
 //!   (snapshot-parallel within each window; strictly sequential at
-//!   window 1 for stateful selectors and switching policies);
+//!   window 1 for stateful selectors and switching policies), one pass
+//!   serving every machine of a group;
 //! - [`simulate`]: the simulation configuration and result, and the
 //!   per-step metric fold the driver runs.
 
@@ -48,4 +49,6 @@ pub use index::{FragIndex, MetricScratch};
 pub use metrics::{SeriesSummary, StepMetrics};
 pub use policy::{PartitionPolicy, PolicySwitch, StaticPolicy, SwitchEvent};
 pub use simulate::{step_metrics, SimConfig, SimResult};
-pub use stream::{default_window, simulate_policy_source_stats, StreamStats};
+pub use stream::{
+    default_window, simulate_policy_source_machines, simulate_policy_source_stats, StreamStats,
+};

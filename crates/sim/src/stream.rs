@@ -17,8 +17,15 @@
 //! invoked one snapshot at a time, in step order, and *not* invoked at
 //! all on steps whose hierarchy is unchanged under `reuse_unchanged`,
 //! so selector state evolves exactly as in a live run.
+//!
+//! The machine model only prices a step — it turns the per-processor
+//! loads, communication volumes and migration into a step time — so
+//! one pass serves several machines:
+//! [`simulate_policy_source_machines`] partitions and accounts each
+//! snapshot once and times it once per machine.
 
 use crate::index::MetricScratch;
+use crate::metrics::StepMetrics;
 use crate::policy::{PartitionPolicy, PolicySwitch, SwitchEvent};
 use crate::simulate::{step_metrics, SimConfig, SimResult};
 use rayon::prelude::*;
@@ -66,7 +73,8 @@ impl StreamStats {
 /// processors — the policy owns the partitioner and may switch it
 /// mid-stream; wrap a single partitioner in a
 /// [`StaticPolicy`](crate::policy::StaticPolicy) to run it unchanged.
-/// See the module docs for the windowing contract.
+/// See the module docs for the windowing contract. This is the
+/// one-machine case of [`simulate_policy_source_machines`].
 ///
 /// Per snapshot the driver (1) repartitions with the policy's *current*
 /// partitioner (or reuses the previous distribution when the hierarchy
@@ -89,9 +97,57 @@ pub fn simulate_policy_source_stats<const D: usize>(
     cfg: &SimConfig,
     window: usize,
 ) -> Result<(SimResult, StreamStats), TraceIoError> {
+    let (mut results, stats) =
+        simulate_policy_source_machines(source, policy, std::slice::from_ref(cfg), window)?;
+    Ok((results.pop().expect("one result per config"), stats))
+}
+
+/// Run a snapshot stream once for a group of configurations that differ
+/// only in their [`SimConfig::machine`]: every snapshot is partitioned
+/// and accounted (communication and migration) once, and only
+/// [`MachineModel::step_time`](crate::MachineModel::step_time) runs per
+/// machine, over the same per-processor loads, volumes and migration.
+/// Returns one [`SimResult`] per config, in order, plus the stream
+/// statistics the group shares; each result is bit for bit what
+/// [`simulate_policy_source_stats`] returns under that config alone.
+///
+/// That equality has two conditions the caller owns: the policy's
+/// partitioners must not depend on the machine, and its decisions must
+/// not read [`StepMetrics::step_time`](crate::StepMetrics::step_time) —
+/// the policy observes the first config's metrics, whose other fields
+/// every machine shares. [`StaticPolicy`](crate::policy::StaticPolicy)
+/// never decides, and `samr_meta::AdaptivePolicy` reads only
+/// `load_imbalance` and `rel_comm`.
+///
+/// # Panics
+///
+/// If `cfgs` is empty, or two configs differ in anything but the
+/// machine.
+pub fn simulate_policy_source_machines<const D: usize>(
+    source: &mut (dyn SnapshotSource<D> + '_),
+    policy: &mut (dyn PartitionPolicy<D> + '_),
+    cfgs: &[SimConfig],
+    window: usize,
+) -> Result<(Vec<SimResult>, StreamStats), TraceIoError> {
+    let cfg = cfgs.first().expect("at least one simulation config");
+    assert!(
+        cfgs.iter().all(|c| SimConfig {
+            machine: cfg.machine,
+            ..*c
+        } == *cfg),
+        "configs of one simulation may differ only in the machine"
+    );
     let window = window.max(1);
-    let mut steps = Vec::with_capacity(source.len_hint().unwrap_or(0));
-    let mut total_time = 0.0;
+    let capacity = source.len_hint().unwrap_or(0);
+    let mut runs: Vec<SimResult> = cfgs
+        .iter()
+        .map(|c| SimResult {
+            partitioner: String::new(),
+            nprocs: c.nprocs,
+            steps: Vec::with_capacity(capacity),
+            total_time: 0.0,
+        })
+        .collect();
     let mut carry: Option<(Snapshot<D>, Partition<D>)> = None;
     let mut peak_resident = 0usize;
     let mut consumed = 0usize;
@@ -169,16 +225,8 @@ pub fn simulate_policy_source_stats<const D: usize>(
             } else {
                 Some((&buf[i - 1].hierarchy, &eff[i - 1]))
             };
-            let m = step_metrics(
-                buf[i].step,
-                &buf[i].hierarchy,
-                &eff[i],
-                prev_pair,
-                cfg,
-                cost,
-                &mut mscratch,
-            );
-            total_time += m.step_time;
+            let h = &buf[i].hierarchy;
+            let m = step_metrics(buf[i].step, h, &eff[i], prev_pair, cfg, cost, &mut mscratch);
             if let Some(sw) = pending.take() {
                 switch_events.push(SwitchEvent {
                     step: buf[i].step,
@@ -191,7 +239,28 @@ pub fn simulate_policy_source_stats<const D: usize>(
             if let Some(sw) = policy.observe(&m) {
                 pending = Some(sw);
             }
-            steps.push(m);
+            // The first machine's metrics are `m`; every other machine
+            // only re-times the step over the loads, volumes and
+            // migration this step's accounting left in the scratch.
+            let loads = if cfgs.len() > 1 {
+                eff[i].loads(h.ratio)
+            } else {
+                Vec::new()
+            };
+            for (k, (run, c)) in runs.iter_mut().zip(cfgs).enumerate() {
+                let step_time = if k == 0 {
+                    m.step_time
+                } else {
+                    c.machine.step_time(
+                        &loads,
+                        mscratch.per_proc_vols(),
+                        mscratch.per_proc_mig(),
+                        cost,
+                    )
+                };
+                run.total_time += step_time;
+                run.steps.push(StepMetrics { step_time, ..m });
+            }
         }
         // Carry the window's last pair; everything else is dropped here,
         // which is what keeps residency O(window).
@@ -199,18 +268,17 @@ pub fn simulate_policy_source_stats<const D: usize>(
         let last_snap = buf.pop().expect("window is non-empty");
         carry = Some((last_snap, last_part));
     }
-    if steps.is_empty() {
+    if consumed == 0 {
         return Err(TraceIoError::Format(
             "cannot simulate an empty snapshot stream".into(),
         ));
     }
+    let name = policy.name();
+    for run in &mut runs {
+        run.partitioner.clone_from(&name);
+    }
     Ok((
-        SimResult {
-            partitioner: policy.name(),
-            nprocs: cfg.nprocs,
-            steps,
-            total_time,
-        },
+        runs,
         StreamStats {
             peak_resident,
             snapshots: consumed,
@@ -223,9 +291,10 @@ pub fn simulate_policy_source_stats<const D: usize>(
 mod tests {
     use super::*;
     use crate::policy::StaticPolicy;
-    use samr_geom::Rect2;
+    use crate::MachineModel;
+    use samr_geom::{AABox, Box3, Rect2};
     use samr_grid::GridHierarchy;
-    use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner};
+    use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner, PatchPartitioner};
     use samr_trace::{HierarchyTrace, MemorySource, TraceMeta};
 
     fn r(x0: i64, y0: i64, x1: i64, y1: i64) -> Rect2 {
@@ -244,12 +313,17 @@ mod tests {
     }
 
     /// A moving-box trace with an unchanged-hierarchy plateau in the
-    /// middle, so the reuse path crosses window boundaries.
-    fn trace(steps: u32) -> HierarchyTrace<2> {
+    /// middle, so the reuse path crosses window boundaries: `level1`
+    /// places the refined box at each step's offset.
+    fn moving_trace<const D: usize>(
+        base: AABox<D>,
+        steps: u32,
+        level1: impl Fn(i64) -> AABox<D>,
+    ) -> HierarchyTrace<D> {
         let meta = TraceMeta {
             app: "SYN".into(),
             description: "windowed driver test".into(),
-            base_domain: Rect2::from_extents(32, 32),
+            base_domain: base,
             ratio: 2,
             max_levels: 2,
             regrid_interval: 4,
@@ -266,14 +340,22 @@ mod tests {
             t.push(samr_trace::Snapshot {
                 step: i,
                 time: i as f64,
-                hierarchy: GridHierarchy::from_level_rects(
-                    Rect2::from_extents(32, 32),
-                    2,
-                    &[vec![], vec![r(off, 0, off + 15, 15)]],
-                ),
+                hierarchy: GridHierarchy::from_level_rects(base, 2, &[vec![], vec![level1(off)]]),
             });
         }
         t
+    }
+
+    fn trace(steps: u32) -> HierarchyTrace<2> {
+        moving_trace(Rect2::from_extents(32, 32), steps, |off| {
+            r(off, 0, off + 15, 15)
+        })
+    }
+
+    fn trace_3d(steps: u32) -> HierarchyTrace<3> {
+        moving_trace(Box3::from_extents(8, 8, 8), steps, |off| {
+            Box3::from_coords(off / 2, 2, 2, off / 2 + 5, 9, 7)
+        })
     }
 
     #[test]
@@ -369,11 +451,11 @@ mod tests {
         }
     }
 
-    impl crate::policy::PartitionPolicy<2> for FlipAfter {
+    impl<const D: usize> crate::policy::PartitionPolicy<D> for FlipAfter {
         fn name(&self) -> String {
             "flip".into()
         }
-        fn current(&self) -> &(dyn Partitioner<2> + Sync) {
+        fn current(&self) -> &(dyn Partitioner<D> + Sync) {
             if self.flipped {
                 &self.b
             } else {
@@ -460,6 +542,112 @@ mod tests {
             simulate_policy_source_stats(&mut MemorySource::new(&t), &mut policy, &cfg, 1).unwrap();
         assert_eq!(stats.switches(), 0);
         assert!(stats.switch_events.is_empty());
+    }
+
+    /// One config per registry machine, otherwise identical.
+    fn machine_configs() -> Vec<SimConfig> {
+        MachineModel::registry()
+            .into_iter()
+            .map(|(_, machine)| SimConfig {
+                nprocs: 5,
+                machine,
+                ..SimConfig::default()
+            })
+            .collect()
+    }
+
+    /// Assert that one run of `make()`'s policy over every registry
+    /// machine equals one run per machine bit for bit, in results and
+    /// stream statistics, and that the one-machine entry point is the
+    /// one-member group. Returns the group's statistics.
+    fn assert_group_matches<const D: usize, P: PartitionPolicy<D>>(
+        t: &HierarchyTrace<D>,
+        make: impl Fn() -> P,
+        window: usize,
+        label: &str,
+    ) -> StreamStats {
+        let cfgs = machine_configs();
+        let run = |cfgs: &[SimConfig]| {
+            simulate_policy_source_machines(&mut MemorySource::new(t), &mut make(), cfgs, window)
+                .unwrap()
+        };
+        let (group, group_stats) = run(&cfgs);
+        assert_eq!(group.len(), cfgs.len(), "{label}");
+        for (grouped, cfg) in group.iter().zip(&cfgs) {
+            let (single, stats) =
+                simulate_policy_source_stats(&mut MemorySource::new(t), &mut make(), cfg, window)
+                    .unwrap();
+            let machine = cfg.machine.preset_name().unwrap();
+            assert_eq!(*grouped, single, "{label}: machine {machine}");
+            assert_eq!(stats, group_stats, "{label}: machine {machine}");
+        }
+        for grouped in &group[1..] {
+            assert_ne!(grouped.total_time, group[0].total_time, "{label}");
+        }
+        let (one, one_stats) = run(&cfgs[..1]);
+        assert_eq!(one[..], group[..1], "{label}: one-member group");
+        assert_eq!(one_stats, group_stats, "{label}: one-member group");
+        group_stats
+    }
+
+    fn statics<const D: usize>() -> [Box<dyn Partitioner<D> + Sync>; 3] {
+        [
+            Box::new(DomainSfcPartitioner::default()),
+            Box::new(PatchPartitioner::default()),
+            Box::new(HybridPartitioner::default()),
+        ]
+    }
+
+    #[test]
+    fn a_machine_group_equals_one_run_per_machine() {
+        for window in [1, 3, default_window()] {
+            for p in statics::<2>() {
+                let label = format!("2-D {} window {window}", p.name());
+                let stats = assert_group_matches(
+                    &trace(11),
+                    || StaticPolicy::new(p.as_ref()),
+                    window,
+                    &label,
+                );
+                assert!(stats.switch_events.is_empty(), "{label}");
+            }
+            for p in statics::<3>() {
+                let label = format!("3-D {} window {window}", p.name());
+                assert_group_matches(
+                    &trace_3d(11),
+                    || StaticPolicy::new(p.as_ref()),
+                    window,
+                    &label,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_switch_is_charged_to_every_machine_of_a_group_alike() {
+        // The switch observed at step 3 lands on the plateau: step 4 is
+        // force-repartitioned in every machine's run.
+        for window in [1, 3, default_window()] {
+            let stats = assert_group_matches(&trace(11), || FlipAfter::new(3), window, "2-D");
+            assert_eq!(stats.switches(), 1);
+            assert_eq!(stats.switch_events[0].step, 4);
+            let stats = assert_group_matches(&trace_3d(11), || FlipAfter::new(3), window, "3-D");
+            assert_eq!(stats.switches(), 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "differ only in the machine")]
+    fn configs_differing_beyond_the_machine_are_refused() {
+        let mut cfgs = machine_configs();
+        cfgs[1].nprocs = 8;
+        let p = HybridPartitioner::default();
+        let _ = simulate_policy_source_machines(
+            &mut MemorySource::new(&trace(4)),
+            &mut StaticPolicy::new(&p),
+            &cfgs,
+            1,
+        );
     }
 
     #[test]
