@@ -57,9 +57,86 @@ pub fn geometric_threshold(base: f64, growth: f64, level: usize) -> f64 {
     (base * growth.powi(level as i32)).min(0.95)
 }
 
+/// Bit-identity oracles for the reference kernels' face-flux sweeps.
+///
+/// Each 2-D kernel keeps the per-cell stencil its sweep replaced as a
+/// test-only reference step. The sweep must reproduce it bit for bit:
+/// same operands, same evaluation order, every field after every step.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::Kernel;
+    use samr_geom::Grid2;
+
+    /// A kernel with a per-cell reference step to check its sweep against.
+    pub(crate) trait Oracle: Kernel + Sized {
+        /// The kernel's constructor (`n` along the shorter axis).
+        fn build(n: i64, steps: u32, seed: u64) -> Self;
+        /// One coarse step through the per-cell stencil.
+        fn reference_step(&mut self);
+        /// Every field the step evolves, the indicator last.
+        fn fields(&self) -> Vec<&Grid2<f64>>;
+    }
+
+    /// Run two copies of `K` in lock step, one through its sweep and
+    /// one through its reference, and assert that every field and the
+    /// clock agree bit for bit after each coarse step.
+    pub(crate) fn assert_matches_reference<K: Oracle>(n: i64, steps: u32, seed: u64) {
+        let what = format!("n={n} seed={seed}");
+        assert_lockstep(
+            K::build(n, steps, seed),
+            K::build(n, steps, seed),
+            steps,
+            &what,
+        );
+    }
+
+    /// [`assert_matches_reference`] from two equal kernels built by the
+    /// caller, e.g. with a scrambled starting field.
+    pub(crate) fn assert_lockstep<K: Oracle>(
+        mut sweep: K,
+        mut reference: K,
+        steps: u32,
+        what: &str,
+    ) {
+        let bits = |g: &Grid2<f64>| -> Vec<u64> { g.data().iter().map(|v| v.to_bits()).collect() };
+        for step in 1..=steps {
+            sweep.advance_coarse_step();
+            reference.reference_step();
+            let name = sweep.name();
+            assert_eq!(sweep.time().to_bits(), reference.time().to_bits());
+            for (field, (a, b)) in sweep
+                .fields()
+                .into_iter()
+                .zip(reference.fields())
+                .enumerate()
+            {
+                assert!(
+                    bits(a) == bits(b),
+                    "{name} {what}: field {field} differs after step {step}"
+                );
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::assert_matches_reference;
     use super::*;
+    use crate::{bl2d::Bl2d, rm2d::Rm2d, sc2d::Sc2d, tp2d::Tp2d};
+
+    #[test]
+    #[ignore = "bench scale, seconds in release: cargo test --release -p samr-apps -- --ignored"]
+    fn every_sweep_matches_its_reference_at_bench_scale() {
+        // The `paper` benchmark's kernels: 74 cells along the shorter
+        // axis (RM2D 148x74), 6 coarse steps.
+        for seed in [2004, 911] {
+            assert_matches_reference::<Rm2d>(74, 6, seed);
+            assert_matches_reference::<Tp2d>(74, 6, seed);
+            assert_matches_reference::<Bl2d>(74, 6, seed);
+            assert_matches_reference::<Sc2d>(74, 6, seed);
+        }
+    }
 
     #[test]
     fn geometric_threshold_grows_and_clamps() {

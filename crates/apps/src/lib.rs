@@ -28,6 +28,15 @@
 //! repartitioning policy, where no single static partitioner choice is
 //! right for the whole run.
 //!
+//! Each 2-D solver's substep is one serial sweep over row slices: every
+//! face flux is computed once and applied to the two cells it
+//! separates, and per-cell quantities (RM2D's pressure, velocities and
+//! sound speed, BL2D's fractional flow) once per cell. The per-cell
+//! stencils the sweeps replaced stay in the tests as bit-identity
+//! oracles. Kernels start no threads: trace generation parallelizes
+//! across applications on the caller's rayon pool, so `--threads`
+//! caps it like everything else.
+//!
 //! Each kernel advances a uniform *reference* solution and exposes a
 //! normalized feature indicator; [`tracegen`] samples the indicator at
 //! every level's resolution, flags, buffers, clusters (Berger–Rigoutsos)
@@ -53,5 +62,5 @@ pub use samr_trace::{AnyTrace, HierarchyTrace};
 pub use sp3d::Sp3d;
 pub use tracegen::{
     generate_trace, generate_trace_3d, generate_trace_any, trace_source, trace_source_3d,
-    trace_source_any, AppKind, AppSource, TraceGenConfig,
+    trace_source_any, AppKind, AppSource, ConfigError, TraceGenConfig,
 };

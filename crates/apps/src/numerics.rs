@@ -1,21 +1,9 @@
 //! Shared numerics for the reference solvers: clamped stencil access,
-//! gradient indicators, bilinear sampling and deterministic data-parallel
-//! row sweeps.
+//! gradient indicators and bilinear sampling. The solvers' substeps are
+//! serial row sweeps; a kernel starts no threads of its own, so trace
+//! generation runs on whichever pool thread drives it.
 
 use samr_geom::{Grid2, Point2, Rect2};
-use std::sync::OnceLock;
-
-/// Hardware thread count, probed once per process. The row sweeps run
-/// once per field per time step, and `available_parallelism` is a
-/// syscall on most platforms — not something to pay in a hot loop.
-fn hardware_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
 
 /// Read a cell with coordinates clamped to the domain (zero-gradient /
 /// outflow extrapolation at walls).
@@ -24,17 +12,6 @@ pub fn clamped(g: &Grid2<f64>, x: i64, y: i64) -> f64 {
     let d = g.domain();
     let cx = x.clamp(d.lo().x, d.hi().x);
     let cy = y.clamp(d.lo().y, d.hi().y);
-    *g.get(Point2::new(cx, cy))
-}
-
-/// Read a cell with the y coordinate wrapped periodically and x clamped
-/// (channel topology used by RM2D).
-#[inline]
-pub fn periodic_y(g: &Grid2<f64>, x: i64, y: i64) -> f64 {
-    let d = g.domain();
-    let ny = d.extent().y;
-    let cy = d.lo().y + (y - d.lo().y).rem_euclid(ny);
-    let cx = x.clamp(d.lo().x, d.hi().x);
     *g.get(Point2::new(cx, cy))
 }
 
@@ -97,111 +74,9 @@ pub fn sample_unit(g: &Grid2<f64>, u: f64, v: f64) -> f64 {
     s00 * (1.0 - tx) * (1.0 - ty) + s10 * tx * (1.0 - ty) + s01 * (1.0 - tx) * ty + s11 * tx * ty
 }
 
-/// Deterministic data-parallel row sweep: compute `f(x, y)` for every cell
-/// of `domain` into `out`, with rows distributed over threads in
-/// contiguous bands. The result is identical for any thread count because
-/// `f` is a pure per-cell function and each thread writes a disjoint band.
-pub fn par_rows(out: &mut Grid2<f64>, f: impl Fn(i64, i64) -> f64 + Sync) {
-    let domain = out.domain();
-    let ny = domain.extent().y as usize;
-    let nx = domain.extent().x as usize;
-    let threads = hardware_threads().min(ny.max(1)).min(8);
-    if threads <= 1 || ny < 32 {
-        for y in domain.lo().y..=domain.hi().y {
-            let row = out.row_mut(y);
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = f(domain.lo().x + i as i64, y);
-            }
-        }
-        return;
-    }
-    let data = out.data_mut();
-    let rows_per = ny.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut y0 = domain.lo().y;
-        for _ in 0..threads {
-            let band_rows = rows_per.min(((domain.hi().y - y0 + 1).max(0)) as usize);
-            if band_rows == 0 {
-                break;
-            }
-            let (band, tail) = rest.split_at_mut(band_rows * nx);
-            rest = tail;
-            let fy0 = y0;
-            let fref = &f;
-            s.spawn(move || {
-                for (r, chunk) in band.chunks_mut(nx).enumerate() {
-                    let y = fy0 + r as i64;
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v = fref(domain.lo().x + i as i64, y);
-                    }
-                }
-            });
-            y0 += band_rows as i64;
-        }
-    });
-}
-
 /// Allocate a zero field over `[0,nx-1] x [0,ny-1]`.
 pub fn zeros(nx: i64, ny: i64) -> Grid2<f64> {
     Grid2::new(Rect2::from_extents(nx, ny), 0.0)
-}
-
-/// Multi-field variant of [`par_rows`]: compute `N` fields in one sweep
-/// (`f(x, y)` returns all `N` cell values). Used by the Euler solver where
-/// the four conserved components share one flux computation.
-pub fn par_rows_n<const N: usize>(
-    outs: [&mut Grid2<f64>; N],
-    f: impl Fn(i64, i64) -> [f64; N] + Sync,
-) {
-    let domain = outs[0].domain();
-    for o in outs.iter().skip(1) {
-        assert_eq!(o.domain(), domain, "all output fields must share a domain");
-    }
-    let ny = domain.extent().y as usize;
-    let nx = domain.extent().x as usize;
-    let threads = hardware_threads().min(ny.max(1)).min(8);
-    if threads <= 1 || ny < 32 {
-        let mut slices: Vec<&mut [f64]> = outs.into_iter().map(|g| g.data_mut()).collect();
-        for (r, y) in (domain.lo().y..=domain.hi().y).enumerate() {
-            for i in 0..nx {
-                let vals = f(domain.lo().x + i as i64, y);
-                for (k, s) in slices.iter_mut().enumerate() {
-                    s[r * nx + i] = vals[k];
-                }
-            }
-        }
-        return;
-    }
-    let rows_per = ny.div_ceil(threads);
-    let mut rests: Vec<&mut [f64]> = outs.into_iter().map(|g| g.data_mut()).collect();
-    std::thread::scope(|s| {
-        let mut y0 = domain.lo().y;
-        while y0 <= domain.hi().y {
-            let band_rows = rows_per.min((domain.hi().y - y0 + 1) as usize);
-            let mut bands: Vec<&mut [f64]> = Vec::with_capacity(N);
-            for r in rests.iter_mut() {
-                let taken = std::mem::take(r);
-                let (band, tail) = taken.split_at_mut(band_rows * nx);
-                *r = tail;
-                bands.push(band);
-            }
-            let fy0 = y0;
-            let fref = &f;
-            s.spawn(move || {
-                for r in 0..band_rows {
-                    let y = fy0 + r as i64;
-                    for i in 0..nx {
-                        let vals = fref(domain.lo().x + i as i64, y);
-                        for (k, b) in bands.iter_mut().enumerate() {
-                            b[r * nx + i] = vals[k];
-                        }
-                    }
-                }
-            });
-            y0 += band_rows as i64;
-        }
-    });
 }
 
 #[cfg(test)]
@@ -214,15 +89,6 @@ mod tests {
         assert_eq!(clamped(&g, -5, 0), 0.0);
         assert_eq!(clamped(&g, 5, 2), 22.0);
         assert_eq!(clamped(&g, 1, -1), 1.0);
-    }
-
-    #[test]
-    fn periodic_y_wraps() {
-        let g = Grid2::from_fn(Rect2::from_extents(2, 4), |p| p.y as f64);
-        assert_eq!(periodic_y(&g, 0, 4), 0.0);
-        assert_eq!(periodic_y(&g, 0, -1), 3.0);
-        assert_eq!(periodic_y(&g, 0, 7), 3.0);
-        assert_eq!(periodic_y(&g, -3, 2), 2.0); // x clamps
     }
 
     #[test]
@@ -257,42 +123,5 @@ mod tests {
         // Clamped outside.
         assert!((sample_unit(&g, -1.0, 0.5) - 0.0).abs() < 1e-12);
         assert!((sample_unit(&g, 2.0, 0.5) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn par_rows_matches_serial() {
-        let mut par = zeros(64, 64);
-        par_rows(&mut par, |x, y| (x * 31 + y * 17) as f64 * 0.25);
-        let ser = Grid2::from_fn(Rect2::from_extents(64, 64), |p| {
-            (p.x * 31 + p.y * 17) as f64 * 0.25
-        });
-        assert_eq!(par, ser);
-    }
-
-    #[test]
-    fn par_rows_small_grid_serial_path() {
-        let mut g = zeros(4, 4);
-        par_rows(&mut g, |x, y| (x + y) as f64);
-        assert_eq!(*g.get(Point2::new(3, 3)), 6.0);
-    }
-
-    #[test]
-    fn par_rows_n_matches_componentwise() {
-        let mut a = zeros(48, 48);
-        let mut b = zeros(48, 48);
-        par_rows_n([&mut a, &mut b], |x, y| [(x + y) as f64, (x * y) as f64]);
-        let ea = Grid2::from_fn(Rect2::from_extents(48, 48), |p| (p.x + p.y) as f64);
-        let eb = Grid2::from_fn(Rect2::from_extents(48, 48), |p| (p.x * p.y) as f64);
-        assert_eq!(a, ea);
-        assert_eq!(b, eb);
-    }
-
-    #[test]
-    fn par_rows_n_serial_path() {
-        let mut a = zeros(4, 4);
-        let mut b = zeros(4, 4);
-        par_rows_n([&mut a, &mut b], |x, y| [x as f64, y as f64]);
-        assert_eq!(*a.get(Point2::new(2, 1)), 2.0);
-        assert_eq!(*b.get(Point2::new(2, 1)), 1.0);
     }
 }

@@ -87,13 +87,13 @@ impl Pc2d {
     fn refresh_indicator(&mut self) {
         let (step, flip, phase) = (self.step, self.flip_step(), self.phase);
         let dx = 1.0 / self.n as f64;
-        numerics::par_rows(&mut self.indicator, move |x, y| {
+        self.indicator = Grid2::from_fn(self.indicator.domain(), |p| {
             indicator_for(
                 step,
                 flip,
                 phase,
-                (x as f64 + 0.5) * dx,
-                (y as f64 + 0.5) * dx,
+                (p.x as f64 + 0.5) * dx,
+                (p.y as f64 + 0.5) * dx,
             )
         });
     }

@@ -188,6 +188,31 @@ impl TraceGenConfig {
         }
     }
 
+    /// Check the fields the generator cannot run outside of, naming the
+    /// first one out of range and its bound. A trace has at least one
+    /// step: every kernel sizes its time step as `T / steps`, and the
+    /// trace holds the snapshots of steps `0 .. steps`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let at_least = [
+            ("steps", i64::from(self.steps), 1),
+            ("base_cells", self.base_cells, 1),
+            ("max_levels", self.max_levels as i64, 1),
+            ("ratio", self.ratio, 2),
+            ("flag_buffer", self.flag_buffer, 0),
+            ("cluster.min_block", self.cluster.min_block, 1),
+            ("ref_resolution", self.ref_resolution, MIN_REF_RESOLUTION),
+        ];
+        if let Some((field, value, min)) = at_least.into_iter().find(|&(_, v, min)| v < min) {
+            return Err(ConfigError::new(field, format!(">= {min}"), value));
+        }
+        let eff = self.cluster.min_efficiency;
+        if !(0.0..=1.0).contains(&eff) {
+            let bound = "in [0, 1]".to_string();
+            return Err(ConfigError::new("cluster.min_efficiency", bound, eff));
+        }
+        Ok(())
+    }
+
     /// Coarse-step regrid period of level `l >= 1`: level `l` regrids every
     /// `regrid_interval` of its own (factor-`ratio^l`) local steps.
     pub fn regrid_period(&self, l: usize) -> u32 {
@@ -202,6 +227,44 @@ impl TraceGenConfig {
         (1..self.max_levels).find(|&l| t.is_multiple_of(self.regrid_period(l)))
     }
 }
+
+/// The smallest reference grid (cells along the shorter axis) a 2-D
+/// kernel runs on.
+const MIN_REF_RESOLUTION: i64 = 8;
+
+/// A [`TraceGenConfig`] field outside the range the generator runs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field's name (`cluster.` prefixed for the clusterer options).
+    pub field: &'static str,
+    /// The range it must lie in, e.g. `>= 1`.
+    pub bound: String,
+    /// The rejected value, rendered.
+    pub value: String,
+}
+
+impl ConfigError {
+    fn new(field: &'static str, bound: String, value: impl std::fmt::Display) -> Self {
+        let value = value.to_string();
+        Self {
+            field,
+            bound,
+            value,
+        }
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "`{}` = {} is out of range (must be {})",
+            self.field, self.value, self.bound
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Construct the 2-D kernel for an application kind. Panics for 3-D
 /// kinds, which have no reference PDE solver ([`AppKind::Sp3d`] is driven
@@ -368,9 +431,7 @@ impl<const D: usize> SnapshotSource<D> for AppSource<D> {
 
     fn next_snapshot(&mut self) -> Result<Option<Snapshot<D>>, TraceIoError> {
         let t = self.next_step;
-        // Step 0 is always emitted (the initial adaptation), matching the
-        // batch generators even for a zero-step configuration.
-        if t > 0 && t >= self.cfg.steps {
+        if t >= self.cfg.steps {
             return Ok(None);
         }
         if t == 0 {
@@ -391,14 +452,24 @@ impl<const D: usize> SnapshotSource<D> for AppSource<D> {
     }
 
     fn len_hint(&self) -> Option<usize> {
-        Some((self.cfg.steps.max(1)) as usize)
+        Some(self.cfg.steps as usize)
+    }
+}
+
+/// Panic with the offending field unless `cfg` passes
+/// [`TraceGenConfig::validate`].
+fn assert_valid(cfg: &TraceGenConfig) {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid trace config: {e}");
     }
 }
 
 /// Open a 2-D application execution as a snapshot stream. Panics for 3-D
-/// kinds; [`trace_source_any`] handles both.
+/// kinds, and for a config that fails [`TraceGenConfig::validate`];
+/// [`trace_source_any`] handles both dimensions.
 pub fn trace_source(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<2> {
     assert_eq!(kind.dim(), 2, "{} is not a 2-D application", kind.name());
+    assert_valid(cfg);
     let kernel = make_kernel(kind, cfg);
     let (ax, ay) = kernel.aspect();
     let short = cfg.base_cells;
@@ -425,9 +496,10 @@ pub fn trace_source(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<2> {
 
 /// Open the 3-D advecting-sphere workload as a snapshot stream — the
 /// same regrid pipeline as the 2-D kernels, driven by the analytic shell
-/// indicator.
+/// indicator. Panics for a config that fails [`TraceGenConfig::validate`].
 pub fn trace_source_3d(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<3> {
     assert_eq!(kind.dim(), 3, "{} is not a 3-D application", kind.name());
+    assert_valid(cfg);
     let app = Sp3d::new(cfg.steps, cfg.seed);
     let base = Box3::from_extents(cfg.base_cells, cfg.base_cells, cfg.base_cells);
     let meta = TraceMeta {
@@ -672,6 +744,55 @@ mod tests {
         cfg.steps = 3;
         assert_eq!(generate_trace_any(AppKind::Tp2d, &cfg).dim(), 2);
         assert_eq!(generate_trace_any(AppKind::Sp3d, &cfg).dim(), 3);
+    }
+
+    #[test]
+    fn validate_names_the_first_field_below_its_bound() {
+        assert_eq!(TraceGenConfig::paper().validate(), Ok(()));
+        assert_eq!(TraceGenConfig::smoke().validate(), Ok(()));
+        let bad = |edit: fn(&mut TraceGenConfig)| {
+            let mut cfg = TraceGenConfig::smoke();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        let e = bad(|c| c.steps = 0);
+        assert_eq!((e.field, &*e.bound, &*e.value), ("steps", ">= 1", "0"));
+        let e = bad(|c| c.ratio = 0);
+        assert_eq!((e.field, &*e.bound), ("ratio", ">= 2"));
+        let e = bad(|c| c.ref_resolution = 4);
+        assert_eq!(
+            e.to_string(),
+            "`ref_resolution` = 4 is out of range (must be >= 8)"
+        );
+        assert_eq!(bad(|c| c.base_cells = -3).field, "base_cells");
+        assert_eq!(bad(|c| c.max_levels = 0).field, "max_levels");
+        assert_eq!(bad(|c| c.flag_buffer = -1).field, "flag_buffer");
+        assert_eq!(bad(|c| c.cluster.min_block = 0).field, "cluster.min_block");
+        let e = bad(|c| c.cluster.min_efficiency = f64::NAN);
+        assert_eq!(
+            e.to_string(),
+            "`cluster.min_efficiency` = NaN is out of range (must be in [0, 1])"
+        );
+        // The smallest valid config generates a one-snapshot trace.
+        let cfg = TraceGenConfig {
+            steps: 1,
+            base_cells: 16,
+            ref_resolution: MIN_REF_RESOLUTION,
+            ..TraceGenConfig::smoke()
+        };
+        for kind in [AppKind::Rm2d, AppKind::Sp3d] {
+            assert_eq!(generate_trace_any(kind, &cfg).len(), 1, "{}", kind.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`steps` = 0 is out of range")]
+    fn a_zero_step_source_is_refused() {
+        let cfg = TraceGenConfig {
+            steps: 0,
+            ..TraceGenConfig::smoke()
+        };
+        trace_source_3d(AppKind::Sp3d, &cfg);
     }
 
     #[test]

@@ -86,15 +86,22 @@ impl Serialize for CampaignSpec {
     }
 }
 
+/// Every spec file, manifest and worker hand-off enters the program
+/// here, so a trace config the generator cannot run is refused with the
+/// offending field before anything is planned or written.
 impl Deserialize for CampaignSpec {
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
+        let trace: TraceGenConfig = serde::field(v, "trace")?;
+        trace
+            .validate()
+            .map_err(|e| serde::Error::msg(format!("field `trace`: {e}")))?;
         Ok(Self {
             apps: serde::field(v, "apps")?,
             dims: serde::field(v, "dims")?,
             partitioners: serde::field(v, "partitioners")?,
             nprocs: serde::field(v, "nprocs")?,
             ghost_widths: serde::field(v, "ghost_widths")?,
-            trace: serde::field(v, "trace")?,
+            trace,
             machines: serde::field(v, "machines")?,
             reuse_unchanged: serde::field(v, "reuse_unchanged")?,
             policies: match v.get("policies") {

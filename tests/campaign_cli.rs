@@ -339,3 +339,56 @@ fn simulate_and_compare_reject_a_trace_with_no_snapshots() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unrunnable_trace_configs_are_refused_by_field_with_no_output() {
+    // A spec file is input the program does not control: a trace config
+    // the generator cannot run must exit 1 with an `error:` line naming
+    // the field and its bound, before any output directory exists.
+    use samr::apps::{AppKind, TraceGenConfig};
+    use samr::engine::CampaignSpec;
+    type Edit = fn(&mut TraceGenConfig);
+    let cases: [(&str, Edit, &str); 3] = [
+        (
+            "ref-resolution",
+            |c| c.ref_resolution = 4,
+            "`ref_resolution` = 4 is out of range (must be >= 8)",
+        ),
+        (
+            "zero-steps",
+            |c| c.steps = 0,
+            "`steps` = 0 is out of range (must be >= 1)",
+        ),
+        (
+            "zero-ratio",
+            |c| c.ratio = 0,
+            "`ratio` = 0 is out of range (must be >= 2)",
+        ),
+    ];
+    for (tag, edit, message) in cases {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut trace = TraceGenConfig::smoke();
+        edit(&mut trace);
+        let spec = CampaignSpec::new(trace).apps([AppKind::Tp2d]).nprocs([4]);
+        let spec_path = dir.join("spec.json");
+        std::fs::write(&spec_path, serde_json::to_string(&spec).unwrap()).unwrap();
+        let out_dir = dir.join("out");
+        let out = samr(&[
+            "campaign",
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--out",
+            out_dir.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(
+            stderr.contains("error: ") && stderr.contains(message),
+            "{tag}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
+        assert!(!out_dir.exists(), "{tag}: partial output left behind");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

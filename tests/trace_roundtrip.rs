@@ -3,7 +3,7 @@
 //! methodology depends on traces being a faithful interchange format).
 
 use samr::apps::{AppKind, TraceGenConfig};
-use samr::engine::cached_trace;
+use samr::engine::{cached_trace, CompletionRecord};
 use samr::model::ModelPipeline;
 use samr::trace::io::{
     decode_binary, decode_binary_any, encode_binary, encode_binary_any, read_jsonl, read_jsonl_any,
@@ -144,4 +144,32 @@ fn binary_is_compact() {
         bin.len(),
         json.len()
     );
+}
+
+/// FNV-1a digests ([`CompletionRecord::digest`]) of every application's
+/// SAMRTRC2 bytes: the 2-D apps at [`TraceGenConfig::smoke`], SP3D at
+/// the smaller 3-D smoke config above (the full smoke config takes
+/// minutes in a debug build). Any change to a kernel's arithmetic or to
+/// the regrid pipeline that moves one patch of one snapshot changes the
+/// app's digest.
+const TRACE_GOLDEN_DIGESTS: [(AppKind, &str); 6] = [
+    (AppKind::Tp2d, "eba0938ad4bed4a1"),
+    (AppKind::Bl2d, "34d1e933a487d6c0"),
+    (AppKind::Sc2d, "b19d2c2da399d3db"),
+    (AppKind::Rm2d, "5f918c46e2594e47"),
+    (AppKind::Pc2d, "cca75474179c1799"),
+    (AppKind::Sp3d, "90b7f6a741198693"),
+];
+
+#[test]
+fn every_app_trace_matches_its_golden_digest() {
+    for (kind, want) in TRACE_GOLDEN_DIGESTS {
+        let cfg = match kind.dim() {
+            2 => TraceGenConfig::smoke(),
+            _ => cfg_3d(),
+        };
+        let bytes = encode_binary_any(&cached_trace(kind, &cfg));
+        let got = CompletionRecord::digest(&bytes);
+        assert_eq!(got, want, "{} trace bytes moved", kind.name());
+    }
 }
