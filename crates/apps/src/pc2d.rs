@@ -22,7 +22,8 @@
 //! domain-based loses the second half, patch-based pays communication
 //! and migration for the first. A policy that switches partitioners when
 //! the observed imbalance crosses its hysteresis thresholds beats both —
-//! which is exactly what the `adaptive` bench suite measures.
+//! which is exactly what the facade's `meta_integration` test asserts,
+//! and what the `adaptive` workload of the end-to-end benchmark times.
 //!
 //! The kernel is analytic (no reference PDE): the indicator is a pure
 //! function of the step counter, evaluated exactly at every sample point

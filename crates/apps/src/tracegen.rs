@@ -232,7 +232,8 @@ impl TraceGenConfig {
 /// kernel runs on.
 const MIN_REF_RESOLUTION: i64 = 8;
 
-/// A [`TraceGenConfig`] field outside the range the generator runs.
+/// A configuration field outside the range the program runs: a
+/// [`TraceGenConfig`] field, or a campaign axis value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
     /// The field's name (`cluster.` prefixed for the clusterer options).
@@ -244,7 +245,8 @@ pub struct ConfigError {
 }
 
 impl ConfigError {
-    fn new(field: &'static str, bound: String, value: impl std::fmt::Display) -> Self {
+    /// The error for `field` holding `value` outside `bound`.
+    pub fn new(field: &'static str, bound: String, value: impl std::fmt::Display) -> Self {
         let value = value.to_string();
         Self {
             field,

@@ -15,7 +15,7 @@ use crate::plan::{CampaignPlan, ShardStrategy};
 use crate::policy::PolicySpec;
 use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::spec::PartitionerSpec;
-use samr_apps::{AppKind, TraceGenConfig};
+use samr_apps::{AppKind, ConfigError, TraceGenConfig};
 use samr_sim::{MachineModel, SimConfig};
 use serde::{Deserialize, Serialize, Value};
 use std::path::{Path, PathBuf};
@@ -87,21 +87,18 @@ impl Serialize for CampaignSpec {
 }
 
 /// Every spec file, manifest and worker hand-off enters the program
-/// here, so a trace config the generator cannot run is refused with the
-/// offending field before anything is planned or written.
+/// here, so a spec the planner cannot run is refused with the offending
+/// field ([`CampaignSpec::validate`]) before anything is planned or
+/// written.
 impl Deserialize for CampaignSpec {
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        let trace: TraceGenConfig = serde::field(v, "trace")?;
-        trace
-            .validate()
-            .map_err(|e| serde::Error::msg(format!("field `trace`: {e}")))?;
-        Ok(Self {
+        let spec = Self {
             apps: serde::field(v, "apps")?,
             dims: serde::field(v, "dims")?,
             partitioners: serde::field(v, "partitioners")?,
             nprocs: serde::field(v, "nprocs")?,
             ghost_widths: serde::field(v, "ghost_widths")?,
-            trace,
+            trace: serde::field(v, "trace")?,
             machines: serde::field(v, "machines")?,
             reuse_unchanged: serde::field(v, "reuse_unchanged")?,
             policies: match v.get("policies") {
@@ -109,7 +106,10 @@ impl Deserialize for CampaignSpec {
                     .map_err(|e| serde::Error::msg(format!("field `policies`: {e}")))?,
                 None => vec![PolicySpec::Static],
             },
-        })
+        };
+        spec.validate()
+            .map_err(|e| serde::Error::msg(e.to_string()))?;
+        Ok(spec)
     }
 }
 
@@ -130,6 +130,20 @@ impl CampaignSpec {
             reuse_unchanged: true,
             policies: vec![PolicySpec::Static],
         }
+    }
+
+    /// Check every value the planner cannot run and name the first one
+    /// out of range: a trace-config field ([`TraceGenConfig::validate`]),
+    /// a processor count below 1 or a negative ghost width.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.trace.validate()?;
+        if let Some(&n) = self.nprocs.iter().find(|&&n| n < 1) {
+            return Err(ConfigError::new("nprocs", ">= 1".into(), n));
+        }
+        if let Some(&g) = self.ghost_widths.iter().find(|&&g| g < 0) {
+            return Err(ConfigError::new("ghost_widths", ">= 0".into(), g));
+        }
+        Ok(())
     }
 
     /// Replace the application axis (duplicates dropped, order kept).

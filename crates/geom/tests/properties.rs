@@ -11,10 +11,9 @@
 
 use proptest::prelude::*;
 use samr_geom::boxops;
+use samr_geom::sfc::scalar::{hilbert_decode, hilbert_decode_3d, morton_decode, morton_decode_3d};
 use samr_geom::sfc::{
-    hilbert_decode, hilbert_decode_3d, hilbert_key, hilbert_key_3d, morton_decode,
-    morton_decode_3d, morton_decodes, morton_decodes_3d, morton_decodes_3d_with,
-    morton_decodes_with, morton_key, morton_key_3d, morton_keys, morton_keys_3d,
+    hilbert_key, hilbert_key_3d, morton_key, morton_key_3d, morton_keys, morton_keys_3d,
     morton_keys_3d_with, morton_keys_with, scalar, sfc_key_nd, sfc_keys_nd, BatchIsa, SfcCurve,
     MAX_ORDER, MAX_ORDER_3D,
 };
@@ -484,31 +483,26 @@ proptest! {
     // The optimized public SFC paths are bit-identical to the retained
     // scalar reference implementations — across random u64 inputs and
     // every supported order, in both dimensions. The optimizations
-    // (PDEP/PEXT Morton, branchless Hilbert rotation, interleave-based
+    // (PDEP Morton, branchless Hilbert rotation, interleave-based
     // transpose packing) are only admissible because of these.
     // -----------------------------------------------------------------
 
     #[test]
-    fn optimized_morton_matches_scalar(x in any::<u64>(), y in any::<u64>(), k in any::<u64>()) {
+    fn optimized_morton_matches_scalar(x in any::<u64>(), y in any::<u64>()) {
         // 2-D: both paths read exactly the low 32 bits of each axis, so
-        // the whole u64 range is in scope; likewise every key bit on
-        // decode.
+        // the whole u64 range is in scope.
         let (x2, y2) = (x & 0xffff_ffff, y & 0xffff_ffff);
         prop_assert_eq!(morton_key(x2, y2), scalar::morton_key(x2, y2));
-        prop_assert_eq!(morton_decode(k), scalar::morton_decode(k));
-        // 3-D over the documented 21-bit axis / 63-bit key domain.
+        // 3-D over the documented 21-bit axis domain.
         let m = (1u64 << MAX_ORDER_3D) - 1;
         let (x3, y3, z3) = (x & m, y & m, (x ^ y) & m);
         let key = morton_key_3d(x3, y3, z3);
         prop_assert_eq!(key, scalar::morton_key_3d(x3, y3, z3));
-        let k3 = k & ((1u64 << (3 * MAX_ORDER_3D)) - 1);
-        prop_assert_eq!(morton_decode_3d(k3), scalar::morton_decode_3d(k3));
     }
 
     #[test]
     fn batch_morton_kernels_match_scalar_map(
         tuples in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64),
-        raw_keys in proptest::collection::vec(any::<u64>(), 0..64),
     ) {
         // The BMI2 batch kernels are admissible only as an exact map of
         // the scalar references over the slice — same domains as the
@@ -519,10 +513,6 @@ proptest! {
             .map(|&(x, y, _)| [x & 0xffff_ffff, y & 0xffff_ffff])
             .collect();
         let c3: Vec<[u64; 3]> = tuples.iter().map(|&(x, y, z)| [x & m3, y & m3, z & m3]).collect();
-        let k3: Vec<u64> = raw_keys
-            .iter()
-            .map(|&k| k & ((1u64 << (3 * MAX_ORDER_3D)) - 1))
-            .collect();
 
         let mut keys = Vec::new();
         morton_keys(&c2, &mut keys);
@@ -532,28 +522,11 @@ proptest! {
         morton_keys_3d(&c3, &mut keys);
         let want: Vec<u64> = c3.iter().map(|c| scalar::morton_key_3d(c[0], c[1], c[2])).collect();
         prop_assert_eq!(&keys, &want);
-
-        let mut pairs = Vec::new();
-        morton_decodes(&raw_keys, &mut pairs);
-        let want: Vec<[u64; 2]> = raw_keys
-            .iter()
-            .map(|&k| { let (x, y) = scalar::morton_decode(k); [x, y] })
-            .collect();
-        prop_assert_eq!(&pairs, &want);
-
-        let mut triples = Vec::new();
-        morton_decodes_3d(&k3, &mut triples);
-        let want: Vec<[u64; 3]> = k3
-            .iter()
-            .map(|&k| { let (x, y, z) = scalar::morton_decode_3d(k); [x, y, z] })
-            .collect();
-        prop_assert_eq!(&triples, &want);
     }
 
     #[test]
     fn batch_kernels_bit_identical_on_every_tier(
         tuples in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64),
-        raw_keys in proptest::collection::vec(any::<u64>(), 0..64),
     ) {
         // Force every tier this CPU executes — BMI2, AVX2, and the
         // always-available scalar fallback — through the same `*_with`
@@ -566,32 +539,14 @@ proptest! {
             .map(|&(x, y, _)| [x & 0xffff_ffff, y & 0xffff_ffff])
             .collect();
         let c3: Vec<[u64; 3]> = tuples.iter().map(|&(x, y, z)| [x & m3, y & m3, z & m3]).collect();
-        let k3: Vec<u64> = raw_keys
-            .iter()
-            .map(|&k| k & ((1u64 << (3 * MAX_ORDER_3D)) - 1))
-            .collect();
         let want2: Vec<u64> = c2.iter().map(|c| scalar::morton_key(c[0], c[1])).collect();
         let want3: Vec<u64> = c3.iter().map(|c| scalar::morton_key_3d(c[0], c[1], c[2])).collect();
-        let wantd2: Vec<[u64; 2]> = raw_keys
-            .iter()
-            .map(|&k| { let (x, y) = scalar::morton_decode(k); [x, y] })
-            .collect();
-        let wantd3: Vec<[u64; 3]> = k3
-            .iter()
-            .map(|&k| { let (x, y, z) = scalar::morton_decode_3d(k); [x, y, z] })
-            .collect();
         for isa in BatchIsa::ALL.into_iter().filter(|i| i.is_available()) {
             let mut keys = Vec::new();
             morton_keys_with(isa, &c2, &mut keys);
             prop_assert_eq!(&keys, &want2, "2-D encode diverged on {:?}", isa);
             morton_keys_3d_with(isa, &c3, &mut keys);
             prop_assert_eq!(&keys, &want3, "3-D encode diverged on {:?}", isa);
-            let mut pairs = Vec::new();
-            morton_decodes_with(isa, &raw_keys, &mut pairs);
-            prop_assert_eq!(&pairs, &wantd2, "2-D decode diverged on {:?}", isa);
-            let mut triples = Vec::new();
-            morton_decodes_3d_with(isa, &k3, &mut triples);
-            prop_assert_eq!(&triples, &wantd3, "3-D decode diverged on {:?}", isa);
         }
     }
 
@@ -631,7 +586,6 @@ proptest! {
         order in 1u32..=MAX_ORDER,
         x in any::<u64>(),
         y in any::<u64>(),
-        d in any::<u64>(),
     ) {
         let mask = (1u64 << order) - 1;
         let (x, y) = (x & mask, y & mask);
@@ -639,13 +593,6 @@ proptest! {
             hilbert_key(order, x, y),
             scalar::hilbert_key(order, x, y),
             "encode diverged at order {}", order
-        );
-        // Decode reads only the low 2·order bits either way: the full
-        // u64 key range is in scope.
-        prop_assert_eq!(
-            hilbert_decode(order, d),
-            scalar::hilbert_decode(order, d),
-            "decode diverged at order {}", order
         );
     }
 
@@ -655,7 +602,6 @@ proptest! {
         x in any::<u64>(),
         y in any::<u64>(),
         z in any::<u64>(),
-        d in any::<u64>(),
     ) {
         let mask = (1u64 << order) - 1;
         let (x, y, z) = (x & mask, y & mask, z & mask);
@@ -663,13 +609,6 @@ proptest! {
             hilbert_key_3d(order, x, y, z),
             scalar::hilbert_key_3d(order, x, y, z),
             "encode diverged at order {}", order
-        );
-        // Stray key bits at or above 3·order are dropped identically by
-        // both unpackings, so the full u64 key range is in scope.
-        prop_assert_eq!(
-            hilbert_decode_3d(order, d),
-            scalar::hilbert_decode_3d(order, d),
-            "decode diverged at order {}", order
         );
     }
 }

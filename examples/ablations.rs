@@ -1,5 +1,5 @@
 //! The design-choice ablations DESIGN.md §6 calls out, one line each, on
-//! the reduced benchmark traces:
+//! the reduced-config traces:
 //!
 //! - **ABL1** — β_m denominator `|H_t|` vs `|H_{t-1}|` (§4.4): correlation
 //!   against measured migration under each choice;
@@ -15,7 +15,7 @@
 //! `cargo run --release --example ablations`
 
 use samr::apps::{generate_trace, AppKind};
-use samr::bench::{bench_config, bench_trace};
+use samr::engine::{cached_trace, configs};
 use samr::grid::ClusterOptions;
 use samr::model::model::{BetaMDenominatorConfig, ModelConfig};
 use samr::model::ModelPipeline;
@@ -35,15 +35,16 @@ fn simulate(trace: &HierarchyTrace<2>, p: &(dyn Partitioner<2> + Sync)) -> SimRe
 
 /// ABL1: the β_m denominator.
 fn bm_denominator() {
-    let trace = bench_trace(AppKind::Sc2d);
-    let sim = simulate(&trace, &HybridPartitioner::default());
+    let trace = cached_trace(AppKind::Sc2d, &configs::reduced());
+    let trace = trace.as_2d().expect("SC2D is 2-D");
+    let sim = simulate(trace, &HybridPartitioner::default());
     let measured: Vec<f64> = sim.steps.iter().skip(1).map(|s| s.rel_migration).collect();
-    let paper = ModelPipeline::new().run(&trace);
+    let paper = ModelPipeline::new().run(trace);
     let ablated = ModelPipeline::with_config(ModelConfig {
         denominator: BetaMDenominatorConfig::Previous,
         ..ModelConfig::default()
     })
-    .run(&trace);
+    .run(trace);
     let bm_cur: Vec<f64> = paper.iter().skip(1).map(|s| s.beta_m).collect();
     let bm_prev: Vec<f64> = ablated.iter().skip(1).map(|s| s.beta_m).collect();
     let (r_cur, r_prev) = (pearson(&bm_cur, &measured), pearson(&bm_prev, &measured));
@@ -54,13 +55,14 @@ fn bm_denominator() {
 
 /// ABL2: the absolute-importance grid-size weighting.
 fn importance() {
-    let trace = bench_trace(AppKind::Sc2d);
-    let weighted = ModelPipeline::new().run(&trace);
+    let trace = cached_trace(AppKind::Sc2d, &configs::reduced());
+    let trace = trace.as_2d().expect("SC2D is 2-D");
+    let weighted = ModelPipeline::new().run(trace);
     let unweighted = ModelPipeline::with_config(ModelConfig {
         weight_by_grid_size: false,
         ..ModelConfig::default()
     })
-    .run(&trace);
+    .run(trace);
     // The weighted request must track grid size; the unweighted one must
     // not.
     let points: Vec<f64> = trace
@@ -78,11 +80,12 @@ fn importance() {
 
 /// Fully vs partially ordered SFC in the hybrid partitioner.
 fn sfc_ordering() {
-    let trace = bench_trace(AppKind::Bl2d);
+    let trace = cached_trace(AppKind::Bl2d, &configs::reduced());
+    let trace = trace.as_2d().expect("BL2D is 2-D");
     // The hybrid's default is the partial ordering.
-    let partial = simulate(&trace, &HybridPartitioner::default());
+    let partial = simulate(trace, &HybridPartitioner::default());
     let full = simulate(
-        &trace,
+        trace,
         &HybridPartitioner::new(HybridParams {
             full_order: true,
             ..HybridParams::default()
@@ -98,7 +101,7 @@ fn sfc_ordering() {
 
 /// Berger–Rigoutsos efficiency threshold.
 fn cluster_efficiency() {
-    let mut cfg_lo = bench_config();
+    let mut cfg_lo = configs::reduced();
     cfg_lo.cluster = ClusterOptions {
         min_efficiency: 0.5,
         ..ClusterOptions::paper_defaults()

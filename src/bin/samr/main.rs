@@ -15,8 +15,6 @@
 //!               [--resume] [--retries N]
 //! samr campaign-merge DIR… [--out DIR]
 //! samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]
-//! samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|all] [--quick] [--out DIR]
-//!            [--check BASELINE.json]… [--tolerance PCT] [--allow-budget-mismatch]
 //! samr apps
 //! samr partitioners
 //! ```
@@ -43,9 +41,7 @@
 //! (see [`pareto`]) prints the multi-objective trade-off front of a
 //! finished campaign directory and, with `--predict`, scores the same
 //! scenarios through the paper's model to report predicted-vs-observed
-//! front agreement; `bench` (see [`bench`]) runs the fixed wall-clock
-//! benchmark suites, emits `BENCH_<suite>.json` reports, and checks
-//! fresh runs against checked-in baselines.
+//! front agreement.
 //!
 //! Campaign execution is crash-consistent: every artifact is written
 //! tmp-then-rename and every finished scenario is stamped with a
@@ -54,7 +50,7 @@
 //! `--workers`) relaunches a dead worker with `--resume` instead of
 //! failing the sweep.
 
-use samr::apps::{trace_source_any, AppKind, TraceGenConfig};
+use samr::apps::{trace_source_any, AppKind, ConfigError, TraceGenConfig};
 use samr::engine::{
     build_thread_pool, configs, find_shard_dirs, merge_shards, Campaign, CampaignExecutor,
     CampaignPlan, CampaignSpec, ExecOutput, PartitionerSpec, PolicySpec, ShardExecutor,
@@ -67,7 +63,6 @@ use samr::trace::io::{open_trace_source, write_binary_source, JsonlSnapshotWrite
 use samr::trace::{AnySnapshotSource, AnyTrace, Snapshot, SnapshotSource};
 use std::fs::File;
 
-mod bench;
 mod pareto;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -75,7 +70,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N] [--shard-strategy round-robin|size-aware]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr bench [--suite kernels|partition|campaign|sim|regrid|adaptive|all] [--quick] [--out DIR]\n             [--check BASELINE.json]... [--tolerance PCT] [--allow-budget-mismatch]\n  samr apps\n  samr partitioners"
+        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N] [--shard-strategy round-robin|size-aware]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr apps\n  samr partitioners"
     );
     ExitCode::from(2)
 }
@@ -213,13 +208,22 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     .map_err(|e| format!("analyze {path}: {e}"))
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("expected a trace file")?;
-    let mut source = load_source(path)?;
+/// `--nprocs N` of `simulate` and `compare` (default 16), at least 1.
+fn parse_nprocs(args: &[String]) -> Result<usize, String> {
     let nprocs: usize = flag_value(args, "--nprocs")
         .map(|v| v.parse().map_err(|e| format!("bad nprocs: {e}")))
         .transpose()?
         .unwrap_or(16);
+    if nprocs < 1 {
+        return Err(ConfigError::new("nprocs", ">= 1".into(), nprocs).to_string());
+    }
+    Ok(nprocs)
+}
+
+fn cmd_simulate(args: &[String]) -> Result<(), String> {
+    let path = args.first().ok_or("expected a trace file")?;
+    let nprocs = parse_nprocs(args)?;
+    let mut source = load_source(path)?;
     let spec = match flag_value(args, "--partitioner") {
         None => PartitionerSpec::parse("hybrid")?,
         Some(name) => PartitionerSpec::parse(&name)?,
@@ -257,10 +261,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("expected a trace file")?;
-    let nprocs: usize = flag_value(args, "--nprocs")
-        .map(|v| v.parse().map_err(|e| format!("bad nprocs: {e}")))
-        .transpose()?
-        .unwrap_or(16);
+    let nprocs = parse_nprocs(args)?;
     let cfg = SimConfig {
         nprocs,
         ..SimConfig::default()
@@ -371,14 +372,16 @@ fn parse_campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
         vec![MachineModel::default()],
         MachineModel::parse,
     )?;
-    Ok(CampaignSpec::new(trace)
+    let spec = CampaignSpec::new(trace)
         .apps(apps)
         .dims(dims)
         .partitioners(partitioners)
         .policies(policies)
         .nprocs(nprocs)
         .ghost_widths(ghost_widths)
-        .machines(machines))
+        .machines(machines);
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
 }
 
 /// Parse `--shard I/N` into `(shard, nshards)`.
@@ -643,7 +646,6 @@ fn main() -> ExitCode {
         "campaign" => cmd_campaign(rest),
         "campaign-merge" => cmd_campaign_merge(rest),
         "pareto" => pareto::cmd_pareto(rest),
-        "bench" => bench::cmd_bench(rest),
         "apps" => cmd_apps(),
         "partitioners" => cmd_partitioners(),
         _ => return usage(),

@@ -19,7 +19,6 @@
 //! | [`model`] | `samr-core` | the paper's model: penalties and classification space |
 //! | [`meta`] | `samr-meta` | the adaptive meta-partitioner |
 //! | [`engine`] | `samr-engine` | scenario descriptions, the partitioner registry, campaign sweeps |
-//! | [`mod@bench`] | `samr-bench` | wall-clock benchmark suites and the `BENCH_*.json` report harness |
 //!
 //! ## Quickstart
 //!
@@ -38,7 +37,6 @@
 //! ```
 
 pub use samr_apps as apps;
-pub use samr_bench as bench;
 pub use samr_core as model;
 pub use samr_engine as engine;
 pub use samr_geom as geom;

@@ -342,45 +342,42 @@ fn simulate_and_compare_reject_a_trace_with_no_snapshots() {
 
 #[test]
 fn unrunnable_trace_configs_are_refused_by_field_with_no_output() {
-    // A spec file is input the program does not control: a trace config
-    // the generator cannot run must exit 1 with an `error:` line naming
-    // the field and its bound, before any output directory exists.
+    // A spec file or an axis flag is input the program does not
+    // control: a value the planner cannot run must exit 1 with an
+    // `error:` line naming the field and its bound, before any output
+    // directory exists.
     use samr::apps::{AppKind, TraceGenConfig};
     use samr::engine::CampaignSpec;
-    type Edit = fn(&mut TraceGenConfig);
-    let cases: [(&str, Edit, &str); 3] = [
+    type Edit = fn(&mut CampaignSpec);
+    let spec_cases: [(&str, Edit, &str); 5] = [
         (
             "ref-resolution",
-            |c| c.ref_resolution = 4,
+            |s| s.trace.ref_resolution = 4,
             "`ref_resolution` = 4 is out of range (must be >= 8)",
         ),
         (
             "zero-steps",
-            |c| c.steps = 0,
+            |s| s.trace.steps = 0,
             "`steps` = 0 is out of range (must be >= 1)",
         ),
         (
             "zero-ratio",
-            |c| c.ratio = 0,
+            |s| s.trace.ratio = 0,
             "`ratio` = 0 is out of range (must be >= 2)",
         ),
+        (
+            "zero-nprocs",
+            |s| s.nprocs = vec![0],
+            "`nprocs` = 0 is out of range (must be >= 1)",
+        ),
+        (
+            "negative-ghost-width",
+            |s| s.ghost_widths = vec![-3],
+            "`ghost_widths` = -3 is out of range (must be >= 0)",
+        ),
     ];
-    for (tag, edit, message) in cases {
-        let dir = temp_dir(tag);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut trace = TraceGenConfig::smoke();
-        edit(&mut trace);
-        let spec = CampaignSpec::new(trace).apps([AppKind::Tp2d]).nprocs([4]);
-        let spec_path = dir.join("spec.json");
-        std::fs::write(&spec_path, serde_json::to_string(&spec).unwrap()).unwrap();
-        let out_dir = dir.join("out");
-        let out = samr(&[
-            "campaign",
-            "--spec",
-            spec_path.to_str().unwrap(),
-            "--out",
-            out_dir.to_str().unwrap(),
-        ]);
+    let assert_refused = |tag: &str, args: &[&str], message: &str, out_dir: &PathBuf| {
+        let out = samr(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
         assert!(
@@ -389,6 +386,47 @@ fn unrunnable_trace_configs_are_refused_by_field_with_no_output() {
         );
         assert!(!stderr.contains("panicked"), "{tag}: {stderr}");
         assert!(!out_dir.exists(), "{tag}: partial output left behind");
+    };
+    for (tag, edit, message) in spec_cases {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut spec = CampaignSpec::new(TraceGenConfig::smoke())
+            .apps([AppKind::Tp2d])
+            .nprocs([4]);
+        edit(&mut spec);
+        let spec_path = dir.join("spec.json");
+        std::fs::write(&spec_path, serde_json::to_string(&spec).unwrap()).unwrap();
+        let out_dir = dir.join("out");
+        let args = [
+            "campaign",
+            "--spec",
+            spec_path.to_str().unwrap(),
+            "--out",
+            out_dir.to_str().unwrap(),
+        ];
+        assert_refused(tag, &args, message, &out_dir);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    // The same bound on the `--nprocs` flag of every command that has one.
+    let dir = temp_dir("zero-nprocs-flag");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("tp2d.trace");
+    let trace = trace.to_str().unwrap();
+    assert_ok(
+        &samr(&["generate", "tp2d", "--config", "smoke", "--out", trace]),
+        "generate",
+    );
+    let out_dir = dir.join("out");
+    let out = out_dir.to_str().unwrap();
+    let message = "`nprocs` = 0 is out of range (must be >= 1)";
+    let campaign = [
+        "campaign", "--apps", "tp2d", "--nprocs", "0", "--config", "smoke", "--out", out,
+    ];
+    assert_refused("campaign --nprocs 0", &campaign, message, &out_dir);
+    for cmd in ["simulate", "compare"] {
+        let args = [cmd, trace, "--nprocs", "0"];
+        assert_refused(&format!("{cmd} --nprocs 0"), &args, message, &out_dir);
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

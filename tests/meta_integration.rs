@@ -144,3 +144,62 @@ fn machine_and_application_change_the_static_winner() {
         "the static winner must depend on (A, C)"
     );
 }
+
+/// The PC2D phase-change configuration: a 32² base with four levels
+/// regridding every step, so the mid-run flip from spread refinement to
+/// a corner point singularity lands in the trace immediately. Small
+/// enough to simulate in milliseconds, deep enough that a domain cut
+/// cannot balance the singular regime.
+fn phase_change_config() -> TraceGenConfig {
+    TraceGenConfig {
+        steps: 24,
+        base_cells: 32,
+        max_levels: 4,
+        ratio: 2,
+        regrid_interval: 1,
+        min_block: 2,
+        flag_buffer: 1,
+        nesting_buffer: 1,
+        cluster: samr::grid::ClusterOptions::paper_defaults(),
+        ref_resolution: 64,
+        seed: 2004,
+    }
+}
+
+#[test]
+fn adaptive_policy_beats_every_static_choice_on_the_phase_change() {
+    // The reason the policy layer exists: on PC2D the best partitioner
+    // changes mid-run, so an adaptive policy that switches must beat
+    // the best static assignment. A failure means the policy stopped
+    // switching or stopped paying off.
+    use samr::engine::{PartitionerSpec, PolicySpec};
+    use samr::trace::MemorySource;
+
+    let trace = samr::apps::generate_trace(AppKind::Pc2d, &phase_change_config());
+    // Computation-dominated: load imbalance, not communication, decides
+    // the execution time, so the singular regime punishes domain cuts.
+    let sim = SimConfig {
+        nprocs: 16,
+        machine: MachineModel::slow_cpu(),
+        ..SimConfig::default()
+    };
+    let part = |name: &str| PartitionerSpec::parse(name).expect("registry name");
+    let run = |partitioner: &PartitionerSpec, policy: &PolicySpec| {
+        let mut source = MemorySource::new(&trace);
+        let (res, stats) = policy
+            .simulate_source::<2>(partitioner, &mut source, &[sim])
+            .expect("in-memory sources never fail");
+        (res[0].total_time, stats.switches())
+    };
+    let best_static = ["domain-sfc", "patch", "hybrid"]
+        .iter()
+        .map(|n| run(&part(n), &PolicySpec::Static).0)
+        .fold(f64::INFINITY, f64::min);
+    let balance = PolicySpec::parse("adaptive:balance").expect("policy name");
+    let (adaptive_time, switches) = run(&part("domain-sfc"), &balance);
+    assert!(switches >= 1, "adaptive policy never switched on PC2D");
+    assert!(
+        adaptive_time < best_static,
+        "adaptive ({adaptive_time:.0}) no longer beats the best static ({best_static:.0})"
+    );
+}
