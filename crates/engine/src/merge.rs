@@ -29,7 +29,7 @@ use crate::campaign::CampaignSpec;
 use crate::plan::ShardStrategy;
 use crate::resume::{Completion, CompletionRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// File name of the per-shard manifest inside a shard directory.
@@ -41,6 +41,11 @@ pub const CAMPAIGN_MANIFEST: &str = "campaign.manifest.json";
 
 /// File name of the canonical concatenated campaign CSV.
 pub const CAMPAIGN_CSV: &str = "campaign.csv";
+
+/// How many absent shard indices or scenario IDs a [`MergeError`]
+/// lists. The counts come from the manifests, which may be forged, so
+/// no list is sized by them.
+const MAX_LISTED: usize = 32;
 
 /// One scenario as recorded in a shard manifest: its plan ID and the
 /// artifact slug its CSV/JSON files are named by.
@@ -194,6 +199,15 @@ pub enum MergeError {
         /// The offending shard directory.
         dir: PathBuf,
     },
+    /// A manifest's shard index is not below its shard count.
+    ShardOutOfRange {
+        /// The declared shard index.
+        shard: usize,
+        /// The declared shard count.
+        nshards: usize,
+        /// The offending shard directory.
+        dir: PathBuf,
+    },
     /// The same shard index appears in two directories.
     DuplicateShard {
         /// The repeated shard index.
@@ -201,8 +215,10 @@ pub enum MergeError {
     },
     /// Shard indices absent from the set.
     MissingShards {
-        /// The absent indices.
+        /// The lowest absent indices, at most 32 of them.
         missing: Vec<usize>,
+        /// How many indices are absent.
+        count: usize,
         /// The plan's shard count.
         nshards: usize,
     },
@@ -214,8 +230,10 @@ pub enum MergeError {
     /// Scenario IDs no shard covers (a shard ran an older plan or was
     /// truncated).
     MissingScenarios {
-        /// The uncovered IDs.
+        /// The lowest uncovered IDs, at most 32 of them.
         missing: Vec<usize>,
+        /// How many IDs are uncovered.
+        count: usize,
         /// The plan's scenario count.
         total: usize,
     },
@@ -303,21 +321,40 @@ impl std::fmt::Display for MergeError {
                 "{} declares {found}, other shards {expected}",
                 dir.display()
             ),
+            Self::ShardOutOfRange {
+                shard,
+                nshards,
+                dir,
+            } => write!(
+                f,
+                "{} declares shard {shard} of {nshards}: a shard index must be \
+                 below the shard count",
+                dir.display()
+            ),
             Self::DuplicateShard { shard } => {
                 write!(f, "shard {shard} appears more than once in the merge set")
             }
-            Self::MissingShards { missing, nshards } => write!(
+            Self::MissingShards {
+                missing,
+                count,
+                nshards,
+            } => write!(
                 f,
-                "missing shard(s) {missing:?} of {nshards}: run the absent \
-                 `samr campaign --shard i/{nshards}` invocations before merging"
+                "missing shard(s) {missing:?}{} of {nshards}: run the absent \
+                 `samr campaign --shard i/{nshards}` invocations before merging",
+                more_absent(missing, *count)
             ),
             Self::DuplicateScenario { id } => {
                 write!(f, "scenario id {id} is claimed by more than one shard")
             }
-            Self::MissingScenarios { missing, total } => write!(
+            Self::MissingScenarios {
+                missing,
+                count,
+                total,
+            } => write!(
                 f,
-                "{} of {total} scenario ids are covered by no shard: {missing:?}",
-                missing.len()
+                "{count} of {total} scenario ids are covered by no shard: {missing:?}{}",
+                more_absent(missing, *count)
             ),
             Self::ShardIncomplete {
                 dir,
@@ -359,6 +396,15 @@ impl std::fmt::Display for MergeError {
 }
 
 impl std::error::Error for MergeError {}
+
+/// The tail of a capped absence list in a message: empty when `listed`
+/// is all `count` absent values.
+fn more_absent(listed: &[usize], count: usize) -> String {
+    match count - listed.len() {
+        0 => String::new(),
+        more => format!(" and {more} more"),
+    }
+}
 
 /// What a successful merge produced.
 #[derive(Debug)]
@@ -478,6 +524,13 @@ pub fn find_shard_dirs(dir: &Path) -> Result<Vec<PathBuf>, MergeError> {
     Ok(dirs.into_iter().map(|(_, p)| p).collect())
 }
 
+/// The lowest (at most [`MAX_LISTED`]) of `0..n` that are not `present`.
+/// Every present index is below `n` and distinct, so this tests at most
+/// their count plus [`MAX_LISTED`] candidates, however large a forged `n`.
+fn absent(n: usize, present: impl Fn(usize) -> bool) -> Vec<usize> {
+    (0..n).filter(|&i| !present(i)).take(MAX_LISTED).collect()
+}
+
 /// Read and cross-validate the manifests of a shard set: same plan
 /// hash, same shard/scenario counts, every shard index and every
 /// scenario ID exactly once, and every listed artifact pair stamped
@@ -520,6 +573,13 @@ fn validate_shards(
         } else {
             reference = Some(m.clone());
         }
+        if m.shard >= m.nshards {
+            return Err(MergeError::ShardOutOfRange {
+                shard: m.shard,
+                nshards: m.nshards,
+                dir: dir.clone(),
+            });
+        }
         let shard = m.shard;
         if manifests.insert(shard, (dir.clone(), m)).is_some() {
             return Err(MergeError::DuplicateShard { shard });
@@ -530,37 +590,28 @@ fn validate_shards(
     let Some(reference) = reference else {
         return Err(MergeError::NoShards);
     };
-    let missing: Vec<usize> = (0..reference.nshards)
-        .filter(|i| !manifests.contains_key(i))
-        .collect();
-    if !missing.is_empty() {
+    if manifests.len() < reference.nshards {
         return Err(MergeError::MissingShards {
-            missing,
+            missing: absent(reference.nshards, |i| manifests.contains_key(&i)),
+            count: reference.nshards - manifests.len(),
             nshards: reference.nshards,
         });
     }
-    let mut seen = vec![false; reference.total_scenarios];
+    let mut claimed: BTreeSet<usize> = BTreeSet::new();
     for (_, m) in manifests.values() {
         for entry in &m.scenarios {
-            match seen.get_mut(entry.id) {
-                Some(slot) if *slot => return Err(MergeError::DuplicateScenario { id: entry.id }),
-                Some(slot) => *slot = true,
-                // An ID past the declared total: the shard ran a larger
-                // plan than it declared — treat as a duplicate-claim
-                // class of corruption.
-                None => return Err(MergeError::DuplicateScenario { id: entry.id }),
+            // An ID past the declared total means the shard ran a larger
+            // plan than it declared: a duplicate-claim class of
+            // corruption.
+            if entry.id >= reference.total_scenarios || !claimed.insert(entry.id) {
+                return Err(MergeError::DuplicateScenario { id: entry.id });
             }
         }
     }
-    let missing: Vec<usize> = seen
-        .iter()
-        .enumerate()
-        .filter(|(_, covered)| !**covered)
-        .map(|(id, _)| id)
-        .collect();
-    if !missing.is_empty() {
+    if claimed.len() < reference.total_scenarios {
         return Err(MergeError::MissingScenarios {
-            missing,
+            missing: absent(reference.total_scenarios, |id| claimed.contains(&id)),
+            count: reference.total_scenarios - claimed.len(),
             total: reference.total_scenarios,
         });
     }

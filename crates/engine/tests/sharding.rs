@@ -158,8 +158,13 @@ fn merge_rejects_a_missing_shard() {
     let shard_dirs = run_shards(&plan, &dir);
     let err = merge_shards(&shard_dirs[..2], &dir).unwrap_err();
     match &err {
-        MergeError::MissingShards { missing, nshards } => {
+        MergeError::MissingShards {
+            missing,
+            count,
+            nshards,
+        } => {
             assert_eq!(missing, &vec![2]);
+            assert_eq!(*count, 1);
             assert_eq!(*nshards, 3);
         }
         other => panic!("expected MissingShards, got {other:?}"),
@@ -274,6 +279,55 @@ fn merge_rejects_duplicate_scenario_claims() {
     match merge_shards(&shard_dirs, &dir).unwrap_err() {
         MergeError::DuplicateScenario { id } => assert_eq!(id, m0.scenarios[0].id),
         other => panic!("expected DuplicateScenario, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn merge_rejects_forged_manifest_counts_without_sizing_by_them() {
+    // A manifest's shard and scenario counts are read from disk: forged
+    // ones must end in a typed error, not in an allocation the size of
+    // the forged count.
+    let dir = temp_dir("forged-counts");
+    let plan = CampaignPlan::new(&two_by_two(), 1, ShardStrategy::RoundRobin);
+    let shard_dirs = run_shards(&plan, &dir);
+    let genuine = ShardManifest::read(&shard_dirs[0]).unwrap();
+    let n = plan.len();
+    let forge = |edit: &dyn Fn(&mut ShardManifest)| {
+        let mut m = genuine.clone();
+        edit(&mut m);
+        m.write(&shard_dirs[0]).unwrap();
+        merge_shards(&shard_dirs, &dir).unwrap_err()
+    };
+    for total in [usize::MAX, 4_000_000_000_000] {
+        match forge(&|m| m.total_scenarios = total) {
+            MergeError::MissingScenarios {
+                missing,
+                count,
+                total: t,
+            } => {
+                assert_eq!(missing, (n..n + 32).collect::<Vec<_>>());
+                assert_eq!((count, t), (total - n, total));
+            }
+            other => panic!("expected MissingScenarios for total {total}, got {other:?}"),
+        }
+    }
+    let err = forge(&|m| m.nshards = 100_000_000_000);
+    match &err {
+        MergeError::MissingShards {
+            missing,
+            count,
+            nshards,
+        } => {
+            assert_eq!(missing, &(1..33).collect::<Vec<_>>());
+            assert_eq!((*count, *nshards), (99_999_999_999, 100_000_000_000));
+        }
+        other => panic!("expected MissingShards, got {other:?}"),
+    }
+    assert!(err.to_string().contains("and 99999999967 more"), "{err}");
+    match forge(&|m| m.shard = 1) {
+        MergeError::ShardOutOfRange { shard, nshards, .. } => assert_eq!((shard, nshards), (1, 1)),
+        other => panic!("expected ShardOutOfRange, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
 }

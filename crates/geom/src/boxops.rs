@@ -157,7 +157,45 @@ pub fn coalesce<const D: usize>(boxes: &[AABox<D>]) -> Vec<AABox<D>> {
 /// exactly the output `coalesce` would for the same input order. The
 /// allocation-free form the partitioner scratch arenas use on their hot
 /// path.
+///
+/// Performs the merge sequence of [`naive_coalesce`] — always the first
+/// mergeable pair `(i, j)` in row-major order, `list[i]` replaced by the
+/// merge, `list[j]` by `swap_remove` — without restarting the pair scan
+/// after each merge. Before a merge into row `i`, every pair in the rows
+/// above failed; afterwards only the pairs `(a, i)` can succeed there,
+/// since slot `j` now holds the old last box, which those rows already
+/// failed against. So only they are re-tested: a merge into the first
+/// such `a` moves the check up to row `a`, and when none succeeds the
+/// scan resumes at the merged row.
 pub fn coalesce_in_place<const D: usize>(list: &mut Vec<AABox<D>>) {
+    let mut i = 0;
+    while i < list.len() {
+        let mut j = i + 1;
+        while j < list.len() {
+            let Some(m) = try_merge(&list[i], &list[j]) else {
+                j += 1;
+                continue;
+            };
+            list.swap_remove(j);
+            list[i] = m;
+            while let Some((a, m)) =
+                (0..i).find_map(|a| try_merge(&list[a], &list[i]).map(|m| (a, m)))
+            {
+                list.swap_remove(i);
+                list[a] = m;
+                i = a;
+            }
+            j = i + 1;
+        }
+        i += 1;
+    }
+}
+
+/// The restart scan [`coalesce_in_place`] replaced: after every merge it
+/// scans the pairs again from `(0, 1)`, cubic in the list length. A test
+/// oracle with no pipeline caller, like the `naive_*` accounting twins.
+pub fn naive_coalesce<const D: usize>(boxes: &[AABox<D>]) -> Vec<AABox<D>> {
+    let mut list: Vec<AABox<D>> = boxes.to_vec();
     loop {
         let mut merged_any = false;
         'outer: for i in 0..list.len() {
@@ -171,7 +209,7 @@ pub fn coalesce_in_place<const D: usize>(list: &mut Vec<AABox<D>>) {
             }
         }
         if !merged_any {
-            return;
+            return list;
         }
     }
 }

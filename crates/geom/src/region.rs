@@ -147,7 +147,7 @@ impl<const D: usize> Region<D> {
     /// Reduce the number of boxes in the representation without changing
     /// the cell set.
     pub fn coalesce(&mut self) {
-        self.boxes = boxops::coalesce(&self.boxes);
+        boxops::coalesce_in_place(&mut self.boxes);
     }
 
     /// Refine every box by factor `r` (cells subdivide; the region covers

@@ -47,6 +47,53 @@ fn arb_box3_list(max: usize) -> impl Strategy<Value = Vec<Box3>> {
     prop::collection::vec(arb_box3(), 1..max)
 }
 
+/// Strategy: a random subset of `0..cells` in shuffled order. Each index
+/// is kept when its first draw is below a per-case density (out of 8)
+/// and placed by its second draw.
+fn shuffled_subset(cells: usize) -> impl Strategy<Value = Vec<usize>> {
+    (
+        1u8..9,
+        prop::collection::vec((any::<u8>(), any::<u64>()), cells..cells + 1),
+    )
+        .prop_map(|(density, draws)| {
+            let mut kept: Vec<(u64, usize)> = draws
+                .iter()
+                .enumerate()
+                .filter(|(_, (keep, _))| keep % 8 < density)
+                .map(|(k, &(_, place))| (place, k))
+                .collect();
+            kept.sort_unstable();
+            kept.into_iter().map(|(_, k)| k).collect()
+        })
+}
+
+/// Strategy: unit cells of a 16² grid, a random subset in shuffled
+/// order — the shape of the lists domain-SFC's per-processor regions and
+/// `clip_to_nesting` coalesce. At most 256 boxes, so the cubic restart
+/// scan stays fast as an oracle.
+fn arb_unit_cells_2d() -> impl Strategy<Value = Vec<Rect2>> {
+    shuffled_subset(16 * 16).prop_map(|ks| {
+        ks.into_iter()
+            .map(|k| {
+                let p = Point2::new((k % 16) as i64, (k / 16) as i64);
+                Rect2::new(p, p)
+            })
+            .collect()
+    })
+}
+
+/// Strategy: unit cells of a 6³ grid, a random subset in shuffled order.
+fn arb_unit_cells_3d() -> impl Strategy<Value = Vec<Box3>> {
+    shuffled_subset(6 * 6 * 6).prop_map(|ks| {
+        ks.into_iter()
+            .map(|k| {
+                let p = Point3::new((k % 6) as i64, (k / 6 % 6) as i64, (k / 36) as i64);
+                Box3::new(p, p)
+            })
+            .collect()
+    })
+}
+
 /// Brute-force cell count of a union by membership testing over the
 /// bounding box.
 fn brute_union_cells(boxes: &[Rect2]) -> u64 {
@@ -174,6 +221,21 @@ proptest! {
             }
         }
         prop_assert!(merged.len() <= dis.len());
+        prop_assert_eq!(merged, boxops::naive_coalesce(&dis));
+    }
+
+    #[test]
+    fn coalesce_matches_the_restart_scan_on_shuffled_unit_cells_2d(cells in arb_unit_cells_2d()) {
+        let merged = boxops::coalesce(&cells);
+        prop_assert_eq!(boxops::total_cells(&merged), cells.len() as u64);
+        prop_assert_eq!(merged, boxops::naive_coalesce(&cells));
+    }
+
+    #[test]
+    fn coalesce_matches_the_restart_scan_on_shuffled_unit_cells_3d(cells in arb_unit_cells_3d()) {
+        let merged = boxops::coalesce(&cells);
+        prop_assert_eq!(boxops::total_cells(&merged), cells.len() as u64);
+        prop_assert_eq!(merged, boxops::naive_coalesce(&cells));
     }
 
     #[test]

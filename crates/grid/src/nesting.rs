@@ -55,9 +55,9 @@ pub fn clip_to_nesting<const D: usize>(
     for r in rects {
         pieces.extend(nest.intersect_rect(r).boxes().iter().copied());
     }
-    let pieces = boxops::disjointify(&pieces);
-    let merged = boxops::coalesce(&pieces);
-    merged
+    let mut pieces = boxops::disjointify(&pieces);
+    boxops::coalesce_in_place(&mut pieces);
+    pieces
         .into_iter()
         .filter(|b| b.extent().coords().iter().all(|&e| e >= min_block))
         .collect()

@@ -4,7 +4,7 @@
 //! golden artifact), and the merge CLI must fail loudly on incomplete
 //! shard sets.
 
-use samr::engine::CampaignManifest;
+use samr::engine::{CampaignManifest, ShardManifest};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -144,6 +144,27 @@ fn merge_refuses_an_incomplete_shard_set() {
     let stderr = String::from_utf8_lossy(&merge.stderr);
     assert!(
         stderr.contains("missing shard") && stderr.contains("[1]"),
+        "unhelpful merge error: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn merge_of_a_forged_scenario_total_fails_with_an_error() {
+    let dir = temp_dir("forged-total");
+    let mut args = vec!["campaign"];
+    args.extend(AXES);
+    args.extend(["--shard", "0/1", "--out", dir.to_str().unwrap()]);
+    assert_ok(&samr(&args), "shard 0/1");
+    let shard_dir = dir.join("shard-0-of-1");
+    let mut manifest = ShardManifest::read(&shard_dir).unwrap();
+    manifest.total_scenarios = usize::MAX;
+    manifest.write(&shard_dir).unwrap();
+    let merge = samr(&["campaign-merge", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&merge.stderr);
+    assert_eq!(merge.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("covered by no shard"),
         "unhelpful merge error: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -5,9 +5,10 @@
 //! End-to-end timing belongs to `samr-benchmark/`. What an end-to-end
 //! run cannot show is how much faster each optimized path is than its
 //! retained twin: the scalar SFC references, the all-pairs `naive_*`
-//! accounting, fresh-allocation clustering and partitioning. Each test
-//! times one pair and asserts that the median of its per-round
-//! `twin / optimized` time ratios is at least the pair's floor.
+//! accounting, the restart-scan `naive_coalesce`, fresh-allocation
+//! clustering and partitioning. Each test times one pair and asserts
+//! that the median of its per-round `twin / optimized` time ratios is
+//! at least the pair's floor.
 //!
 //! A floor keeps half of the gain measured when it was set,
 //! `1 + (median - 1) / 2`. A pair whose optimized path measured below
@@ -29,11 +30,14 @@
 use samr::apps::AppKind;
 use samr::engine::{cached_trace, configs};
 use samr::geom::sfc::{self, scalar, BatchIsa, SfcCurve};
-use samr::geom::Rect2;
+use samr::geom::{boxops, Rect2};
 use samr::grid::{
     cluster_flags, cluster_flags_with, ClusterOptions, ClusterScratch, FlagField, GridHierarchy,
 };
-use samr::partition::{HybridPartitioner, PartitionScratch, Partitioner, PatchPartitioner};
+use samr::partition::weights::{composite_unit_weights, sfc_order, split_contiguous};
+use samr::partition::{
+    DomainSfcParams, HybridPartitioner, PartitionScratch, Partitioner, PatchPartitioner,
+};
 use samr::sim::comm::{
     comm_accounting, naive_involved_comm_points, naive_per_proc_comm, naive_total_comm,
 };
@@ -483,5 +487,32 @@ fn scratch_reusing_partition_is_not_slower() {
                 .fragment_count()
         },
         || hybrid.partition(black_box(&h_rm), NPROCS).fragment_count(),
+    );
+}
+
+#[test]
+#[ignore = "times code: run in release with --ignored"]
+fn incremental_coalesce_beats_the_restart_scan() {
+    // Domain-SFC's atomic units on the hardest RM2D snapshot, in curve
+    // order, bucketed by owner: the longest bucket is the largest list
+    // `proc_regions` coalesces for this snapshot.
+    let h = representative_hierarchy(AppKind::Rm2d);
+    let params = DomainSfcParams::default();
+    let grid = composite_unit_weights(&h, params.atomic_unit);
+    let order = sfc_order(&grid, params.curve, params.full_order);
+    let owners = split_contiguous(&grid, &order, NPROCS);
+    let mut buckets = vec![Vec::new(); NPROCS];
+    for (&u, &owner) in order.iter().zip(&owners) {
+        buckets[owner as usize].push(grid.unit_rect(&h.base_domain, u));
+    }
+    let units = buckets
+        .into_iter()
+        .max_by_key(Vec::len)
+        .expect("at least one processor");
+    assert_speedup(
+        "coalesce_incremental",
+        5.02,
+        || boxops::coalesce(black_box(&units)).len(),
+        || boxops::naive_coalesce(black_box(&units)).len(),
     );
 }
