@@ -26,10 +26,10 @@
 //! failure) with `--resume` up to [`WorkerExecutor::retries`] times, so
 //! one killed worker costs one shard remainder, not the whole sweep.
 //!
-//! Every executor runs its slice of the plan as [`simulation_groups`]:
-//! consecutive scenarios that differ only in a machine the partitioner
-//! ignores run as one simulation ([`Scenario::run_group`]), and each
-//! member's artifacts are written and stamped as its own.
+//! Every executor runs its slice of the plan as [`cohorts`]: the
+//! scenarios that share a snapshot stream, a processor count and a
+//! static choice run as one simulation ([`Scenario::run_cohort`]), and
+//! each member's artifacts are written and stamped as its own.
 
 use crate::atomic::atomic_write;
 use crate::merge::{ManifestEntry, ShardManifest};
@@ -39,6 +39,7 @@ use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::store::cached_model;
 use rayon::prelude::*;
 use samr_apps::AppKind;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Instant;
@@ -111,71 +112,81 @@ fn warm_store(scenarios: &[&PlannedScenario]) {
     });
 }
 
-/// Split a slice of planned scenarios into simulation groups: maximal
-/// runs of consecutive scenarios that
-/// [share one simulation](Scenario::shares_simulation_with). In a plan
-/// those are the members of the innermost `machines` axis, unless the
-/// partitioner reads the machine. Groups form inside whatever slice an
-/// executor runs — one shard's scenarios, the remainder a resume left —
-/// so shard assignment and completion stay per scenario.
-pub fn simulation_groups<'s, 'a>(
-    scenarios: &'s [&'a PlannedScenario],
-) -> Vec<&'s [&'a PlannedScenario]> {
+/// Split a slice of planned scenarios into cohorts
+/// ([`Scenario::same_cohort`]), in order of first appearance, each in
+/// slice order. In a plan, a cohort of scenarios that never switch is
+/// the members of the innermost `machines` axis; every scenario that
+/// can switch on one stream and processor count joins one cohort,
+/// whatever its partitioner, policy and machine. Cohorts form inside
+/// whatever slice an executor runs — one shard's scenarios, the
+/// remainder a resume left — so shard assignment and completion stay
+/// per scenario.
+pub fn cohorts<'a>(scenarios: &[&'a PlannedScenario]) -> Vec<Vec<&'a PlannedScenario>> {
+    let mut out: Vec<Vec<&'a PlannedScenario>> = Vec::new();
+    for &p in scenarios {
+        match out
+            .iter_mut()
+            .find(|c| c[0].scenario.same_cohort(&p.scenario))
+        {
+            Some(cohort) => cohort.push(p),
+            None => out.push(vec![p]),
+        }
+    }
+    out
+}
+
+/// Run a slice of planned scenarios, its cohorts rayon-parallel, and
+/// hand each member's outcome to `finish` the moment its cohort
+/// completes. Returns what `finish` made of each scenario, in input
+/// order.
+fn run_cohorts<'a, R: Send>(
+    scenarios: &[&'a PlannedScenario],
+    finish: impl Fn(&'a PlannedScenario, ScenarioOutcome) -> R + Sync,
+) -> Vec<R> {
+    warm_store(scenarios);
+    let done: Vec<Vec<(usize, R)>> = cohorts(scenarios)
+        .par_iter()
+        .map(|cohort| {
+            let members: Vec<&Scenario> = cohort.iter().map(|p| &p.scenario).collect();
+            cohort
+                .iter()
+                .zip(Scenario::run_cohort(&members))
+                .map(|(p, outcome)| (p.id, finish(p, outcome)))
+                .collect()
+        })
+        .collect();
+    let mut by_id: HashMap<usize, R> = done.into_iter().flatten().collect();
     scenarios
-        .chunk_by(|a, b| a.scenario.shares_simulation_with(&b.scenario))
+        .iter()
+        .map(|p| by_id.remove(&p.id).expect("every scenario ran"))
         .collect()
 }
 
-/// Run one simulation group, one outcome per member in input order.
-fn run_group(group: &[&PlannedScenario]) -> Vec<ScenarioOutcome> {
-    let members: Vec<&Scenario> = group.iter().map(|p| &p.scenario).collect();
-    Scenario::run_group(&members)
-}
-
-/// Run a slice of planned scenarios, its simulation groups
-/// rayon-parallel, outcomes in input order.
+/// Run a slice of planned scenarios, its cohorts rayon-parallel,
+/// outcomes in input order.
 pub(crate) fn run_scenarios(scenarios: &[&PlannedScenario]) -> Vec<ScenarioOutcome> {
-    warm_store(scenarios);
-    let outcomes: Vec<Vec<ScenarioOutcome>> = simulation_groups(scenarios)
-        .par_iter()
-        .map(|group| run_group(group))
-        .collect();
-    outcomes.into_iter().flatten().collect()
+    run_cohorts(scenarios, |_, outcome| outcome)
 }
 
-/// Run a slice of planned scenarios, its simulation groups
-/// rayon-parallel, writing and stamping each scenario's artifacts *the
-/// moment its group finishes* — checkpointing is per scenario, not per
-/// batch, so a process killed mid-sweep has durably banked every
-/// scenario whose group completed before the kill and `--resume`
-/// re-executes only the true remainder. Returns `(planned, outcome,
-/// rendered CSV)` triples in input order.
+/// Run a slice of planned scenarios, its cohorts rayon-parallel,
+/// writing and stamping each scenario's artifacts *the moment its
+/// cohort finishes* — checkpointing is per scenario, not per batch, so
+/// a process killed mid-sweep has durably banked every scenario whose
+/// cohort completed before the kill and `--resume` re-executes only the
+/// true remainder. Returns `(planned, outcome, rendered CSV)` triples in
+/// input order.
 fn run_and_stamp<'a>(
     dir: &Path,
     plan_hash: &str,
     scenarios: &[&'a PlannedScenario],
 ) -> std::io::Result<Vec<(&'a PlannedScenario, ScenarioOutcome, String)>> {
-    warm_store(scenarios);
-    type Stamped<'a> = (&'a PlannedScenario, ScenarioOutcome, String);
-    let results: Vec<std::io::Result<Vec<Stamped<'a>>>> = simulation_groups(scenarios)
-        .par_iter()
-        .map(|group| {
-            group
-                .iter()
-                .zip(run_group(group))
-                .map(|(p, outcome)| {
-                    let csv = outcome.to_csv();
-                    write_scenario_artifacts(dir, p, plan_hash, &csv, &outcome)?;
-                    Ok((*p, outcome, csv))
-                })
-                .collect()
-        })
-        .collect();
-    let mut stamped = Vec::with_capacity(scenarios.len());
-    for group in results {
-        stamped.extend(group?);
-    }
-    Ok(stamped)
+    run_cohorts(scenarios, |p, outcome| {
+        let csv = outcome.to_csv();
+        write_scenario_artifacts(dir, p, plan_hash, &csv, &outcome)?;
+        Ok((p, outcome, csv))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Split a shard's (or campaign's) scenario slice for resumption:

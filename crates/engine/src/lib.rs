@@ -81,7 +81,7 @@ pub mod validation;
 pub use atomic::atomic_write;
 pub use campaign::{Campaign, CampaignRun, CampaignSpec};
 pub use exec::{
-    build_thread_pool, shard_dir_name, simulation_groups, CampaignExecutor, ExecError, ExecOutput,
+    build_thread_pool, cohorts, shard_dir_name, CampaignExecutor, ExecError, ExecOutput,
     RayonExecutor, ShardExecutor, ShardRun, WorkerExecutor,
 };
 pub use merge::{

@@ -16,7 +16,10 @@
 
 use crate::spec::PartitionerSpec;
 use samr_meta::{adaptive_presets, AdaptiveConfig, AdaptivePolicy};
-use samr_sim::{simulate_policy_source_machines, SimConfig, SimResult, StaticPolicy, StreamStats};
+use samr_sim::{
+    simulate_policy_source_stats, MachineModel, PartitionPolicy, SimConfig, SimResult,
+    StaticPolicy, StreamStats,
+};
 use samr_trace::io::TraceIoError;
 use samr_trace::SnapshotSource;
 use serde::{Deserialize, Serialize};
@@ -100,47 +103,47 @@ impl PolicySpec {
         matches!(self, Self::Static)
     }
 
-    /// Simulate a snapshot stream: the scenario's partitioner driven by
-    /// this policy, once for a group of configurations that differ only
-    /// in the machine — the one simulate entry point scenario execution
-    /// and the CLI share (a single configuration is the one-member
-    /// group); peak residency is `O(window)`. Returns one result per
-    /// configuration, each equal to that configuration's own run (see
-    /// [`simulate_policy_source_machines`]), and the stream statistics
-    /// they share. The static policy runs at [`PartitionerSpec::window`]
-    /// (windowed snapshot-parallel for static partitioners, strictly
-    /// sequential for stateful selectors); adaptive policies always run
+    /// The policy driving `partitioner`, built for `machine` (the
+    /// meta-partitioner reads it): the static policy owns the built
+    /// partitioner, an adaptive policy runs it as its local mode.
+    pub fn build<const D: usize>(
+        &self,
+        partitioner: &PartitionerSpec,
+        machine: &MachineModel,
+    ) -> Box<dyn PartitionPolicy<D> + Send> {
+        let local = partitioner.build::<D>(machine);
+        match self {
+            Self::Static => Box::new(StaticPolicy::owning(local)),
+            Self::Adaptive(acfg) => Box::new(AdaptivePolicy::<D>::new(local, *acfg)),
+        }
+    }
+
+    /// The streaming window this policy runs `partitioner` at: the
+    /// static policy runs at [`PartitionerSpec::window`] (windowed
+    /// snapshot-parallel for static partitioners, strictly sequential
+    /// for stateful selectors); adaptive policies always run
     /// sequentially at window 1, because a pending switch must see every
     /// snapshot's observed metrics before the next is partitioned.
-    ///
-    /// # Panics
-    ///
-    /// If `cfgs` is empty, if they differ beyond the machine, or if
-    /// several machines share a partitioner that
-    /// [reads the machine](PartitionerSpec::reads_machine).
+    pub fn window(&self, partitioner: &PartitionerSpec) -> usize {
+        match self {
+            Self::Static => partitioner.window(),
+            Self::Adaptive(_) => 1,
+        }
+    }
+
+    /// Simulate a snapshot stream on one configuration: the scenario's
+    /// partitioner driven by this policy at [`window`](Self::window),
+    /// with peak residency `O(window)`. Campaigns run scenarios in
+    /// cohorts instead ([`crate::Scenario::run_cohort`]); each member's
+    /// result equals this one.
     pub fn simulate_source<const D: usize>(
         &self,
         partitioner: &PartitionerSpec,
         source: &mut (dyn SnapshotSource<D> + '_),
-        cfgs: &[SimConfig],
-    ) -> Result<(Vec<SimResult>, StreamStats), TraceIoError> {
-        let cfg = cfgs.first().expect("at least one simulation config");
-        assert!(
-            cfgs.len() == 1 || !partitioner.reads_machine(),
-            "{} reads the machine: one simulation cannot serve several",
-            partitioner.slug()
-        );
-        let local = partitioner.build::<D>(&cfg.machine);
-        match self {
-            Self::Static => {
-                let mut policy = StaticPolicy::new(local.as_ref());
-                simulate_policy_source_machines(source, &mut policy, cfgs, partitioner.window())
-            }
-            Self::Adaptive(acfg) => {
-                let mut policy = AdaptivePolicy::<D>::new(local, *acfg);
-                simulate_policy_source_machines(source, &mut policy, cfgs, 1)
-            }
-        }
+        cfg: &SimConfig,
+    ) -> Result<(SimResult, StreamStats), TraceIoError> {
+        let mut policy = self.build::<D>(partitioner, &cfg.machine);
+        simulate_policy_source_stats(source, policy.as_mut(), cfg, self.window(partitioner))
     }
 }
 
@@ -148,7 +151,6 @@ impl PolicySpec {
 mod tests {
     use super::*;
     use samr_apps::{generate_trace, AppKind, TraceGenConfig};
-    use samr_sim::simulate_policy_source_stats;
     use samr_trace::MemorySource;
 
     #[test]
@@ -219,7 +221,7 @@ mod tests {
         for name in ["hybrid", "domain-sfc", "meta"] {
             let part = PartitionerSpec::parse(name).unwrap();
             let (res, stats) = PolicySpec::Static
-                .simulate_source::<2>(&part, &mut MemorySource::new(&trace), &[cfg])
+                .simulate_source::<2>(&part, &mut MemorySource::new(&trace), &cfg)
                 .unwrap();
             assert_eq!(stats.peak_resident <= 2, part.stateful(), "{name}");
             assert!(stats.switch_events.is_empty());
@@ -231,7 +233,7 @@ mod tests {
                 1,
             )
             .unwrap();
-            assert_eq!(res, vec![sequential], "{name}");
+            assert_eq!(res, sequential, "{name}");
         }
     }
 
@@ -245,9 +247,9 @@ mod tests {
         let part = PartitionerSpec::parse("domain-sfc").unwrap();
         let spec = PolicySpec::Adaptive(AdaptiveConfig::balance());
         let (res, stats) = spec
-            .simulate_source::<2>(&part, &mut MemorySource::new(&trace), &[cfg])
+            .simulate_source::<2>(&part, &mut MemorySource::new(&trace), &cfg)
             .unwrap();
-        assert!(res[0].total_time > 0.0);
+        assert!(res.total_time > 0.0);
         assert_eq!(stats.snapshots, trace.len());
         assert_eq!(stats.switches(), stats.switch_events.len());
     }

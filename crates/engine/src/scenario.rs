@@ -6,8 +6,10 @@ use crate::store::{cached_model, cached_source, cached_trace};
 use crate::validation::ShapeStats;
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_core::ModelState;
-use samr_sim::{SimConfig, SimResult, StreamStats};
-use samr_trace::{shared_source, AnySnapshotSource};
+use samr_partition::PartitionerChoice;
+use samr_sim::{simulate_cohort, CohortMember, PartitionPolicy, SimConfig, SimResult, StreamStats};
+use samr_trace::io::TraceIoError;
+use samr_trace::{shared_source, AnySnapshotSource, SnapshotSource};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
@@ -128,16 +130,31 @@ impl Scenario {
         )
     }
 
-    /// `true` when one simulation serves both scenarios: they differ at
-    /// most in the machine, and in that only if the partitioner does not
-    /// [read it](PartitionerSpec::reads_machine). The machine then only
-    /// prices each step, so [`Scenario::run_group`] partitions and
-    /// accounts every snapshot once for both.
-    pub fn shares_simulation_with(&self, other: &Scenario) -> bool {
-        let mut same = other.clone();
-        same.sim.machine = self.sim.machine;
-        same == *self
-            && (other.sim.machine == self.sim.machine || !self.partitioner.reads_machine())
+    /// The configuration of a scenario that can never switch: a static
+    /// partitioner under the static policy. `None` for every scenario
+    /// that can switch — adaptive policies, `meta` and `octant-meta`.
+    pub fn static_choice(&self) -> Option<PartitionerChoice> {
+        match (self.partitioner, self.policy) {
+            (PartitionerSpec::Static(choice), PolicySpec::Static) => Some(choice),
+            _ => None,
+        }
+    }
+
+    /// `true` when both scenarios run in one cohort
+    /// ([`Scenario::run_cohort`]): the same snapshot stream (application
+    /// and trace configuration), processor count, ghost width and reuse
+    /// flag, and the same [static choice](Scenario::static_choice).
+    /// Scenarios that never switch therefore share a cohort only across
+    /// machines; every scenario that can switch on one stream shares the
+    /// stream's one switching cohort.
+    pub fn same_cohort(&self, other: &Scenario) -> bool {
+        self.app == other.app
+            && self.dim == other.dim
+            && self.trace == other.trace
+            && self.sim.nprocs == other.sim.nprocs
+            && self.sim.ghost_width == other.sim.ghost_width
+            && self.sim.reuse_unchanged == other.sim.reuse_unchanged
+            && self.static_choice() == other.static_choice()
     }
 
     /// Execute the scenario against the shared trace/model store via the
@@ -147,28 +164,29 @@ impl Scenario {
     /// needs to be whole in this scenario's memory. A spill-file I/O
     /// failure retries from the in-memory store (identical output)
     /// rather than aborting the campaign. The one-member case of
-    /// [`Scenario::run_group`].
+    /// [`Scenario::run_cohort`].
     pub fn run(&self) -> ScenarioOutcome {
-        Self::run_group(&[self])
+        Self::run_cohort(&[self])
             .pop()
             .expect("one outcome per member")
     }
 
-    /// Execute a group of scenarios that
-    /// [share one simulation](Scenario::shares_simulation_with) as that
-    /// one simulation: each snapshot is partitioned and accounted once,
-    /// then timed on every member's machine. Returns one outcome per
-    /// member, in order, each equal to the member's own [`Scenario::run`].
+    /// Execute a cohort of scenarios ([`Scenario::same_cohort`]) in one
+    /// pass over their stream ([`samr_sim::simulate_cohort`]): each
+    /// snapshot is partitioned once per configuration the members need
+    /// and accounted once per distinct distribution, then priced,
+    /// recorded and observed per member. Returns one outcome per member,
+    /// in order, each equal to the member's own [`Scenario::run`].
     ///
     /// # Panics
     ///
-    /// If `group` is empty or a member does not share the first
-    /// member's simulation.
-    pub fn run_group(group: &[&Scenario]) -> Vec<ScenarioOutcome> {
-        let first = *group.first().expect("a group has members");
+    /// If `cohort` is empty or a member is not in the first member's
+    /// cohort.
+    pub fn run_cohort(cohort: &[&Scenario]) -> Vec<ScenarioOutcome> {
+        let first = *cohort.first().expect("a cohort has members");
         assert!(
-            group.iter().all(|s| first.shares_simulation_with(s)),
-            "scenarios of one group may differ only in a machine the partitioner ignores"
+            cohort.iter().all(|s| first.same_cohort(s)),
+            "scenarios of one cohort must share their stream, processor count and static choice"
         );
         assert_eq!(
             first.dim,
@@ -178,20 +196,14 @@ impl Scenario {
             first.app.name()
         );
         let model = cached_model(first.app, &first.trace);
-        let cfgs: Vec<SimConfig> = group.iter().map(|s| s.sim).collect();
+        // Every member of a cohort runs at this window: the spec window
+        // for a static choice, 1 for the members that can switch.
+        let window = first.policy.window(&first.partitioner);
         let simulate = |source: &mut AnySnapshotSource| match source {
-            AnySnapshotSource::D2(s) => {
-                first
-                    .policy
-                    .simulate_source::<2>(&first.partitioner, s, &cfgs)
-            }
-            AnySnapshotSource::D3(s) => {
-                first
-                    .policy
-                    .simulate_source::<3>(&first.partitioner, s, &cfgs)
-            }
+            AnySnapshotSource::D2(s) => simulate_members::<2>(cohort, s, window),
+            AnySnapshotSource::D3(s) => simulate_members::<3>(cohort, s, window),
         };
-        let (sims, stats) = cached_source(first.app, &first.trace)
+        let runs = cached_source(first.app, &first.trace)
             .and_then(|mut source| simulate(&mut source))
             .unwrap_or_else(|_| {
                 // Disk trouble (full temp dir, reaped spill file) must
@@ -199,12 +211,34 @@ impl Scenario {
                 let mut source = shared_source(cached_trace(first.app, &first.trace));
                 simulate(&mut source).expect("in-memory snapshot sources cannot fail")
             });
-        group
+        cohort
             .iter()
-            .zip(sims)
-            .map(|(scenario, sim)| outcome_from(scenario, sim, stats.clone(), Arc::clone(&model)))
+            .zip(runs)
+            .map(|(scenario, (sim, stats))| outcome_from(scenario, sim, stats, Arc::clone(&model)))
             .collect()
     }
+}
+
+/// Simulate a cohort's members over one stream: one policy per member,
+/// built for the member's machine.
+fn simulate_members<const D: usize>(
+    cohort: &[&Scenario],
+    source: &mut (dyn SnapshotSource<D> + '_),
+    window: usize,
+) -> Result<Vec<(SimResult, StreamStats)>, TraceIoError> {
+    let mut policies: Vec<Box<dyn PartitionPolicy<D> + Send>> = cohort
+        .iter()
+        .map(|s| s.policy.build::<D>(&s.partitioner, &s.sim.machine))
+        .collect();
+    let mut members: Vec<CohortMember<'_, D>> = policies
+        .iter_mut()
+        .zip(cohort)
+        .map(|(policy, s)| CohortMember {
+            policy: policy.as_mut(),
+            cfg: s.sim,
+        })
+        .collect();
+    simulate_cohort(source, &mut members, window)
 }
 
 /// Assemble a scenario outcome from its simulation result, streaming

@@ -181,15 +181,6 @@ impl PartitionerSpec {
         matches!(self, Self::Meta | Self::OctantMeta)
     }
 
-    /// `true` when [`build`](Self::build) reads the machine: only the
-    /// meta-partitioner, whose selector thresholds come from the
-    /// machine's communication-to-computation ratio. Every other spec
-    /// partitions identically on every machine, so scenarios differing
-    /// only in the machine can share one simulation.
-    pub fn reads_machine(&self) -> bool {
-        matches!(self, Self::Meta)
-    }
-
     /// Materialize the partitioner for a machine (the machine model is
     /// the system component of the meta-partitioner's PAC triple) at the
     /// requested dimension.

@@ -205,10 +205,9 @@ fn windowed_driver_bounds_live_snapshots_at_the_window() {
     let engine = |spec: &PartitionerSpec| {
         let source = &mut samr_trace::MemorySource::new(trace);
         PolicySpec::Static
-            .simulate_source::<2>(spec, source, &[cfg])
+            .simulate_source::<2>(spec, source, &cfg)
             .unwrap()
             .0
-            .remove(0)
     };
 
     // Static partitioner, several windows: the count of live snapshots

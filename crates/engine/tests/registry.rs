@@ -2,8 +2,9 @@
 //! through `parse`, the slugs scenarios derive from the registry stay
 //! unique and file-safe across the full registry × machine axis — the
 //! invariant distributed campaign artifacts depend on, since shard
-//! merges address scenarios by slug-named files — and every static
-//! preset simulates identically at every streaming window.
+//! merges address scenarios by slug-named files —, every static preset
+//! reports a configured name of its own, and every static preset
+//! simulates identically at every streaming window.
 
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_engine::{cached_trace, PartitionerSpec, Scenario};
@@ -51,6 +52,28 @@ fn registry_slugs_are_unique_and_file_safe() {
         );
     }
     assert_eq!(slugs.len(), registry.len());
+}
+
+#[test]
+fn every_static_preset_has_a_distinct_configured_name() {
+    // Results and switch events report the configured name; two presets
+    // sharing one would be indistinguishable in every artifact.
+    let mut names: Vec<(String, &str)> = Vec::new();
+    for (slug, spec) in PartitionerSpec::registry() {
+        if let PartitionerSpec::Static(choice) = spec {
+            let name = choice.name();
+            assert_eq!(name, spec.name(&MachineModel::default()), "{slug}");
+            if let Some((_, other)) = names.iter().find(|(n, _)| *n == name) {
+                panic!("'{slug}' and '{other}' share the configured name {name}");
+            }
+            names.push((name, slug));
+        }
+    }
+    assert_eq!(
+        names.iter().find(|(_, slug)| *slug == "hybrid").unwrap().0,
+        "hybrid-nf(Morton,partial,u2,bi2)",
+        "the default configuration keeps its name"
+    );
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use crate::meta::MetaPartitioner;
 use crate::octant_meta::OctantMetaPartitioner;
 use samr_partition::{DomainSfcPartitioner, HybridPartitioner, Partitioner, PatchPartitioner};
-use samr_sim::{simulate_policy_source_stats, SimConfig, SimResult, StaticPolicy};
+use samr_sim::{simulate_cohort, CohortMember, SimConfig, SimResult, StaticPolicy};
 use samr_trace::io::TraceIoError;
 use samr_trace::{HierarchyTrace, MemorySource};
 use serde::{Deserialize, Serialize};
@@ -74,17 +74,8 @@ impl ComparisonResult {
     }
 }
 
-/// Run one (possibly stateful) partitioner over the trace on the
-/// strictly sequential window-1 driver — the meta-partitioner's
-/// classification depends on the previous hierarchy — and summarize it.
-fn run<const D: usize>(
-    trace: &HierarchyTrace<D>,
-    partitioner: &(dyn Partitioner<D> + Sync),
-    cfg: &SimConfig,
-) -> Result<RunOutcome, TraceIoError> {
-    let mut policy = StaticPolicy::new(partitioner);
-    let (result, _) =
-        simulate_policy_source_stats(&mut MemorySource::new(trace), &mut policy, cfg, 1)?;
+/// Summarize one run's per-step metrics.
+fn outcome(result: SimResult) -> RunOutcome {
     let SimResult {
         partitioner: name,
         steps,
@@ -92,36 +83,49 @@ fn run<const D: usize>(
         ..
     } = result;
     let n = steps.len() as f64;
-    Ok(RunOutcome {
+    RunOutcome {
         name,
         total_time,
         mean_imbalance: steps.iter().map(|s| s.load_imbalance).sum::<f64>() / n,
         mean_rel_comm: steps.iter().map(|s| s.rel_comm).sum::<f64>() / n,
         mean_rel_migration: steps.iter().map(|s| s.rel_migration).sum::<f64>() / n,
-    })
+    }
 }
 
 /// Compare the three static partitioner families (default
 /// configurations) against the meta-partitioner and the octant baseline
-/// on one in-memory trace. Each pass runs strictly sequentially (the
-/// selectors are stateful). An empty trace is an error.
+/// on one in-memory trace. The five run as one cohort on the strictly
+/// sequential window-1 driver — the selectors' classification depends
+/// on the previous hierarchy — so each snapshot is partitioned once per
+/// configuration the five need: the selectors pick among the families.
+/// An empty trace is an error.
 pub fn compare_on_trace<const D: usize>(
     trace: &HierarchyTrace<D>,
     cfg: &SimConfig,
 ) -> Result<ComparisonResult, TraceIoError> {
-    let statics: [&(dyn Partitioner<D> + Sync); 3] = [
-        &DomainSfcPartitioner::default(),
-        &PatchPartitioner::default(),
-        &HybridPartitioner::default(),
-    ];
-    let static_runs = statics
+    let (domain, patch, hybrid) = (
+        DomainSfcPartitioner::default(),
+        PatchPartitioner::default(),
+        HybridPartitioner::default(),
+    );
+    let meta = MetaPartitioner::for_machine(&cfg.machine);
+    let octant = OctantMetaPartitioner::new();
+    let partitioners: [&(dyn Partitioner<D> + Sync); 5] =
+        [&domain, &patch, &hybrid, &meta, &octant];
+    let mut policies = partitioners.map(StaticPolicy::new);
+    let mut members: Vec<CohortMember<'_, D>> = policies
+        .iter_mut()
+        .map(|policy| CohortMember { policy, cfg: *cfg })
+        .collect();
+    let mut runs = simulate_cohort(&mut MemorySource::new(trace), &mut members, 1)?
         .into_iter()
-        .map(|p| run(trace, p, cfg))
-        .collect::<Result<_, _>>()?;
+        .map(|(result, _)| outcome(result));
+    let static_runs = runs.by_ref().take(3).collect();
+    let mut next = || runs.next().expect("one run per member");
     Ok(ComparisonResult {
         static_runs,
-        meta_run: run(trace, &MetaPartitioner::for_machine(&cfg.machine), cfg)?,
-        octant_run: run(trace, &OctantMetaPartitioner::new(), cfg)?,
+        meta_run: next(),
+        octant_run: next(),
     })
 }
 

@@ -115,8 +115,11 @@ impl<const D: usize> Partitioner<D> for MetaPartitioner<D> {
     }
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
-        let choice = self.classify_and_select(h, nprocs);
-        choice.partition(h, nprocs)
+        self.classify_and_select(h, nprocs).partition(h, nprocs)
+    }
+
+    fn select(&self, h: &GridHierarchy<D>, nprocs: usize) -> Option<PartitionerChoice> {
+        Some(self.classify_and_select(h, nprocs))
     }
 
     fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
@@ -190,6 +193,23 @@ mod tests {
             "domain-based",
             "decisions: {families:?}"
         );
+    }
+
+    #[test]
+    fn select_then_partitioning_the_choice_is_partition() {
+        // `select` advances the selector exactly as `partition` does, so
+        // a driver that selects and partitions the choice itself sees
+        // the decisions and partitions of one that calls `partition`.
+        let by_partition = MetaPartitioner::<2>::new();
+        let by_select = MetaPartitioner::<2>::new();
+        let a = h(&[vec![], vec![r(0, 0, 31, 31)], vec![r(0, 0, 31, 31)]]);
+        let b = h(&[vec![], vec![r(32, 32, 63, 63)], vec![r(64, 64, 95, 95)]]);
+        for hh in [&a, &b, &a, &b, &b] {
+            let choice = by_select.select(hh, 4).expect("meta always selects");
+            assert_eq!(choice.partition(hh, 4), by_partition.partition(hh, 4));
+            assert_eq!(by_select.cost_estimate(hh), by_partition.cost_estimate(hh));
+        }
+        assert_eq!(by_select.decisions(), by_partition.decisions());
     }
 
     #[test]

@@ -16,10 +16,7 @@
 use parking_lot::Mutex;
 use samr_core::octant::{ArmadaClassifier, Octant};
 use samr_grid::GridHierarchy;
-use samr_partition::{
-    DomainSfcParams, DomainSfcPartitioner, HybridParams, HybridPartitioner, Partition, Partitioner,
-    PatchParams, PatchPartitioner,
-};
+use samr_partition::{Partition, Partitioner, PartitionerChoice};
 
 /// Octant-approach baseline partitioner: classifies each hierarchy into a
 /// discrete octant (relative to the previous state, ArMADA-style) and
@@ -53,11 +50,23 @@ impl<const D: usize> OctantMetaPartitioner<D> {
         self.state.lock().history.clone()
     }
 
-    fn family_for(octant: &Octant) -> Box<dyn Partitioner<D>> {
+    /// Classify `h` against the previously seen hierarchy, record the
+    /// octant, and return the family it maps onto.
+    fn classify(&self, h: &GridHierarchy<D>) -> PartitionerChoice {
+        let mut st = self.state.lock();
+        let prev = st.prev.take();
+        let octant = st.classifier.classify(prev.as_ref(), h);
+        st.history.push(octant);
+        st.prev = Some(h.clone());
+        Self::family_for(&octant)
+    }
+
+    /// The default-configured family the octant maps onto.
+    fn family_for(octant: &Octant) -> PartitionerChoice {
         match octant.suggested_family() {
-            "domain-based" => Box::new(DomainSfcPartitioner::new(DomainSfcParams::default())),
-            "patch-based" => Box::new(PatchPartitioner::new(PatchParams::default())),
-            _ => Box::new(HybridPartitioner::new(HybridParams::default())),
+            "domain-based" => PartitionerChoice::domain_sfc(),
+            "patch-based" => PartitionerChoice::patch(),
+            _ => PartitionerChoice::hybrid(),
         }
     }
 }
@@ -74,12 +83,11 @@ impl<const D: usize> Partitioner<D> for OctantMetaPartitioner<D> {
     }
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
-        let mut st = self.state.lock();
-        let prev = st.prev.take();
-        let octant = st.classifier.classify(prev.as_ref(), h);
-        st.history.push(octant);
-        st.prev = Some(h.clone());
-        Self::family_for(&octant).partition(h, nprocs)
+        self.classify(h).partition(h, nprocs)
+    }
+
+    fn select(&self, h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
+        Some(self.classify(h))
     }
 
     fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
@@ -129,6 +137,25 @@ mod tests {
     }
 
     #[test]
+    fn select_then_partitioning_the_choice_is_partition() {
+        let by_partition = OctantMetaPartitioner::<2>::new();
+        let by_select = OctantMetaPartitioner::<2>::new();
+        let seq = [
+            h(&[vec![], vec![r(4, 4, 19, 19)]]),
+            h(&[vec![], vec![r(40, 40, 55, 55)]]),
+            h(&[vec![], vec![r(40, 40, 55, 55)]]),
+        ];
+        for hh in &seq {
+            let choice = by_select
+                .select(hh, 4)
+                .expect("the baseline always selects");
+            assert_eq!(choice.partition(hh, 4), by_partition.partition(hh, 4));
+            assert_eq!(by_select.cost_estimate(hh), by_partition.cost_estimate(hh));
+        }
+        assert_eq!(by_select.history(), by_partition.history());
+    }
+
+    #[test]
     fn discrete_selection_has_no_configuration_gradations() {
         // The baseline can only emit default-configured families — the
         // §3 limitation. Two different-but-same-octant states must yield
@@ -144,8 +171,8 @@ mod tests {
         if hist1 == hist2 {
             // Same octant => same (default) configuration by construction.
             assert_eq!(
-                OctantMetaPartitioner::<2>::family_for(&hist1).name(),
-                OctantMetaPartitioner::<2>::family_for(&hist2).name()
+                OctantMetaPartitioner::<2>::family_for(&hist1),
+                OctantMetaPartitioner::<2>::family_for(&hist2)
             );
         }
     }

@@ -11,7 +11,7 @@
 use crate::hybrid::{HybridParams, HybridPartitioner};
 use crate::patch_part::{PatchParams, PatchPartitioner};
 use crate::sfc_part::{DomainSfcParams, DomainSfcPartitioner};
-use crate::types::{Partition, Partitioner};
+use crate::types::{Partition, PartitionScratch, Partitioner};
 use samr_grid::GridHierarchy;
 use serde::{Deserialize, Serialize};
 
@@ -49,6 +49,17 @@ impl PartitionerChoice {
     /// Partition a hierarchy with this choice.
     pub fn partition<const D: usize>(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
         self.boxed::<D>().partition(h, nprocs)
+    }
+
+    /// [`partition`](Self::partition) with the intermediates in
+    /// `scratch` (see [`Partitioner::partition_with`]).
+    pub fn partition_with<const D: usize>(
+        &self,
+        h: &GridHierarchy<D>,
+        nprocs: usize,
+        scratch: &mut PartitionScratch<D>,
+    ) -> Partition<D> {
+        self.boxed::<D>().partition_with(h, nprocs, scratch)
     }
 
     /// Invocation cost estimate of this choice.
@@ -110,6 +121,8 @@ mod tests {
         let choice = PartitionerChoice::hybrid();
         let direct = HybridPartitioner::default().partition(&h, 4);
         assert_eq!(choice.partition(&h, 4), direct);
+        let mut scratch = PartitionScratch::default();
+        assert_eq!(choice.partition_with(&h, 4, &mut scratch), direct);
         assert_eq!(
             choice.cost_estimate(&h),
             Partitioner::<2>::cost_estimate(&HybridPartitioner::default(), &h)
@@ -130,6 +143,23 @@ mod tests {
         ] {
             let part = choice.partition(&h3, 4);
             assert_eq!(crate::types::validate_partition(&h3, &part), Ok(()));
+        }
+    }
+
+    #[test]
+    fn static_families_select_their_own_configuration() {
+        let h = GridHierarchy::base_only(Rect2::from_extents(8, 8), 2);
+        let frac = PartitionerChoice::Hybrid(crate::HybridParams {
+            fractional_blocking: true,
+            ..Default::default()
+        });
+        for choice in [
+            PartitionerChoice::domain_sfc(),
+            PartitionerChoice::patch(),
+            PartitionerChoice::hybrid(),
+            frac,
+        ] {
+            assert_eq!(choice.boxed::<2>().select(&h, 4), Some(choice));
         }
     }
 }

@@ -23,6 +23,7 @@
 //!    balance);
 //! 5. Hue blocks are distributed greedily to top up processor loads.
 
+use crate::choice::PartitionerChoice;
 use crate::types::{Fragment, Partition, PartitionScratch, Partitioner, ProcId};
 use rayon::prelude::*;
 use samr_geom::sfc::{order_for, sfc_key_nd, SfcCurve};
@@ -319,7 +320,7 @@ fn compact_level<const D: usize>(
 impl<const D: usize> Partitioner<D> for HybridPartitioner {
     fn name(&self) -> String {
         format!(
-            "hybrid-nf({:?},{},u{},bi{})",
+            "hybrid-nf({:?},{},u{},bi{}{})",
             self.params.curve,
             if self.params.full_order {
                 "full"
@@ -327,12 +328,21 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
                 "partial"
             },
             self.params.atomic_unit,
-            self.params.bilevel_size
+            self.params.bilevel_size,
+            if self.params.fractional_blocking {
+                ",frac"
+            } else {
+                ""
+            }
         )
     }
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
         self.partition_with(h, nprocs, &mut PartitionScratch::default())
+    }
+
+    fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
+        Some(PartitionerChoice::Hybrid(self.params))
     }
 
     fn partition_with(

@@ -1,6 +1,7 @@
 //! Patch-based partitioner (SAMRAI-style per-level distribution), generic
 //! over the dimension.
 
+use crate::choice::PartitionerChoice;
 use crate::types::{Fragment, LevelPartition, Partition, Partitioner, ProcId};
 use samr_geom::sfc::{sfc_key_nd, SfcCurve};
 use samr_geom::AABox;
@@ -94,6 +95,10 @@ impl<const D: usize> Partitioner<D> for PatchPartitioner {
             PatchAssign::SfcChunk => "sfc",
         };
         format!("patch-{mode}(split{:.1})", self.params.split_factor)
+    }
+
+    fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
+        Some(PartitionerChoice::Patch(self.params))
     }
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {

@@ -1,6 +1,7 @@
 //! Domain-based SFC partitioner (Parashar–Browne composite style),
 //! generic over the dimension.
 
+use crate::choice::PartitionerChoice;
 use crate::types::{Fragment, Partition, PartitionScratch, Partitioner, ProcId};
 use crate::weights::{composite_unit_weights_in, sfc_order_with, split_contiguous_into};
 use rayon::prelude::*;
@@ -138,6 +139,10 @@ impl<const D: usize> Partitioner<D> for DomainSfcPartitioner {
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
         self.partition_with(h, nprocs, &mut PartitionScratch::default())
+    }
+
+    fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
+        Some(PartitionerChoice::DomainSfc(self.params))
     }
 
     fn partition_with(

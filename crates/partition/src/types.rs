@@ -1,6 +1,7 @@
 //! Partition representation and the partitioner interface, generic over
 //! the dimension.
 
+use crate::choice::PartitionerChoice;
 use samr_geom::{boxops, AABox};
 use samr_grid::GridHierarchy;
 use serde::{Deserialize, Serialize, Value};
@@ -242,6 +243,23 @@ pub trait Partitioner<const D: usize> {
     ) -> Partition<D> {
         let _ = scratch;
         self.partition(h, nprocs)
+    }
+
+    /// The configuration this partitioner cuts `h` with, when it is one
+    /// of the [`PartitionerChoice`] families: `partition(h, nprocs)`
+    /// equals that choice's partition of `h`. The static families return
+    /// their own configuration; selectors return the choice they make
+    /// for `h` and advance their state exactly as
+    /// [`partition`](Self::partition) does, so a caller invokes *either*
+    /// `select` (and partitions the choice) *or* `partition` for a
+    /// snapshot, never both. Drivers serving several runs from one
+    /// snapshot stream partition each selected configuration once.
+    ///
+    /// The default, `None`, names no configuration: the partitioner is
+    /// run through [`partition_with`](Self::partition_with).
+    fn select(&self, h: &GridHierarchy<D>, nprocs: usize) -> Option<PartitionerChoice> {
+        let _ = (h, nprocs);
+        None
     }
 
     /// Relative cost of one invocation in abstract time units (used by the

@@ -205,9 +205,8 @@ impl<const D: usize> FragIndex<D> {
 }
 
 /// Reusable buffers for the indexed metric paths: one fragment index plus
-/// the clip/volume arenas threaded through [`crate::comm::comm_accounting`],
-/// [`crate::migration::migration_accounting`] and
-/// [`crate::simulate::step_metrics`]. Like
+/// the clip/volume arenas threaded through [`crate::comm::comm_accounting`]
+/// and [`crate::migration::migration_accounting`]. Like
 /// [`samr_partition::PartitionScratch`], the scratch only changes where
 /// intermediates live — results never depend on its prior contents.
 pub struct MetricScratch<const D: usize> {

@@ -25,13 +25,14 @@
 //!   implement the same [`PartitionPolicy`] contract upstack in
 //!   `samr-meta`);
 //! - [`stream`]: the simulation driver — a
-//!   [`samr_trace::SnapshotSource`] and a [`PartitionPolicy`] in,
-//!   per-step metrics out, with peak residency bounded by the window size
-//!   (snapshot-parallel within each window; strictly sequential at
-//!   window 1 for stateful selectors and switching policies), one pass
-//!   serving every machine of a group;
+//!   [`samr_trace::SnapshotSource`] and a cohort of [`PartitionPolicy`]
+//!   runs in, per-step metrics out, with peak residency bounded by the
+//!   window size (snapshot-parallel within each window; strictly
+//!   sequential at window 1 for stateful selectors and switching
+//!   policies), one pass partitioning each configuration a snapshot
+//!   needs once for every run of the cohort;
 //! - [`simulate`]: the simulation configuration and result, and the
-//!   per-step metric fold the driver runs.
+//!   per-step metrics the driver derives from one distribution.
 
 #![warn(missing_docs)]
 
@@ -48,7 +49,7 @@ pub use exec::MachineModel;
 pub use index::{FragIndex, MetricScratch};
 pub use metrics::{SeriesSummary, StepMetrics};
 pub use policy::{PartitionPolicy, PolicySwitch, StaticPolicy, SwitchEvent};
-pub use simulate::{step_metrics, SimConfig, SimResult};
+pub use simulate::{SimConfig, SimResult};
 pub use stream::{
-    default_window, simulate_policy_source_machines, simulate_policy_source_stats, StreamStats,
+    default_window, simulate_cohort, simulate_policy_source_stats, CohortMember, StreamStats,
 };

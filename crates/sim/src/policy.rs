@@ -88,23 +88,43 @@ pub trait PartitionPolicy<const D: usize> {
 /// fixed-partitioner driver byte-identically (the stream tests pin this
 /// by comparing against the batch driver).
 pub struct StaticPolicy<'a, const D: usize> {
-    inner: &'a (dyn Partitioner<D> + Sync),
+    inner: Held<'a, D>,
+}
+
+/// A partitioner a [`StaticPolicy`] borrows or owns.
+enum Held<'a, const D: usize> {
+    Borrowed(&'a (dyn Partitioner<D> + Sync)),
+    Owned(Box<dyn Partitioner<D> + Send + Sync>),
 }
 
 impl<'a, const D: usize> StaticPolicy<'a, D> {
     /// Wrap one partitioner as the policy for a whole run.
     pub fn new(inner: &'a (dyn Partitioner<D> + Sync)) -> Self {
-        Self { inner }
+        Self {
+            inner: Held::Borrowed(inner),
+        }
+    }
+}
+
+impl<const D: usize> StaticPolicy<'static, D> {
+    /// [`new`](Self::new), owning the partitioner.
+    pub fn owning(inner: Box<dyn Partitioner<D> + Send + Sync>) -> Self {
+        Self {
+            inner: Held::Owned(inner),
+        }
     }
 }
 
 impl<const D: usize> PartitionPolicy<D> for StaticPolicy<'_, D> {
     fn name(&self) -> String {
-        self.inner.name()
+        self.current().name()
     }
 
     fn current(&self) -> &(dyn Partitioner<D> + Sync) {
-        self.inner
+        match &self.inner {
+            Held::Borrowed(p) => *p,
+            Held::Owned(p) => p.as_ref(),
+        }
     }
 
     fn observe(&mut self, _m: &StepMetrics) -> Option<PolicySwitch> {
@@ -127,6 +147,9 @@ mod tests {
         let mut policy = StaticPolicy::<2>::new(&p);
         assert_eq!(policy.name(), Partitioner::<2>::name(&p));
         assert!(policy.is_static());
+        let owning = StaticPolicy::<2>::owning(Box::new(p));
+        assert_eq!(owning.name(), policy.name());
+        assert!(owning.is_static());
         let m = StepMetrics {
             step: 0,
             total_points: 1,

@@ -1,10 +1,10 @@
-//! Simulation configuration, results and the per-step metric fold.
+//! Simulation configuration, results and the per-step metrics of one
+//! distribution.
 
-use crate::comm::comm_accounting;
+use crate::comm::{comm_accounting, CommAccounting};
 use crate::exec::MachineModel;
 use crate::index::MetricScratch;
 use crate::metrics::StepMetrics;
-use crate::migration::migration_accounting;
 use samr_grid::GridHierarchy;
 use samr_partition::Partition;
 use serde::{Deserialize, Serialize};
@@ -82,62 +82,78 @@ impl SimResult {
     }
 }
 
-/// Compute the metrics of one step given the previous step's state: one
-/// combined communication walk and one combined migration walk, with the
-/// fragment index and per-processor volume buffers held in `scratch`
-/// (whose prior contents never change the result). `partition_cost` is
-/// zero on steps that reused the previous distribution.
-#[allow(clippy::too_many_arguments)]
-pub fn step_metrics<const D: usize>(
-    step: u32,
-    h: &GridHierarchy<D>,
-    part: &Partition<D>,
-    prev: Option<(&GridHierarchy<D>, &Partition<D>)>,
-    cfg: &SimConfig,
-    partition_cost: f64,
-    scratch: &mut MetricScratch<D>,
-) -> StepMetrics {
-    let total_points = h.total_points();
-    let workload = h.workload();
-    let acc = comm_accounting(h, part, cfg.ghost_width, scratch);
-    let comm_cells = acc.transfer_volume();
-    // The §4.1 grid-relative metric counts *involved points*, not directed
-    // transfers; `comm_cells` keeps the transfer volume for the time model.
-    let rel_comm = acc.involved_points() as f64 / workload.max(1) as f64;
-    let (migration, rel_migration) = match prev {
-        Some((ph, pp)) => {
-            let m = migration_accounting(ph, pp, h, part, cfg.nprocs, scratch);
-            let prev_points = ph.total_points().max(1);
-            (m, m as f64 / prev_points as f64)
+/// The part of a step's metrics that depends only on the snapshot and
+/// one distribution of it: one communication walk, the per-processor
+/// loads and volumes, the load imbalance and the fragment count. Every
+/// run that holds the same distribution of a snapshot shares it.
+pub(crate) struct Accounted {
+    comm: CommAccounting,
+    vols: Vec<u64>,
+    loads: Vec<u64>,
+    load_imbalance: f64,
+    fragments: usize,
+}
+
+impl Accounted {
+    /// Account `part`, a distribution of `h`, with ghost width `ghost`.
+    pub(crate) fn new<const D: usize>(
+        h: &GridHierarchy<D>,
+        part: &Partition<D>,
+        ghost: i64,
+        scratch: &mut MetricScratch<D>,
+    ) -> Self {
+        let comm = comm_accounting(h, part, ghost, scratch);
+        Self {
+            comm,
+            vols: scratch.per_proc_vols().to_vec(),
+            loads: part.loads(h.ratio),
+            load_imbalance: part.load_imbalance(h.ratio),
+            fragments: part.fragment_count(),
         }
-        None => {
-            scratch.mig.clear();
-            scratch.mig.resize(cfg.nprocs, 0);
-            (0, 0.0)
+    }
+
+    /// The metrics of one run's step on `h` with this distribution:
+    /// `migration` is the previous hierarchy and the grid points whose
+    /// owner changed since it (`None` on the first step), `migration_out`
+    /// the points leaving each processor, `partition_cost` zero on steps
+    /// that reused the previous distribution.
+    pub(crate) fn metrics<const D: usize>(
+        &self,
+        step: u32,
+        h: &GridHierarchy<D>,
+        migration: Option<(&GridHierarchy<D>, u64)>,
+        migration_out: &[u64],
+        machine: &MachineModel,
+        partition_cost: f64,
+    ) -> StepMetrics {
+        let workload = h.workload();
+        let (migration_cells, rel_migration) = match migration {
+            Some((ph, m)) => (m, m as f64 / ph.total_points().max(1) as f64),
+            None => (0, 0.0),
+        };
+        StepMetrics {
+            step,
+            total_points: h.total_points(),
+            workload,
+            load_imbalance: self.load_imbalance,
+            comm_cells: self.comm.transfer_volume(),
+            // The §4.1 grid-relative metric counts *involved points*, not
+            // directed transfers; `comm_cells` keeps the transfer volume
+            // for the time model.
+            rel_comm: self.comm.involved_points() as f64 / workload.max(1) as f64,
+            migration_cells,
+            rel_migration,
+            partition_cost,
+            fragments: self.fragments,
+            step_time: machine.step_time(&self.loads, &self.vols, migration_out, partition_cost),
         }
-    };
-    let loads = part.loads(h.ratio);
-    let step_time = cfg
-        .machine
-        .step_time(&loads, &scratch.vols, &scratch.mig, partition_cost);
-    StepMetrics {
-        step,
-        total_points,
-        workload,
-        load_imbalance: part.load_imbalance(h.ratio),
-        comm_cells,
-        rel_comm,
-        migration_cells: migration,
-        rel_migration,
-        partition_cost,
-        fragments: part.fragment_count(),
-        step_time,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::migration::migration_accounting;
     use crate::policy::StaticPolicy;
     use crate::stream::{default_window, simulate_policy_source_stats};
     use samr_geom::Rect2;
@@ -305,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn step_metrics_scratch_reuse_is_identical() {
+    fn metric_scratch_reuse_is_identical() {
         // One dirty scratch across a whole trace gives exactly the
         // fresh-scratch metrics at every step.
         let trace = moving_trace(6);
@@ -313,32 +329,34 @@ mod tests {
             nprocs: 4,
             ..SimConfig::default()
         };
+        let no_migration = vec![0; cfg.nprocs];
+        let metrics = |h: &GridHierarchy<2>,
+                       part: &Partition<2>,
+                       prev: Option<&(GridHierarchy<2>, Partition<2>)>,
+                       scratch: &mut MetricScratch<2>| {
+            let accounted = Accounted::new(h, part, cfg.ghost_width, scratch);
+            let migration = prev.map(|(ph, pp)| {
+                (
+                    ph,
+                    migration_accounting(ph, pp, h, part, cfg.nprocs, scratch),
+                )
+            });
+            let out = match migration {
+                Some(_) => scratch.per_proc_mig(),
+                None => &no_migration,
+            };
+            accounted.metrics(0, h, migration, out, &cfg.machine, 1.0)
+        };
         let p = HybridPartitioner::default();
         let mut scratch = MetricScratch::default();
         let mut prev: Option<(GridHierarchy<2>, Partition<2>)> = None;
         for snap in &trace.snapshots {
-            let part = p.partition(&snap.hierarchy, cfg.nprocs);
-            let prev_ref = prev.as_ref().map(|(h, pp)| (h, pp));
-            let fresh = step_metrics(
-                snap.step,
-                &snap.hierarchy,
-                &part,
-                prev_ref,
-                &cfg,
-                1.0,
-                &mut MetricScratch::default(),
-            );
-            let reused = step_metrics(
-                snap.step,
-                &snap.hierarchy,
-                &part,
-                prev_ref,
-                &cfg,
-                1.0,
-                &mut scratch,
-            );
+            let h = &snap.hierarchy;
+            let part = p.partition(h, cfg.nprocs);
+            let fresh = metrics(h, &part, prev.as_ref(), &mut MetricScratch::default());
+            let reused = metrics(h, &part, prev.as_ref(), &mut scratch);
             assert_eq!(fresh, reused, "step {}", snap.step);
-            prev = Some((snap.hierarchy.clone(), part));
+            prev = Some((h.clone(), part));
         }
     }
 

@@ -232,12 +232,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         nprocs,
         ..SimConfig::default()
     };
-    let (runs, _) = match &mut source {
-        AnySnapshotSource::D2(s) => PolicySpec::Static.simulate_source::<2>(&spec, s, &[cfg]),
-        AnySnapshotSource::D3(s) => PolicySpec::Static.simulate_source::<3>(&spec, s, &[cfg]),
+    let (res, _) = match &mut source {
+        AnySnapshotSource::D2(s) => PolicySpec::Static.simulate_source::<2>(&spec, s, &cfg),
+        AnySnapshotSource::D3(s) => PolicySpec::Static.simulate_source::<3>(&spec, s, &cfg),
     }
     .map_err(|e| format!("simulate {path}: {e}"))?;
-    let res = &runs[0];
     println!(
         "# partitioner: {} on {} processors",
         res.partitioner, nprocs

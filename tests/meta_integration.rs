@@ -187,9 +187,9 @@ fn adaptive_policy_beats_every_static_choice_on_the_phase_change() {
     let run = |partitioner: &PartitionerSpec, policy: &PolicySpec| {
         let mut source = MemorySource::new(&trace);
         let (res, stats) = policy
-            .simulate_source::<2>(partitioner, &mut source, &[sim])
+            .simulate_source::<2>(partitioner, &mut source, &sim)
             .expect("in-memory sources never fail");
-        (res[0].total_time, stats.switches())
+        (res.total_time, stats.switches())
     };
     let best_static = ["domain-sfc", "patch", "hybrid"]
         .iter()
