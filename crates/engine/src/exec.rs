@@ -42,6 +42,7 @@ use samr_apps::AppKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// What an executor produced.
@@ -135,24 +136,37 @@ pub fn cohorts<'a>(scenarios: &[&'a PlannedScenario]) -> Vec<Vec<&'a PlannedScen
     out
 }
 
-/// Run a slice of planned scenarios, its cohorts rayon-parallel, and
-/// hand each member's outcome to `finish` the moment its cohort
-/// completes. Returns what `finish` made of each scenario, in input
-/// order.
+/// Run a slice of planned scenarios, its cohorts in parallel, and hand
+/// each member's outcome to `finish` the moment its cohort completes.
+/// Returns what `finish` made of each scenario, in input order.
+///
+/// The cohorts form a work queue: each of the pool's workers claims the
+/// next unclaimed cohort, in slice order, whenever it finishes one, so
+/// uneven cohorts do not leave a worker idle behind a fixed share. A
+/// slice with one cohort runs on the calling thread, where the cohort's
+/// own partitions can still run in parallel.
 fn run_cohorts<'a, R: Send>(
     scenarios: &[&'a PlannedScenario],
     finish: impl Fn(&'a PlannedScenario, ScenarioOutcome) -> R + Sync,
 ) -> Vec<R> {
     warm_store(scenarios);
-    let done: Vec<Vec<(usize, R)>> = cohorts(scenarios)
-        .par_iter()
-        .map(|cohort| {
-            let members: Vec<&Scenario> = cohort.iter().map(|p| &p.scenario).collect();
-            cohort
-                .iter()
-                .zip(Scenario::run_cohort(&members))
-                .map(|(p, outcome)| (p.id, finish(p, outcome)))
-                .collect()
+    let cohorts = cohorts(scenarios);
+    // The next cohort to claim. It publishes nothing: the cohorts are
+    // read-only and the workers' results come back through their joins,
+    // so `Relaxed` claims suffice.
+    let next = AtomicUsize::new(0);
+    let workers = rayon::current_num_threads().min(cohorts.len());
+    let done: Vec<Vec<(usize, R)>> = (0..workers)
+        .into_par_iter()
+        .map(|_| {
+            let mut done = Vec::new();
+            while let Some(cohort) = cohorts.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let members: Vec<&Scenario> = cohort.iter().map(|p| &p.scenario).collect();
+                for (p, outcome) in cohort.iter().zip(Scenario::run_cohort(&members)) {
+                    done.push((p.id, finish(p, outcome)));
+                }
+            }
+            done
         })
         .collect();
     let mut by_id: HashMap<usize, R> = done.into_iter().flatten().collect();

@@ -60,19 +60,34 @@ pub fn subtract<const D: usize>(a: &AABox<D>, b: &AABox<D>) -> Vec<AABox<D>> {
 /// Subtract every box of `bs` from `a`, returning disjoint remainder
 /// pieces.
 pub fn subtract_all<const D: usize>(a: &AABox<D>, bs: &[AABox<D>]) -> Vec<AABox<D>> {
-    let mut current = vec![*a];
-    let mut next = Vec::new();
+    let (mut pieces, mut next) = (Vec::new(), Vec::new());
+    subtract_all_into(a, bs, &mut pieces, &mut next);
+    pieces
+}
+
+/// [`subtract_all`] into caller-owned buffers: leaves the pieces of
+/// `a \ ∪ bs` in `pieces`, in the order `subtract_all` returns them, and
+/// uses `next` as scratch. Prior contents of both are ignored. A box
+/// that misses `a` leaves the pieces as they are, so a caller may filter
+/// those out of `bs` first.
+pub fn subtract_all_into<'b, const D: usize>(
+    a: &AABox<D>,
+    bs: impl IntoIterator<Item = &'b AABox<D>>,
+    pieces: &mut Vec<AABox<D>>,
+    next: &mut Vec<AABox<D>>,
+) {
+    pieces.clear();
+    pieces.push(*a);
     for b in bs {
-        if current.is_empty() {
+        next.clear();
+        for piece in pieces.iter() {
+            subtract_into(piece, b, next);
+        }
+        std::mem::swap(pieces, next);
+        if pieces.is_empty() {
             break;
         }
-        next.clear();
-        for piece in &current {
-            subtract_into(piece, b, &mut next);
-        }
-        std::mem::swap(&mut current, &mut next);
     }
-    current
 }
 
 /// Rewrite a list of possibly-overlapping boxes as a list of pairwise
@@ -101,7 +116,29 @@ pub fn disjointify<const D: usize>(boxes: &[AABox<D>]) -> Vec<AABox<D>> {
 /// Exact number of cells in the union of the boxes (overlaps counted
 /// once).
 pub fn union_cells<const D: usize>(boxes: &[AABox<D>]) -> u64 {
-    disjointify(boxes).iter().map(AABox::cells).sum()
+    union_cells_with(boxes, &mut Vec::new(), &mut Vec::new())
+}
+
+/// [`union_cells`] with caller-owned piece buffers: the allocation-free
+/// form the metric scratch arenas use on their hot path. Their prior
+/// contents are ignored.
+///
+/// Counts `Σᵢ |bᵢ \ ∪_{j<i} bⱼ|`: each box's cells not covered by an
+/// earlier box. Only the earlier boxes that intersect `bᵢ` can remove
+/// cells from it, so only they are subtracted, in list order — not every
+/// piece of the disjointified prefix, as [`disjointify`] does.
+pub fn union_cells_with<const D: usize>(
+    boxes: &[AABox<D>],
+    pieces: &mut Vec<AABox<D>>,
+    next: &mut Vec<AABox<D>>,
+) -> u64 {
+    let mut total = 0u64;
+    for (i, b) in boxes.iter().enumerate() {
+        let earlier = boxes[..i].iter().filter(|e| e.intersects(b));
+        subtract_all_into(b, earlier, pieces, next);
+        total += total_cells(pieces);
+    }
+    total
 }
 
 /// Sum of the cell counts of the boxes (overlaps counted with

@@ -17,7 +17,7 @@ use samr_geom::sfc::{
     morton_keys_3d_with, morton_keys_with, scalar, sfc_key_nd, sfc_keys_nd, BatchIsa, SfcCurve,
     MAX_ORDER, MAX_ORDER_3D,
 };
-use samr_geom::{Box3, Point2, Point3, Rect2, Region};
+use samr_geom::{AABox, Box3, Point2, Point3, Rect2, Region};
 
 /// Strategy: a 2-D box with corners in [-40, 40] and extents in [1, 24].
 fn arb_rect() -> impl Strategy<Value = Rect2> {
@@ -45,6 +45,18 @@ fn arb_box3() -> impl Strategy<Value = Box3> {
 
 fn arb_box3_list(max: usize) -> impl Strategy<Value = Vec<Box3>> {
     prop::collection::vec(arb_box3(), 1..max)
+}
+
+/// Strategy: up to 9 boxes inside one 20² window — the shape of a
+/// fragment's ghost clips, which all lie in the fragment and overlap
+/// heavily.
+fn arb_clustered_rects() -> impl Strategy<Value = Vec<Rect2>> {
+    prop::collection::vec(
+        (0i64..12, 0i64..12, 1i64..9, 1i64..9).prop_map(|(x, y, w, h)| {
+            Rect2::new(Point2::new(x, y), Point2::new(x + w - 1, y + h - 1))
+        }),
+        1..10,
+    )
 }
 
 /// Strategy: a random subset of `0..cells` in shuffled order. Each index
@@ -96,7 +108,7 @@ fn arb_unit_cells_3d() -> impl Strategy<Value = Vec<Box3>> {
 
 /// Brute-force cell count of a union by membership testing over the
 /// bounding box.
-fn brute_union_cells(boxes: &[Rect2]) -> u64 {
+fn brute_union_cells<const D: usize>(boxes: &[AABox<D>]) -> u64 {
     let bb = boxes
         .iter()
         .skip(1)
@@ -208,6 +220,26 @@ proptest! {
             }
         }
         prop_assert_eq!(boxops::total_cells(&dis), brute_union_cells(&boxes));
+    }
+
+    #[test]
+    fn union_cells_matches_brute_force_with_reused_buffers(
+        lists in prop::collection::vec(arb_clustered_rects(), 1..5),
+        lists_3d in prop::collection::vec(arb_box3_list(8), 1..4),
+    ) {
+        // One pair of piece buffers across every list of a dimension:
+        // what a previous call left in them never leaks into a count.
+        let (mut pieces, mut next) = (Vec::new(), Vec::new());
+        for boxes in &lists {
+            let brute = brute_union_cells(boxes);
+            prop_assert_eq!(boxops::union_cells_with(boxes, &mut pieces, &mut next), brute);
+            prop_assert_eq!(boxops::union_cells(boxes), brute);
+        }
+        let (mut pieces, mut next) = (Vec::new(), Vec::new());
+        for boxes in &lists_3d {
+            let brute = brute_union_cells(boxes);
+            prop_assert_eq!(boxops::union_cells_with(boxes, &mut pieces, &mut next), brute);
+        }
     }
 
     #[test]
@@ -375,15 +407,7 @@ proptest! {
                 prop_assert!(!p.intersects(q));
             }
         }
-        // Inclusion-exclusion against brute-force membership counting.
-        let bb = boxes
-            .iter()
-            .skip(1)
-            .fold(boxes[0], |acc, b| acc.bounding_union(b));
-        let brute = bb
-            .iter_cells()
-            .filter(|c| boxes.iter().any(|b| b.contains_point(*c)))
-            .count() as u64;
+        let brute = brute_union_cells(&boxes);
         prop_assert_eq!(boxops::union_cells(&boxes), brute);
         prop_assert_eq!(boxops::total_cells(&dis), brute);
     }

@@ -112,6 +112,62 @@ mod tests {
     }
 
     #[test]
+    fn distinct_configurations_get_distinct_names() {
+        use crate::patch_part::PatchAssign;
+        use samr_geom::sfc::SfcCurve;
+        // The defaults keep their historical names.
+        assert_eq!(
+            PartitionerChoice::domain_sfc().name(),
+            "domain-sfc(Hilbert,full,u2)"
+        );
+        assert_eq!(PartitionerChoice::patch().name(), "patch-sfc(split1.0)");
+        assert_eq!(
+            PartitionerChoice::hybrid().name(),
+            "hybrid-nf(Morton,partial,u2,bi2)"
+        );
+        // One configuration per changed parameter, plus combinations.
+        let domain = |set: fn(&mut DomainSfcParams)| {
+            let mut p = DomainSfcParams::default();
+            set(&mut p);
+            PartitionerChoice::DomainSfc(p)
+        };
+        let patch = |set: fn(&mut PatchParams)| {
+            let mut p = PatchParams::default();
+            set(&mut p);
+            PartitionerChoice::Patch(p)
+        };
+        let hybrid = |set: fn(&mut HybridParams)| {
+            let mut p = HybridParams::default();
+            set(&mut p);
+            PartitionerChoice::Hybrid(p)
+        };
+        let choices = [
+            domain(|_| {}),
+            domain(|p| p.atomic_unit = 4),
+            domain(|p| p.curve = SfcCurve::Morton),
+            domain(|p| p.full_order = false),
+            patch(|_| {}),
+            patch(|p| p.split_factor = 0.5),
+            patch(|p| p.split_factor = 0.54),
+            patch(|p| p.split_factor = 2.0),
+            patch(|p| p.min_block = 4),
+            patch(|p| p.assign = PatchAssign::Lpt),
+            hybrid(|_| {}),
+            hybrid(|p| p.hue_blocks_per_proc = 3),
+            hybrid(|p| (p.hue_blocks_per_proc, p.fractional_blocking) = (3, true)),
+            hybrid(|p| p.fractional_blocking = true),
+            hybrid(|p| p.bilevel_size = 1),
+            hybrid(|p| p.atomic_unit = 4),
+            hybrid(|p| (p.curve, p.full_order) = (SfcCurve::Hilbert, true)),
+        ];
+        for (i, a) in choices.iter().enumerate() {
+            for b in &choices[i + 1..] {
+                assert_ne!(a.name(), b.name(), "{a:?} and {b:?}");
+            }
+        }
+    }
+
+    #[test]
     fn choice_partitions_like_the_underlying_partitioner() {
         let h = GridHierarchy::from_level_rects(
             Rect2::from_extents(32, 32),

@@ -31,6 +31,8 @@ use samr_geom::{boxops, AABox, Point, Region};
 use samr_grid::stats::component_labels;
 use samr_grid::GridHierarchy;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Configuration of the hybrid partitioner (the tunables Nature+Fable
 /// exposes to the meta-partitioner).
@@ -286,6 +288,58 @@ impl HybridPartitioner {
         blocks.sort_by(|a, b| a.cmp_spatial(b));
         blocks
     }
+
+    /// Top up processor `loads` with the Hue `blocks`, in order: each
+    /// block goes to the least-loaded processor, the lowest rank among
+    /// equals, and lands in `out`. A binary min-heap keyed `(load, rank)`
+    /// finds that processor in `O(log nprocs)` per block.
+    fn top_up<const D: usize>(
+        &self,
+        mut blocks: Vec<AABox<D>>,
+        loads: Vec<u64>,
+        ideal: f64,
+        out: &mut Vec<Fragment<D>>,
+    ) {
+        let mut least_loaded: BinaryHeap<Reverse<(u64, ProcId)>> = loads
+            .into_iter()
+            .enumerate()
+            .map(|(rank, load)| Reverse((load, rank as ProcId)))
+            .collect();
+        blocks.reverse(); // pop from the front of the sorted order
+        while let Some(rect) = blocks.pop() {
+            let mut least = least_loaded.peek_mut().expect("nprocs >= 1");
+            let Reverse((load, owner)) = *least;
+            let take = match self.fractional_split(&rect, load, ideal) {
+                Some((take, rest)) => {
+                    blocks.push(rest);
+                    take
+                }
+                None => rect,
+            };
+            *least = Reverse((load + take.cells(), owner));
+            out.push(Fragment { rect: take, owner });
+        }
+    }
+
+    /// Under fractional blocking, split `rect` at the exact deficit of a
+    /// processor loaded `load` below `ideal`, when both halves stay
+    /// non-trivial: `(taken, rest)`.
+    fn fractional_split<const D: usize>(
+        &self,
+        rect: &AABox<D>,
+        load: u64,
+        ideal: f64,
+    ) -> Option<(AABox<D>, AABox<D>)> {
+        let deficit = (ideal - load as f64).max(0.0) as u64;
+        if !self.params.fractional_blocking || deficit == 0 || rect.cells() <= deficit {
+            return None;
+        }
+        let axis = rect.longest_axis();
+        let want_len =
+            ((deficit as f64 / rect.cells() as f64) * rect.len(axis) as f64).round() as i64;
+        (want_len >= 1 && want_len < rect.len(axis))
+            .then(|| rect.split_at(axis, rect.lo().get(axis) + want_len - 1))
+    }
 }
 
 /// Coalesce one level's fragments per owner, bucketing by owner in a
@@ -319,8 +373,9 @@ fn compact_level<const D: usize>(
 
 impl<const D: usize> Partitioner<D> for HybridPartitioner {
     fn name(&self) -> String {
+        let hue = self.params.hue_blocks_per_proc;
         format!(
-            "hybrid-nf({:?},{},u{},bi{}{})",
+            "hybrid-nf({:?},{},u{},bi{}{}{})",
             self.params.curve,
             if self.params.full_order {
                 "full"
@@ -329,6 +384,11 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
             },
             self.params.atomic_unit,
             self.params.bilevel_size,
+            if hue == HybridParams::default().hue_blocks_per_proc {
+                String::new()
+            } else {
+                format!(",hue{hue}")
+            },
             if self.params.fractional_blocking {
                 ",frac"
             } else {
@@ -402,38 +462,7 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
         let blocks = self.block_hue(&hue, nprocs);
         let total_work: u64 = loads.iter().sum::<u64>() + hue.cells();
         let ideal = total_work as f64 / nprocs as f64;
-        let mut queue: Vec<AABox<D>> = blocks;
-        queue.reverse(); // pop from the front of the sorted order
-        while let Some(rect) = queue.pop() {
-            let owner = loads
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &w)| (w, i))
-                .map(|(i, _)| i as ProcId)
-                .unwrap();
-            if self.params.fractional_blocking {
-                // Split the block at the exact deficit of the least
-                // loaded processor, when both halves stay non-trivial.
-                let deficit = (ideal - loads[owner as usize] as f64).max(0.0) as u64;
-                if deficit > 0 && rect.cells() > deficit {
-                    let axis = rect.longest_axis();
-                    let want_len = ((deficit as f64 / rect.cells() as f64) * rect.len(axis) as f64)
-                        .round() as i64;
-                    if want_len >= 1 && want_len < rect.len(axis) {
-                        let cut = rect.lo().get(axis) + want_len - 1;
-                        let (take, rest) = rect.split_at(axis, cut);
-                        loads[owner as usize] += take.cells();
-                        part.levels[0]
-                            .fragments
-                            .push(Fragment { rect: take, owner });
-                        queue.push(rest);
-                        continue;
-                    }
-                }
-            }
-            loads[owner as usize] += rect.cells();
-            part.levels[0].fragments.push(Fragment { rect, owner });
-        }
+        self.top_up(blocks, loads, ideal, &mut part.levels[0].fragments);
 
         // Compact per-owner fragment lists. Levels are independent here:
         // on the outer pool compact them rayon-parallel (inside a
@@ -653,6 +682,76 @@ mod tests {
             let part = p.partition(&h, nprocs);
             assert_eq!(validate_partition(&h, &part), Ok(()), "nprocs={nprocs}");
         }
+    }
+
+    /// The linear scan the heap top-up replaced: the least-loaded
+    /// processor by `min_by_key((load, rank))` for every block.
+    fn linear_top_up(
+        p: &HybridPartitioner,
+        blocks: &[Rect2],
+        mut loads: Vec<u64>,
+        ideal: f64,
+    ) -> Vec<Fragment<2>> {
+        let mut out = Vec::new();
+        let mut queue: Vec<Rect2> = blocks.iter().rev().copied().collect();
+        while let Some(rect) = queue.pop() {
+            let (owner, _) = loads
+                .iter()
+                .enumerate()
+                .min_by_key(|&(i, &w)| (w, i))
+                .unwrap();
+            let take = match p.fractional_split(&rect, loads[owner], ideal) {
+                Some((take, rest)) => {
+                    queue.push(rest);
+                    take
+                }
+                None => rect,
+            };
+            loads[owner] += take.cells();
+            out.push(Fragment {
+                rect: take,
+                owner: owner as ProcId,
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn heap_top_up_picks_the_linear_scan_owner() {
+        // Random loads drawn from four values, so most of them tie, with
+        // and without fractional blocking.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let hue = Region::from_rect(Rect2::from_extents(48, 40));
+        let mut splits = 0;
+        for fractional_blocking in [false, true] {
+            let p = HybridPartitioner::new(HybridParams {
+                fractional_blocking,
+                ..HybridParams::default()
+            });
+            for nprocs in [1, 2, 3, 7, 16, 64] {
+                let blocks = p.block_hue(&hue, nprocs);
+                for _ in 0..8 {
+                    let loads: Vec<u64> = (0..nprocs).map(|_| draw() % 4 * 40).collect();
+                    let total = loads.iter().sum::<u64>() + hue.cells();
+                    let ideal = total as f64 / nprocs as f64;
+                    let mut heap = Vec::new();
+                    p.top_up(blocks.clone(), loads.clone(), ideal, &mut heap);
+                    splits += heap.len() - blocks.len();
+                    assert_eq!(
+                        heap,
+                        linear_top_up(&p, &blocks, loads, ideal),
+                        "nprocs {nprocs} fractional {fractional_blocking}"
+                    );
+                }
+            }
+        }
+        assert!(splits > 0, "fractional blocking must split some blocks");
     }
 
     #[test]

@@ -94,7 +94,18 @@ impl<const D: usize> Partitioner<D> for PatchPartitioner {
             PatchAssign::Lpt => "lpt",
             PatchAssign::SfcChunk => "sfc",
         };
-        format!("patch-{mode}(split{:.1})", self.params.split_factor)
+        // `{:?}` prints the shortest exact form: `1.0` stays `1.0`, and
+        // 0.5 and 0.54 read apart.
+        let min_block = self.params.min_block;
+        format!(
+            "patch-{mode}(split{:?}{})",
+            self.params.split_factor,
+            if min_block == PatchParams::default().min_block {
+                String::new()
+            } else {
+                format!(",mb{min_block}")
+            }
+        )
     }
 
     fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {

@@ -98,7 +98,7 @@ pub fn naive_intra_level_involved<const D: usize>(
                 }
             }
             if !clips.is_empty() {
-                level_points += boxops::union_cells(&clips);
+                level_points += boxops::total_cells(&boxops::disjointify(&clips));
             }
         }
         total += level_points * mult;
@@ -246,9 +246,8 @@ pub fn comm_accounting<const D: usize>(
                     }
                 }
             });
-            if !scratch.clips.is_empty() {
-                level_points += boxops::union_cells(&scratch.clips);
-            }
+            level_points +=
+                boxops::union_cells_with(&scratch.clips, &mut scratch.pieces, &mut scratch.next);
         }
         acc.intra += level_cells * mult;
         acc.intra_involved += level_points * mult;

@@ -209,26 +209,21 @@ impl<const D: usize> FragIndex<D> {
 /// and [`crate::migration::migration_accounting`]. Like
 /// [`samr_partition::PartitionScratch`], the scratch only changes where
 /// intermediates live — results never depend on its prior contents.
+#[derive(Default)]
 pub struct MetricScratch<const D: usize> {
     /// The per-level fragment index (rebuilt once per level walked).
     pub(crate) index: FragIndex<D>,
     /// Ghost-clip accumulation for involvement union counting.
     pub(crate) clips: Vec<AABox<D>>,
+    /// Box-subtraction pieces: a clip's cells outside the earlier clips
+    /// (involvement union), a fine fragment's new cells (migration).
+    pub(crate) pieces: Vec<AABox<D>>,
+    /// The subtraction's second piece buffer.
+    pub(crate) next: Vec<AABox<D>>,
     /// Per-processor communication volumes (output of `comm_accounting`).
     pub(crate) vols: Vec<u64>,
     /// Per-processor migration volumes (output of `migration_accounting`).
     pub(crate) mig: Vec<u64>,
-}
-
-impl<const D: usize> Default for MetricScratch<D> {
-    fn default() -> Self {
-        Self {
-            index: FragIndex::default(),
-            clips: Vec::new(),
-            vols: Vec::new(),
-            mig: Vec::new(),
-        }
-    }
 }
 
 impl<const D: usize> MetricScratch<D> {

@@ -170,19 +170,26 @@ pub fn migration_accounting<const D: usize>(
         // while it still holds level l.
         let fine = l + 1;
         if fine < cur.levels.len() && fine < cur_part.levels.len() {
-            let prev_rects: Vec<samr_geom::AABox<D>> = if fine < prev.levels.len() {
-                prev.levels[fine].rects()
-            } else {
-                Vec::new()
-            };
+            let prev_patches = prev.levels.get(fine).map_or(&[][..], |lv| &lv.patches);
             for frag in &cur_part.levels[fine].fragments {
-                for new_piece in boxops::subtract_all(&frag.rect, &prev_rects) {
+                // The part of this fragment that did not exist at t-1.
+                // Only the previous patches that meet it remove cells. A
+                // level's patches are disjoint, so a patch that contains
+                // the fragment is the only one it meets: nothing is left
+                // and the fragment costs no query.
+                let (pieces, next) = (&mut scratch.pieces, &mut scratch.next);
+                let meeting = prev_patches
+                    .iter()
+                    .map(|p| &p.rect)
+                    .filter(|r| r.intersects(&frag.rect));
+                boxops::subtract_all_into(&frag.rect, meeting, pieces, next);
+                for new_piece in pieces.iter() {
                     let parent = new_piece.coarsen(cur.ratio);
                     let mig = &mut scratch.mig;
                     scratch.index.query(&parent, |_, rect, owner| {
                         if owner != frag.owner {
                             if let Some(ov) = parent.intersect(&rect) {
-                                let cells = ov.refine(cur.ratio).overlap_cells(&new_piece);
+                                let cells = ov.refine(cur.ratio).overlap_cells(new_piece);
                                 total += cells;
                                 mig[owner as usize] += cells;
                             }

@@ -45,13 +45,13 @@ use samr_trace::io::TraceIoError;
 use samr_trace::{Snapshot, SnapshotSource};
 use std::rc::Rc;
 
-/// The default window, resolved once per process: twice the rayon pool
+/// The default window for the calling thread: twice the rayon pool
 /// width — every worker has a snapshot to partition plus one queued —
 /// clamped to `2..=64` so residency stays bounded on very wide machines
-/// where more queueing buys no throughput.
+/// where more queueing buys no throughput. Inside a pool worker, where a
+/// window's partitions run inline, that is 2.
 pub fn default_window() -> usize {
-    static WINDOW: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WINDOW.get_or_init(|| (2 * rayon::current_num_threads()).clamp(2, 64))
+    (2 * rayon::current_num_threads()).clamp(2, 64)
 }
 
 /// Residency and adaptation accounting of one run of
@@ -443,6 +443,11 @@ fn fold_snapshot<const D: usize>(
         };
         let machine = &member.cfg.machine;
         let m = match (&previous, prev_h) {
+            // A kept distribution moves nothing.
+            (Some(prev), Some(ph)) if Rc::ptr_eq(prev, &cur) => {
+                cur.accounted
+                    .metrics(snap.step, h, Some((ph, 0)), no_migration, machine, cost)
+            }
             (Some(prev), Some(ph)) => {
                 let j = pairs
                     .iter()
@@ -1082,6 +1087,56 @@ mod tests {
     fn default_window_is_autotuned_within_bounds() {
         let w = default_window();
         assert!((2..=64).contains(&w), "autotuned window {w} out of range");
+    }
+
+    #[test]
+    fn default_window_does_not_depend_on_the_first_caller() {
+        // Twice the pool width outside a worker, 2 inside one, whichever
+        // of the two asks first.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let in_workers =
+            || -> Vec<usize> { (0..2).into_par_iter().map(|_| default_window()).collect() };
+        pool.install(|| {
+            assert_eq!(in_workers(), [2, 2], "worker first");
+            assert_eq!(default_window(), 8);
+            assert_eq!(in_workers(), [2, 2], "outside first");
+        });
+        let wide = rayon::ThreadPoolBuilder::new()
+            .num_threads(100)
+            .build()
+            .unwrap();
+        assert_eq!(wide.install(default_window), 64);
+    }
+
+    #[test]
+    fn a_kept_distribution_moves_nothing() {
+        // The plateau steps 4 and 5 keep step 3's distribution: they
+        // report zero migration, as accounting it against itself did.
+        let t = trace(11);
+        let cfg = SimConfig {
+            nprocs: 4,
+            ..SimConfig::default()
+        };
+        let p = HybridPartitioner::default();
+        let (res, _) = run(&t, &p, &cfg, 1).unwrap();
+        let parts: Vec<Partition<2>> = t
+            .snapshots
+            .iter()
+            .map(|s| p.partition(&s.hierarchy, cfg.nprocs))
+            .collect();
+        let mut scratch = MetricScratch::default();
+        for i in [4, 5] {
+            let (ph, h) = (&t.snapshots[i - 1].hierarchy, &t.snapshots[i].hierarchy);
+            assert_eq!(ph, h, "step {i} is on the plateau");
+            assert_eq!(res.steps[i].partition_cost, 0.0, "step {i} keeps");
+            let moved =
+                migration_accounting(ph, &parts[i - 1], h, &parts[i], cfg.nprocs, &mut scratch);
+            assert_eq!((moved, res.steps[i].migration_cells), (0, 0));
+            assert!(scratch.per_proc_mig().iter().all(|&c| c == 0));
+        }
     }
 
     #[test]

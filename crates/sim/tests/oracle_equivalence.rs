@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use samr_geom::{Box3, Point2, Rect2};
+use samr_geom::{AABox, Box3, Point, Rect2};
 use samr_grid::GridHierarchy;
 use samr_partition::{Fragment, LevelPartition, Partition};
 use samr_sim::comm::{
@@ -78,25 +78,44 @@ fn deal<const D: usize>(frags: Vec<Fragment<D>>, nlevels: usize) -> Partition<D>
     }
 }
 
-/// A nested 2-D hierarchy (for the interpolation metrics, which read
-/// level rects and the ratio from real hierarchies).
-fn arb_hierarchy() -> impl Strategy<Value = GridHierarchy<2>> {
-    let blob = (2i64..20, 2i64..20, 2i64..10, 2i64..10);
-    (blob, any::<bool>()).prop_map(|((x, y, w, h), deep)| {
-        let l1 = Rect2::new(
-            Point2::new(x, y),
-            Point2::new((x + w).min(31), (y + h).min(31)),
-        )
-        .refine(2);
-        let mut levels = vec![vec![], vec![l1]];
-        if deep {
-            if let Some(inner) = l1.shrink(2) {
-                if inner.extent().x >= 2 && inner.extent().y >= 2 {
-                    levels.push(vec![inner.refine(2)]);
-                }
+/// A nested hierarchy on a base of side `2 * half` (for the
+/// interpolation metrics, which read level rects and the ratio from real
+/// hierarchies). Level 1 holds 2–4 disjoint patches, one in each of the
+/// first orthants of the base; when `deep`, level 2 nests one patch in
+/// each of them. Several disjoint previous patches per level let a
+/// fragment straddle some of them, sit inside one, or miss them all.
+fn arb_hierarchy<const D: usize>(half: i64) -> impl Strategy<Value = GridHierarchy<D>> {
+    let raw = prop::collection::vec(any::<u64>(), 8 * D..8 * D + 1);
+    (2usize..5, raw, any::<bool>()).prop_map(move |(n, raw, deep)| {
+        let (mut l1, mut l2) = (Vec::new(), Vec::new());
+        for k in 0..n {
+            // Coarse corner and extent (at least 2 per axis) inside
+            // orthant k, whose axis-i half is bit i of k.
+            let draw = |i: usize, j: usize| raw[(k * D + i) * 2 + j];
+            let orth = |i: usize| ((k >> i) & 1) as i64 * half;
+            let lo = Point::<D>::from_fn(|i| orth(i) + (draw(i, 0) % (half as u64 - 2)) as i64);
+            let hi = Point::<D>::from_fn(|i| {
+                let room = orth(i) + half - 1 - lo[i];
+                lo[i] + 1 + (draw(i, 1) % room as u64) as i64
+            });
+            let patch = AABox::new(lo, hi).refine(2);
+            l1.push(patch);
+            if let Some(inner) = patch
+                .shrink(2)
+                .filter(|b| (0..D).all(|i| b.extent()[i] >= 2))
+            {
+                l2.push(inner.refine(2));
             }
         }
-        GridHierarchy::from_level_rects(Rect2::from_extents(32, 32), 2, &levels)
+        let mut levels = vec![vec![], l1];
+        if deep && !l2.is_empty() {
+            levels.push(l2);
+        }
+        let base = AABox::new(
+            Point::<D>::from_fn(|_| 0),
+            Point::<D>::from_fn(|_| 2 * half - 1),
+        );
+        GridHierarchy::from_level_rects(base, 2, &levels)
     })
 }
 
@@ -135,6 +154,65 @@ fn moved_survivors_match_oracle<const D: usize>(
     let moved = migration_accounting(base, prev_part, base, cur_part, NPROCS, &mut scratch);
     prop_assert_eq!(moved, naive_moved_survivors(prev_part, cur_part));
     let naive_mig = naive_per_proc_migration(base, prev_part, base, cur_part, NPROCS);
+    prop_assert_eq!(scratch.per_proc_mig(), naive_mig.as_slice());
+    Ok(())
+}
+
+/// `migration_accounting` reproduces the interpolation, total and
+/// per-processor oracles. The partitions are sized to their hierarchies;
+/// fragments are arbitrary overlap-heavy boxes, which is all the metric
+/// paths read, plus two kinds of fragment on the current partition's
+/// level: half of a previous patch, which has no new cells, and the
+/// bounding box of two consecutive previous patches, which straddles
+/// both.
+fn migration_matches_oracles<const D: usize>(
+    prev_h: &GridHierarchy<D>,
+    cur_h: &GridHierarchy<D>,
+    old_frags: Vec<Fragment<D>>,
+    new_frags: Vec<Fragment<D>>,
+) -> Result<(), TestCaseError> {
+    let prev_part = deal(old_frags, prev_h.levels.len());
+    let mut cur_part = deal(new_frags, cur_h.levels.len());
+    for (l, level) in prev_h.levels.iter().enumerate().skip(1) {
+        let Some(lp) = cur_part.levels.get_mut(l) else {
+            continue;
+        };
+        for (k, patch) in level.patches.iter().enumerate() {
+            let owner = (k % NPROCS) as u32;
+            if let Some((half, _)) = patch.rect.bisect() {
+                lp.fragments.push(Fragment { rect: half, owner });
+            }
+            if k > 0 {
+                let rect = level.patches[k - 1].rect.bounding_union(&patch.rect);
+                lp.fragments.push(Fragment { rect, owner });
+            }
+        }
+    }
+    let mut scratch = MetricScratch::default();
+    // A previous partition with no levels has no survivors, which
+    // isolates the interpolation count.
+    let no_survivors = Partition {
+        nprocs: NPROCS,
+        levels: Vec::new(),
+    };
+    let interpolated = migration_accounting(
+        prev_h,
+        &no_survivors,
+        cur_h,
+        &cur_part,
+        NPROCS,
+        &mut scratch,
+    );
+    prop_assert_eq!(
+        interpolated,
+        naive_interpolation_transfers(prev_h, cur_h, &cur_part)
+    );
+    let total = migration_accounting(prev_h, &prev_part, cur_h, &cur_part, NPROCS, &mut scratch);
+    prop_assert_eq!(
+        total,
+        naive_migration_cells(prev_h, &prev_part, cur_h, &cur_part)
+    );
+    let naive_mig = naive_per_proc_migration(prev_h, &prev_part, cur_h, &cur_part, NPROCS);
     prop_assert_eq!(scratch.per_proc_mig(), naive_mig.as_slice());
     Ok(())
 }
@@ -183,34 +261,21 @@ proptest! {
 
     #[test]
     fn migration_accounting_matches_oracles(
-        prev_h in arb_hierarchy(),
-        cur_h in arb_hierarchy(),
+        prev_h in arb_hierarchy::<2>(16),
+        cur_h in arb_hierarchy::<2>(16),
         old_frags in arb_frags2(30),
         new_frags in arb_frags2(30),
     ) {
-        // Partitions sized to their hierarchies; fragments are arbitrary
-        // overlap-heavy boxes, which is all the metric paths read.
-        let prev_part = deal(old_frags, prev_h.levels.len());
-        let cur_part = deal(new_frags, cur_h.levels.len());
-        let mut scratch = MetricScratch::default();
-        // A previous partition with no levels has no survivors, which
-        // isolates the interpolation count.
-        let no_survivors = Partition { nprocs: NPROCS, levels: Vec::new() };
-        let interpolated = migration_accounting(
-            &prev_h, &no_survivors, &cur_h, &cur_part, NPROCS, &mut scratch,
-        );
-        prop_assert_eq!(
-            interpolated,
-            naive_interpolation_transfers(&prev_h, &cur_h, &cur_part)
-        );
-        let total = migration_accounting(
-            &prev_h, &prev_part, &cur_h, &cur_part, NPROCS, &mut scratch,
-        );
-        prop_assert_eq!(
-            total,
-            naive_migration_cells(&prev_h, &prev_part, &cur_h, &cur_part)
-        );
-        let naive_mig = naive_per_proc_migration(&prev_h, &prev_part, &cur_h, &cur_part, NPROCS);
-        prop_assert_eq!(scratch.per_proc_mig(), naive_mig.as_slice());
+        migration_matches_oracles(&prev_h, &cur_h, old_frags, new_frags)?;
+    }
+
+    #[test]
+    fn migration_accounting_matches_oracles_3d(
+        prev_h in arb_hierarchy::<3>(8),
+        cur_h in arb_hierarchy::<3>(8),
+        old_frags in arb_frags3(25),
+        new_frags in arb_frags3(25),
+    ) {
+        migration_matches_oracles(&prev_h, &cur_h, old_frags, new_frags)?;
     }
 }

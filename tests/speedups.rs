@@ -36,7 +36,8 @@ use samr::grid::{
 };
 use samr::partition::weights::{composite_unit_weights, sfc_order, split_contiguous};
 use samr::partition::{
-    DomainSfcParams, HybridPartitioner, PartitionScratch, Partitioner, PatchPartitioner,
+    DomainSfcParams, HybridPartitioner, PartitionScratch, Partitioner, PartitionerChoice,
+    PatchPartitioner,
 };
 use samr::sim::comm::{
     comm_accounting, naive_involved_comm_points, naive_per_proc_comm, naive_total_comm,
@@ -466,6 +467,53 @@ fn indexed_migration_accounting_beats_all_pairs_on_rm2d() {
             )
             .iter()
             .sum::<u64>()
+        },
+    );
+}
+
+#[test]
+#[ignore = "times code: run in release with --ignored"]
+fn involvement_union_beats_disjointify() {
+    // Every fragment's ghost clips — the boxes `comm_accounting` unions
+    // for the §4.1 involvement count — in the three default families'
+    // partitions of the hardest RM2D snapshot at 256 processors.
+    let h = representative_hierarchy(AppKind::Rm2d);
+    let mut lists: Vec<Vec<Rect2>> = Vec::new();
+    for choice in [
+        PartitionerChoice::domain_sfc(),
+        PartitionerChoice::patch(),
+        PartitionerChoice::hybrid(),
+    ] {
+        let part = choice.partition(&h, 256);
+        for level in &part.levels {
+            for f in &level.fragments {
+                let clips: Vec<Rect2> = level
+                    .fragments
+                    .iter()
+                    .filter(|g| g.owner != f.owner)
+                    .filter_map(|g| g.rect.grow(GHOST).intersect(&f.rect))
+                    .collect();
+                if !clips.is_empty() {
+                    lists.push(clips);
+                }
+            }
+        }
+    }
+    let (mut pieces, mut next) = (Vec::new(), Vec::new());
+    assert_speedup(
+        "involvement_union",
+        1.72,
+        || {
+            black_box(&lists)
+                .iter()
+                .map(|clips| boxops::union_cells_with(clips, &mut pieces, &mut next))
+                .sum::<u64>()
+        },
+        || {
+            black_box(&lists)
+                .iter()
+                .map(|clips| boxops::total_cells(&boxops::disjointify(clips)))
+                .sum::<u64>()
         },
     );
 }
