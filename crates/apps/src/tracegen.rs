@@ -29,9 +29,7 @@ use crate::sp3d::Sp3d;
 use crate::tp2d::Tp2d;
 use samr_geom::{AABox, Box3, Rect2};
 use samr_grid::nesting::{clip_to_nesting, shrink_within};
-use samr_grid::{
-    cluster_flags_with, ClusterOptions, ClusterScratch, FlagField, GridHierarchy, Level,
-};
+use samr_grid::{cluster_flags, ClusterOptions, FlagField, GridHierarchy, Level};
 use samr_trace::io::TraceIoError;
 use samr_trace::{
     AnySnapshotSource, AnyTrace, HierarchyTrace, Snapshot, SnapshotSource, TraceMeta,
@@ -295,7 +293,6 @@ fn regrid<const D: usize>(
     threshold: &dyn Fn(usize) -> f64,
     cfg: &TraceGenConfig,
     from_level: usize,
-    scratch: &mut ClusterScratch<D>,
 ) {
     debug_assert!(from_level >= 1);
     h.levels.truncate(from_level);
@@ -328,13 +325,13 @@ fn regrid<const D: usize>(
             break;
         }
         let flags = flags.buffer(cfg.flag_buffer);
-        let candidates = cluster_flags_with(&flags, &cfg.cluster, scratch);
+        let candidates = cluster_flags(&flags, &cfg.cluster);
         let nest = shrink_within(
             &h.levels[parent].region(),
             &parent_domain,
             cfg.nesting_buffer,
         );
-        let clipped = clip_to_nesting(candidates, &nest, cfg.min_block);
+        let clipped = clip_to_nesting(&candidates, &nest, cfg.min_block);
         if clipped.is_empty() {
             break;
         }
@@ -406,8 +403,6 @@ pub struct AppSource<const D: usize> {
     h: GridHierarchy<D>,
     next_step: u32,
     driver: Box<dyn StepDriver<D>>,
-    /// Clusterer working buffers, reused across every regrid of the run.
-    scratch: ClusterScratch<D>,
 }
 
 impl<const D: usize> AppSource<D> {
@@ -415,14 +410,7 @@ impl<const D: usize> AppSource<D> {
         let driver = &self.driver;
         let indicator = |u: [f64; D]| driver.indicator(u);
         let threshold = |l: usize| driver.threshold(l);
-        regrid(
-            &mut self.h,
-            &indicator,
-            &threshold,
-            &self.cfg,
-            from_level,
-            &mut self.scratch,
-        );
+        regrid(&mut self.h, &indicator, &threshold, &self.cfg, from_level);
     }
 }
 
@@ -492,7 +480,6 @@ pub fn trace_source(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<2> {
         h: GridHierarchy::base_only(base, cfg.ratio),
         next_step: 0,
         driver: Box::new(kernel),
-        scratch: ClusterScratch::default(),
     }
 }
 
@@ -520,7 +507,6 @@ pub fn trace_source_3d(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<3> {
         h: GridHierarchy::base_only(base, cfg.ratio),
         next_step: 0,
         driver: Box::new(app),
-        scratch: ClusterScratch::default(),
     }
 }
 

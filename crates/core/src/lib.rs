@@ -27,7 +27,6 @@
 
 pub mod model;
 pub mod octant;
-pub mod relative;
 pub mod sampling;
 pub mod space;
 pub mod tradeoff1;

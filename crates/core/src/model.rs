@@ -203,26 +203,6 @@ impl ModelPipeline {
     }
 }
 
-/// Convenience: the β_m series of a trace (the model side of the
-/// Figures 4–7 right panels).
-pub fn beta_m_series<const D: usize>(trace: &HierarchyTrace<D>) -> Vec<f64> {
-    ModelPipeline::new()
-        .run(trace)
-        .iter()
-        .map(|s| s.beta_m)
-        .collect()
-}
-
-/// Convenience: the β_c series of a trace (the model side of the
-/// Figures 4–7 left panels).
-pub fn beta_c_series<const D: usize>(trace: &HierarchyTrace<D>) -> Vec<f64> {
-    ModelPipeline::new()
-        .run(trace)
-        .iter()
-        .map(|s| s.beta_c)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,18 +301,6 @@ mod tests {
         let curve = p.state_curve(&trace);
         assert_eq!(curve.len(), trace.len());
         assert!(curve.arc_length() > 0.0);
-    }
-
-    #[test]
-    fn series_helpers_agree_with_pipeline() {
-        let trace = trace_moving();
-        let states = ModelPipeline::new().run(&trace);
-        let bm = beta_m_series(&trace);
-        let bc = beta_c_series(&trace);
-        for (i, s) in states.iter().enumerate() {
-            assert_eq!(bm[i], s.beta_m);
-            assert_eq!(bc[i], s.beta_c);
-        }
     }
 
     #[test]

@@ -47,29 +47,6 @@ pub fn unit_workloads<const D: usize>(h: &GridHierarchy<D>, unit: i64) -> Vec<u6
     weights
 }
 
-/// Gini coefficient of a non-negative weight distribution, in `[0, 1)`:
-/// 0 = perfectly uniform, →1 = all mass in one unit. The model uses it as
-/// the ab-initio *imbalance potential* of the workload distribution.
-pub fn gini(weights: &[u64]) -> f64 {
-    let n = weights.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let total: u64 = weights.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let mut sorted: Vec<u64> = weights.to_vec();
-    sorted.sort_unstable();
-    // G = (2 Σ_i i·x_i) / (n Σ x) − (n+1)/n  with 1-based i over sorted x.
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i as f64 + 1.0) * x as f64)
-        .sum();
-    (2.0 * weighted / (n as f64 * total as f64) - (n as f64 + 1.0) / n as f64).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,36 +68,5 @@ mod tests {
             let w = unit_workloads(&h, unit);
             assert_eq!(w.iter().sum::<u64>(), h.workload(), "unit {unit}");
         }
-    }
-
-    #[test]
-    fn uniform_grid_zero_gini() {
-        let h = GridHierarchy::base_only(Rect2::from_extents(16, 16), 2);
-        let w = unit_workloads(&h, 2);
-        assert!(gini(&w) < 1e-12);
-    }
-
-    #[test]
-    fn localized_refinement_raises_gini() {
-        let flat = GridHierarchy::base_only(Rect2::from_extents(32, 32), 2);
-        let localized = GridHierarchy::from_level_rects(
-            Rect2::from_extents(32, 32),
-            2,
-            &[vec![], vec![r(0, 0, 15, 15)], vec![r(0, 0, 15, 15)]],
-        );
-        let g_flat = gini(&unit_workloads(&flat, 2));
-        let g_loc = gini(&unit_workloads(&localized, 2));
-        assert!(g_loc > g_flat + 0.2, "{g_flat} vs {g_loc}");
-    }
-
-    #[test]
-    fn gini_extremes() {
-        assert_eq!(gini(&[]), 0.0);
-        assert_eq!(gini(&[0, 0, 0]), 0.0);
-        assert!(gini(&[5, 5, 5, 5]) < 1e-12);
-        // All mass in one of many units approaches 1.
-        let mut w = vec![0u64; 100];
-        w[7] = 1000;
-        assert!(gini(&w) > 0.95);
     }
 }

@@ -1,17 +1,15 @@
-//! Cartesian campaign specs and the plan → execute → merge front end.
+//! Cartesian campaign specs and the plan → run → finish front end.
 //!
 //! [`CampaignSpec`] declares the sweep; [`Campaign`] is the convenience
-//! runner gluing the three explicit layers together: a spec is expanded
-//! by the planner ([`crate::plan`]) into a deterministic
-//! [`crate::plan::CampaignPlan`], executed by an executor
-//! ([`crate::exec`]) and — when sharded — reassembled by the merger
-//! ([`crate::merge`]). `Campaign::run`/`run_to_dir` are thin wrappers
-//! over the single-shard in-process path.
+//! runner for one process: the planner ([`crate::plan`]) expands a spec
+//! into a deterministic [`crate::plan::CampaignPlan`], the whole plan
+//! runs as one slice ([`crate::exec`]), and
+//! [`crate::merge::finish_campaign`] writes the canonical campaign
+//! files — the same finish step a shard merge ends with.
 
-use crate::atomic::atomic_write;
-use crate::exec::RayonExecutor;
-use crate::merge::{CampaignManifest, CAMPAIGN_CSV};
-use crate::plan::{CampaignPlan, ShardStrategy};
+use crate::exec::{run_cohorts, run_slice};
+use crate::merge::{finish_campaign, CampaignManifest};
+use crate::plan::{CampaignPlan, PlannedScenario, ShardStrategy};
 use crate::policy::PolicySpec;
 use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::spec::PartitionerSpec;
@@ -276,11 +274,10 @@ fn dedup_axis<T: PartialEq>(values: impl IntoIterator<Item = T>) -> Vec<T> {
     out
 }
 
-/// The campaign runner: thin wrappers over plan → execute (→ artifact
-/// write) for the common single-process case. Sharded and
-/// multi-process execution use the layers directly (see
-/// [`crate::exec::ShardExecutor`], [`crate::exec::WorkerExecutor`] and
-/// [`crate::merge::merge_shards`]).
+/// The campaign runner for one process: plan, run the whole plan as one
+/// slice, finish. Sharded and multi-process execution use the layers
+/// directly (see [`crate::exec::ShardExecutor`],
+/// [`crate::exec::WorkerExecutor`] and [`crate::merge::merge_shards`]).
 pub struct Campaign;
 
 impl Campaign {
@@ -292,15 +289,17 @@ impl Campaign {
     /// the scenario sweep itself is pure partition-and-simulate work.
     pub fn run(spec: &CampaignSpec) -> Vec<ScenarioOutcome> {
         let plan = CampaignPlan::new(spec, 1, ShardStrategy::default());
-        RayonExecutor::default().run_plan(&plan)
+        let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
+        run_cohorts(&scenarios, |_, outcome| outcome)
     }
 
     /// Run a campaign and write its artifacts into `dir`: one CSV
     /// (per-step series) and one JSON summary per scenario (named by
     /// the plan's unique slugs, each pair stamped with a completion
-    /// record), the canonical concatenated `campaign.csv`, and the
-    /// audit `campaign.manifest.json`. Returns the outcomes and every
-    /// path written.
+    /// record), the canonical concatenated `campaign.csv`, the audit
+    /// `campaign.manifest.json` and the trade-off front
+    /// `campaign.pareto.json`. Returns the outcomes and every path
+    /// written.
     pub fn run_to_dir(
         spec: &CampaignSpec,
         dir: &Path,
@@ -311,9 +310,10 @@ impl Campaign {
     /// [`Campaign::run_to_dir`] with resumption: when `resume` is set,
     /// scenarios whose completion records in `dir` validate against the
     /// re-planned campaign (same plan hash, artifact bytes matching
-    /// their recorded digests) are skipped, only the remainder
-    /// executes, and the canonical `campaign.csv` is reassembled from
-    /// the artifacts on disk — byte-identical to an uninterrupted run.
+    /// their recorded digests) are skipped and only the remainder
+    /// executes. The campaign files are then written from the artifacts
+    /// on disk, executed and skipped alike, so they are byte-identical
+    /// to an uninterrupted run's.
     pub fn run_to_dir_resume(
         spec: &CampaignSpec,
         dir: &Path,
@@ -322,44 +322,8 @@ impl Campaign {
         let start = Instant::now();
         let plan = CampaignPlan::new(spec, 1, ShardStrategy::default());
         std::fs::create_dir_all(dir)?;
-        // The executor writes and stamps each scenario's artifacts the
-        // moment it finishes, so a kill mid-sweep banks every completed
-        // scenario for the next --resume.
-        let (executed, skipped) = RayonExecutor { resume }.run_remaining(&plan, dir)?;
-        let mut paths = Vec::with_capacity(2 * plan.len() + 2);
-        // Move each rendered CSV out of the executed triples: the bytes
-        // are held once, then moved again into the campaign.csv parts.
-        let mut fresh_csv: std::collections::HashMap<usize, String> =
-            std::collections::HashMap::with_capacity(executed.len());
-        let mut outcomes = Vec::with_capacity(executed.len());
-        for (planned, outcome, csv) in executed {
-            paths.push(dir.join(format!("{}.csv", planned.slug)));
-            paths.push(dir.join(format!("{}.json", planned.slug)));
-            fresh_csv.insert(planned.id, csv);
-            outcomes.push(outcome);
-        }
-        // Assemble campaign.csv in plan order: freshly rendered parts
-        // for what ran, validated on-disk artifacts for what was
-        // skipped (their digests were just checked against the records).
-        let mut parts: Vec<(String, String)> = Vec::with_capacity(plan.len());
-        for planned in &plan.scenarios {
-            let csv = match fresh_csv.remove(&planned.id) {
-                Some(csv) => csv,
-                None => {
-                    let path = dir.join(format!("{}.csv", planned.slug));
-                    paths.push(path.clone());
-                    paths.push(dir.join(format!("{}.json", planned.slug)));
-                    std::fs::read_to_string(&path)?
-                }
-            };
-            parts.push((planned.slug.clone(), csv));
-        }
-        let campaign_csv = crate::merge::assemble_campaign_csv(
-            parts.iter().map(|(s, c)| (s.as_str(), c.as_str())),
-        );
-        let csv_path = dir.join(CAMPAIGN_CSV);
-        atomic_write(&csv_path, campaign_csv.as_bytes())?;
-        paths.push(csv_path);
+        let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
+        let (outcomes, skipped) = run_slice(dir, &plan.plan_hash, &scenarios, resume)?;
         let manifest = CampaignManifest {
             plan_hash: plan.plan_hash.clone(),
             scenario_count: plan.len(),
@@ -367,29 +331,12 @@ impl Campaign {
             elapsed_seconds: start.elapsed().as_secs_f64(),
             spec: plan.spec.clone(),
         };
-        paths.push(manifest.write(dir)?);
-        // The trade-off front over the summaries just written: read the
-        // artifacts back in plan order (executed and resumed alike went
-        // through the same serializer) so the merged-shard path, which
-        // also parses the on-disk bytes, produces the identical front.
-        if !plan.is_empty() {
-            let entries = plan
-                .scenarios
-                .iter()
-                .map(|p| {
-                    let path = dir.join(format!("{}.json", p.slug));
-                    let bytes = std::fs::read(&path)?;
-                    crate::pareto::entry_from_json(p.id, &p.slug, &path, &bytes)
-                        .map_err(std::io::Error::from)
-                })
-                .collect::<std::io::Result<Vec<_>>>()?;
-            let front = crate::pareto::compute_front(
-                &plan.plan_hash,
-                &crate::pareto::Objective::ALL,
-                &entries,
-            )?;
-            paths.push(crate::pareto::write_front(dir, &front)?);
-        }
+        let entries: Vec<_> = plan.scenarios.iter().map(PlannedScenario::entry).collect();
+        let mut paths: Vec<PathBuf> = entries
+            .iter()
+            .flat_map(|e| ["csv", "json"].map(|ext| dir.join(format!("{}.{ext}", e.slug))))
+            .collect();
+        paths.extend(finish_campaign(dir, &manifest, &entries)?);
         Ok(CampaignRun {
             outcomes,
             skipped,

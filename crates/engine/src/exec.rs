@@ -1,38 +1,34 @@
-//! Campaign executors: the *where and how it runs* half of campaign
-//! execution.
+//! Campaign execution: the *where and how it runs* half of a campaign.
 //!
-//! A [`CampaignExecutor`] consumes a [`CampaignPlan`] and produces
-//! either in-memory outcomes or on-disk shard artifact directories:
+//! Every path runs a slice of a [`CampaignPlan`] the same way, as
+//! [`cohorts`]: the scenarios that share a snapshot stream, a processor
+//! count and a static choice run as one simulation
+//! ([`Scenario::run_cohort`]), and each member's outcome is its own.
 //!
-//! - [`RayonExecutor`] — the in-process default: every scenario of the
-//!   plan, rayon-parallel over a warmed trace/model store, outcomes in
-//!   plan order (byte-identical to the pre-refactor monolithic loop);
-//! - [`ShardExecutor`] — runs exactly one shard of the plan and writes
-//!   a self-describing artifact directory (`shard-<i>-of-<n>/` with
-//!   per-scenario CSV/JSON plus a [`ShardManifest`]) that
-//!   [`crate::merge`] can validate and reassemble;
-//! - [`WorkerExecutor`] — multi-process: spawns one `samr campaign
-//!   --shard i/n` child per shard and waits, so a single host (or a
-//!   launcher script across hosts) runs the shards as independent
-//!   processes, each with its own bounded-memory trace store.
+//! - [`Campaign::run`](crate::Campaign::run) keeps the outcomes in
+//!   memory, in plan order;
+//! - [`Campaign::run_to_dir`](crate::Campaign::run_to_dir) and
+//!   [`ShardExecutor`] run a slice into a directory — the whole plan, or
+//!   one `--shard i/n` slice into a self-describing `shard-<i>-of-<n>/`
+//!   directory with a [`ShardManifest`] that [`crate::merge`] validates
+//!   and reassembles;
+//! - [`WorkerExecutor`] spawns one `samr campaign --shard i/n` child per
+//!   shard and waits, so a single host (or a launcher script across
+//!   hosts) runs the shards as independent processes, each with its own
+//!   bounded-memory trace store.
 //!
-//! All three are crash-consistent and resumable: every artifact goes
-//! through [`crate::atomic::atomic_write`] (tmp-then-rename, never a
-//! torn file), every finished scenario is stamped with a
-//! [`CompletionRecord`], and with `resume` set an executor re-validates
-//! existing records against the current plan and re-executes only the
-//! scenarios that are not provably done. The worker executor
+//! A slice run into a directory is crash-consistent and resumable:
+//! every artifact goes through [`crate::atomic::atomic_write`]
+//! (tmp-then-rename, never a torn file), every finished scenario is
+//! stamped with a [`CompletionRecord`], and with `resume` set the run
+//! re-validates existing records against the current plan and executes
+//! only the scenarios that are not provably done. The worker executor
 //! additionally relaunches a dead child (nonzero exit, signal, spawn
 //! failure) with `--resume` up to [`WorkerExecutor::retries`] times, so
 //! one killed worker costs one shard remainder, not the whole sweep.
-//!
-//! Every executor runs its slice of the plan as [`cohorts`]: the
-//! scenarios that share a snapshot stream, a processor count and a
-//! static choice run as one simulation ([`Scenario::run_cohort`]), and
-//! each member's artifacts are written and stamped as its own.
 
 use crate::atomic::atomic_write;
-use crate::merge::{ManifestEntry, ShardManifest};
+use crate::merge::ShardManifest;
 use crate::plan::{CampaignPlan, PlannedScenario};
 use crate::resume::CompletionRecord;
 use crate::scenario::{Scenario, ScenarioOutcome};
@@ -44,16 +40,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// What an executor produced.
-#[derive(Debug)]
-pub enum ExecOutput {
-    /// Outcomes held in memory, in plan order (in-process execution).
-    Outcomes(Vec<ScenarioOutcome>),
-    /// Shard artifact directories on disk, each holding per-scenario
-    /// CSV/JSON artifacts and a `shard.manifest.json`.
-    Shards(Vec<PathBuf>),
-}
 
 /// Execution failure: I/O trouble writing artifacts, or a worker
 /// process that could not be spawned or exited unsuccessfully.
@@ -87,15 +73,6 @@ impl From<std::io::Error> for ExecError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
     }
-}
-
-/// A strategy for executing a campaign plan. `dir` is the campaign
-/// artifact directory; in-process executors that keep outcomes in
-/// memory ignore it.
-pub trait CampaignExecutor {
-    /// Execute (all or one shard of) `plan`, writing any artifacts
-    /// under `dir`.
-    fn execute(&self, plan: &CampaignPlan, dir: &Path) -> Result<ExecOutput, ExecError>;
 }
 
 /// Warm the process-wide store: one trace + model per distinct
@@ -145,7 +122,7 @@ pub fn cohorts<'a>(scenarios: &[&'a PlannedScenario]) -> Vec<Vec<&'a PlannedScen
 /// uneven cohorts do not leave a worker idle behind a fixed share. A
 /// slice with one cohort runs on the calling thread, where the cohort's
 /// own partitions can still run in parallel.
-fn run_cohorts<'a, R: Send>(
+pub(crate) fn run_cohorts<'a, R: Send>(
     scenarios: &[&'a PlannedScenario],
     finish: impl Fn(&'a PlannedScenario, ScenarioOutcome) -> R + Sync,
 ) -> Vec<R> {
@@ -176,72 +153,56 @@ fn run_cohorts<'a, R: Send>(
         .collect()
 }
 
-/// Run a slice of planned scenarios, its cohorts rayon-parallel,
-/// outcomes in input order.
-pub(crate) fn run_scenarios(scenarios: &[&PlannedScenario]) -> Vec<ScenarioOutcome> {
-    run_cohorts(scenarios, |_, outcome| outcome)
-}
-
-/// Run a slice of planned scenarios, its cohorts rayon-parallel,
-/// writing and stamping each scenario's artifacts *the moment its
-/// cohort finishes* — checkpointing is per scenario, not per batch, so
-/// a process killed mid-sweep has durably banked every scenario whose
-/// cohort completed before the kill and `--resume` re-executes only the
-/// true remainder. Returns `(planned, outcome, rendered CSV)` triples in
-/// input order.
-fn run_and_stamp<'a>(
+/// Run a slice of planned scenarios into `dir`, its cohorts
+/// rayon-parallel, writing and stamping each scenario's artifacts *the
+/// moment its cohort finishes* — checkpointing is per scenario, not per
+/// batch, so a process killed mid-sweep has durably banked every
+/// scenario whose cohort completed before the kill.
+///
+/// With `resume` set, a scenario whose completion record in `dir`
+/// validates against `plan_hash` is skipped; everything else — no
+/// record, no artifact, stale plan, torn bytes — (re-)runs. Returns the
+/// outcomes of the scenarios that ran, in slice order, and how many
+/// were skipped.
+pub(crate) fn run_slice(
     dir: &Path,
     plan_hash: &str,
-    scenarios: &[&'a PlannedScenario],
-) -> std::io::Result<Vec<(&'a PlannedScenario, ScenarioOutcome, String)>> {
-    run_cohorts(scenarios, |p, outcome| {
-        let csv = outcome.to_csv();
-        write_scenario_artifacts(dir, p, plan_hash, &csv, &outcome)?;
-        Ok((p, outcome, csv))
+    scenarios: &[&PlannedScenario],
+    resume: bool,
+) -> std::io::Result<(Vec<ScenarioOutcome>, usize)> {
+    let todo: Vec<&PlannedScenario> = scenarios
+        .iter()
+        .copied()
+        .filter(|p| {
+            !resume || !CompletionRecord::status(dir, p.id, &p.slug, plan_hash).is_complete()
+        })
+        .collect();
+    let outcomes = run_cohorts(&todo, |p, outcome| {
+        write_scenario_artifacts(dir, p, plan_hash, &outcome)?;
+        Ok(outcome)
     })
     .into_iter()
-    .collect()
+    .collect::<std::io::Result<_>>()?;
+    Ok((outcomes, scenarios.len() - todo.len()))
 }
 
-/// Split a shard's (or campaign's) scenario slice for resumption:
-/// scenarios whose completion record in `dir` validates against the
-/// current plan hash are already done; everything else — no record, no
-/// artifact, stale plan, torn bytes — must (re-)run. With `resume`
-/// off, everything runs.
-pub(crate) fn split_resume<'a>(
-    dir: &Path,
-    plan_hash: &str,
-    scenarios: &[&'a PlannedScenario],
-    resume: bool,
-) -> (Vec<&'a PlannedScenario>, Vec<&'a PlannedScenario>) {
-    if !resume {
-        return (Vec::new(), scenarios.to_vec());
-    }
-    scenarios
-        .iter()
-        .partition(|p| CompletionRecord::status(dir, p.id, &p.slug, plan_hash).is_complete())
-}
-
-/// Write one scenario's CSV (pre-rendered, so callers assembling the
-/// campaign CSV render it once) and JSON artifacts under `dir`, named
-/// by the planned slug, then stamp the pair with a completion record.
+/// Write one scenario's CSV and JSON artifacts under `dir`, named by
+/// the planned slug, then stamp the pair with a completion record.
 /// Every write is atomic (tmp-then-rename) and the record lands last,
 /// so a crash at any instant leaves either no trace of the scenario,
 /// whole-but-unstamped artifacts (re-run on resume), or a provably
-/// complete pair. Returns the CSV, JSON and record paths.
-pub(crate) fn write_scenario_artifacts(
+/// complete pair.
+fn write_scenario_artifacts(
     dir: &Path,
     planned: &PlannedScenario,
     plan_hash: &str,
-    csv: &str,
     outcome: &ScenarioOutcome,
-) -> std::io::Result<(PathBuf, PathBuf, PathBuf)> {
-    let csv_path = dir.join(format!("{}.csv", planned.slug));
-    atomic_write(&csv_path, csv.as_bytes())?;
-    let json_path = dir.join(format!("{}.json", planned.slug));
+) -> std::io::Result<()> {
+    let csv = outcome.to_csv();
+    atomic_write(&dir.join(format!("{}.csv", planned.slug)), csv.as_bytes())?;
     let json = serde_json::to_string_pretty(&outcome.summary()).expect("summary serializes");
-    atomic_write(&json_path, json.as_bytes())?;
-    let record_path = CompletionRecord::stamp(
+    atomic_write(&dir.join(format!("{}.json", planned.slug)), json.as_bytes())?;
+    CompletionRecord::stamp(
         dir,
         planned.id,
         &planned.slug,
@@ -249,7 +210,7 @@ pub(crate) fn write_scenario_artifacts(
         csv.as_bytes(),
         json.as_bytes(),
     )?;
-    Ok((csv_path, json_path, record_path))
+    Ok(())
 }
 
 /// Build a scoped rayon pool of `threads` workers (`0` = automatic)
@@ -261,52 +222,6 @@ pub fn build_thread_pool(threads: usize) -> Result<rayon::ThreadPool, String> {
         .num_threads(threads)
         .build()
         .map_err(|e| format!("build {threads}-thread pool: {e}"))
-}
-
-/// The in-process executor: the whole plan, rayon-parallel, outcomes in
-/// plan order. This is `Campaign::run`'s engine and preserves the
-/// pre-refactor behavior byte for byte. With [`RayonExecutor::resume`]
-/// set, the artifact-writing front end (`Campaign::run_to_dir`) skips
-/// scenarios whose completion records validate in the campaign
-/// directory.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RayonExecutor {
-    /// Skip scenarios already stamped complete (valid
-    /// [`CompletionRecord`]) in the artifact directory.
-    pub resume: bool,
-}
-
-impl RayonExecutor {
-    /// Execute every scenario of the plan, returning outcomes in plan
-    /// order (ignores [`RayonExecutor::resume`]: with no artifact
-    /// directory there is nothing to resume from).
-    pub fn run_plan(&self, plan: &CampaignPlan) -> Vec<ScenarioOutcome> {
-        let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
-        run_scenarios(&scenarios)
-    }
-
-    /// Execute the scenarios of the plan not already complete in `dir`
-    /// (all of them unless [`RayonExecutor::resume`] is set), writing
-    /// and stamping each scenario's artifacts under `dir` as it
-    /// finishes. Returns the executed `(planned, outcome, csv)` triples
-    /// in plan order plus how many scenarios were skipped as complete.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn run_remaining<'a>(
-        &self,
-        plan: &'a CampaignPlan,
-        dir: &Path,
-    ) -> std::io::Result<(Vec<(&'a PlannedScenario, ScenarioOutcome, String)>, usize)> {
-        let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
-        let (done, todo) = split_resume(dir, &plan.plan_hash, &scenarios, self.resume);
-        let executed = run_and_stamp(dir, &plan.plan_hash, &todo)?;
-        Ok((executed, done.len()))
-    }
-}
-
-impl CampaignExecutor for RayonExecutor {
-    fn execute(&self, plan: &CampaignPlan, _dir: &Path) -> Result<ExecOutput, ExecError> {
-        Ok(ExecOutput::Outcomes(self.run_plan(plan)))
-    }
 }
 
 /// The directory name of one shard's artifacts under the campaign
@@ -359,11 +274,7 @@ impl ShardExecutor {
         let scenarios = plan.shard_scenarios(self.shard);
         let shard_dir = dir.join(shard_dir_name(self.shard, plan.nshards));
         std::fs::create_dir_all(&shard_dir)?;
-        let (done, todo) = split_resume(&shard_dir, &plan.plan_hash, &scenarios, self.resume);
-        let outcomes: Vec<ScenarioOutcome> = run_and_stamp(&shard_dir, &plan.plan_hash, &todo)?
-            .into_iter()
-            .map(|(_, outcome, _)| outcome)
-            .collect();
+        let (outcomes, skipped) = run_slice(&shard_dir, &plan.plan_hash, &scenarios, self.resume)?;
         let manifest = ShardManifest {
             plan_hash: plan.plan_hash.clone(),
             shard: self.shard,
@@ -372,27 +283,14 @@ impl ShardExecutor {
             strategy: plan.strategy,
             elapsed_seconds: start.elapsed().as_secs_f64(),
             spec: plan.spec.clone(),
-            scenarios: scenarios
-                .iter()
-                .map(|p| ManifestEntry {
-                    id: p.id,
-                    slug: p.slug.clone(),
-                })
-                .collect(),
+            scenarios: scenarios.iter().map(|p| p.entry()).collect(),
         };
         manifest.write(&shard_dir)?;
         Ok(ShardRun {
             outcomes,
-            skipped: done.len(),
+            skipped,
             dir: shard_dir,
         })
-    }
-}
-
-impl CampaignExecutor for ShardExecutor {
-    fn execute(&self, plan: &CampaignPlan, dir: &Path) -> Result<ExecOutput, ExecError> {
-        let run = self.run_shard(plan, dir)?;
-        Ok(ExecOutput::Shards(vec![run.dir]))
     }
 }
 
@@ -581,11 +479,5 @@ impl WorkerExecutor {
                 .map(|shard| dir.join(shard_dir_name(shard, plan.nshards)))
                 .collect()),
         }
-    }
-}
-
-impl CampaignExecutor for WorkerExecutor {
-    fn execute(&self, plan: &CampaignPlan, dir: &Path) -> Result<ExecOutput, ExecError> {
-        Ok(ExecOutput::Shards(self.run_workers(plan, dir)?))
     }
 }

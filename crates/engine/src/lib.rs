@@ -20,16 +20,19 @@
 //!   assignment versus adaptive mid-run switching
 //!   ([`samr_meta::AdaptivePolicy`]) — swept as a first-class campaign
 //!   axis orthogonal to the partitioner axis;
-//! - [`Campaign`]: the plan → execute → merge front end over cartesian
-//!   sweeps (apps × partitioners × policies × processor counts × ghost
-//!   widths × machines). The [`plan`] layer expands a [`CampaignSpec`] into a
+//! - [`Campaign`]: the front end over cartesian sweeps (apps ×
+//!   partitioners × policies × processor counts × ghost widths ×
+//!   machines). The [`plan`] layer expands a [`CampaignSpec`] into a
 //!   deterministic, serializable [`CampaignPlan`] (stable scenario IDs,
 //!   globally unique artifact slugs, shard assignment via
-//!   [`ShardStrategy`]); the [`exec`] layer runs it behind the
-//!   [`CampaignExecutor`] trait (in-process rayon, one-shard
-//!   [`ShardExecutor`], multi-process [`WorkerExecutor`]); the [`merge`]
-//!   layer validates shard manifests and reassembles the canonical
-//!   campaign artifacts, byte-identical to the unsharded run;
+//!   [`ShardStrategy`]); the [`exec`] layer runs a slice of it — the
+//!   whole plan in-process, one shard ([`ShardExecutor`]), or one child
+//!   process per shard ([`WorkerExecutor`]); the [`merge`] layer
+//!   validates shard manifests and copies their artifacts. A run is
+//!   plan → run slice → finish, a merge is validate → copy → finish,
+//!   and both finish through [`finish_campaign`], which writes
+//!   `campaign.csv`, the manifest and the Pareto front, so a merged
+//!   campaign is byte-identical to the unsharded run;
 //! - [`ValidationRun`]: the paper's §5.1 figure-regeneration bundle
 //!   (Figures 4–7), now assembled from campaign scenario outcomes;
 //! - [`store`]: the process-wide trace/model cache, keyed by the **full**
@@ -41,12 +44,10 @@
 //!   bounded-memory snapshot streams whenever the in-memory byte budget
 //!   ([`store::trace_cache_budget`]) would be exceeded.
 //!
-//! Every future scaling experiment — more applications, more partitioner
-//! configurations, more execution backends — plugs into the plan /
-//! execute / merge layers rather than re-wiring the pipeline by hand:
-//! *what to run* (the plan) is fixed and serializable, *where and how it
-//! runs* (the executor) is pluggable, and the merger proves the pieces
-//! reassemble the exact campaign that was planned.
+//! *What to run* (the plan) is fixed and serializable, *where it runs*
+//! (one process, one shard, a worker fleet) is the caller's choice, and
+//! the merger proves the pieces reassemble the exact campaign that was
+//! planned.
 //!
 //! ## Example
 //!
@@ -81,11 +82,11 @@ pub mod validation;
 pub use atomic::atomic_write;
 pub use campaign::{Campaign, CampaignRun, CampaignSpec};
 pub use exec::{
-    build_thread_pool, cohorts, shard_dir_name, CampaignExecutor, ExecError, ExecOutput,
-    RayonExecutor, ShardExecutor, ShardRun, WorkerExecutor,
+    build_thread_pool, cohorts, shard_dir_name, ExecError, ShardExecutor, ShardRun, WorkerExecutor,
 };
 pub use merge::{
-    find_shard_dirs, merge_shards, CampaignManifest, MergeError, MergeReport, ShardManifest,
+    find_shard_dirs, finish_campaign, merge_shards, CampaignManifest, MergeError, MergeReport,
+    ShardManifest,
 };
 pub use pareto::{
     compute_front, front_for_dir, parse_objectives, read_front, write_front, Objective,

@@ -9,12 +9,13 @@
 //! shard indices present exactly once, every scenario ID covered
 //! exactly once, every artifact pair stamped by a completion record
 //! that matches the bytes on disk — and only then copies the
-//! per-scenario CSV/JSON artifacts into the campaign directory in plan
-//! order, rebuilding the canonical `campaign.csv` and writing the audit
-//! [`CampaignManifest`]. A merged sharded campaign is therefore
-//! byte-identical to the unsharded run of the same spec, and a stale,
-//! foreign or incomplete shard set is rejected with a precise error
-//! instead of producing a silently wrong merge.
+//! per-scenario CSV/JSON artifacts into the campaign directory. The
+//! canonical `campaign.csv`, the audit [`CampaignManifest`] and the
+//! trade-off front are then written by [`finish_campaign`], the same
+//! function that finishes an unsharded run or resume. A merged sharded
+//! campaign is therefore byte-identical to the unsharded run of the
+//! same spec, and a stale, foreign or incomplete shard set is rejected
+//! with a precise error instead of producing a silently wrong merge.
 //!
 //! The merger is *salvage-aware*: a shard that crashed mid-run (no
 //! manifest yet, or listed artifacts missing their completion stamp) is
@@ -26,6 +27,10 @@
 
 use crate::atomic::atomic_write;
 use crate::campaign::CampaignSpec;
+use crate::pareto::{
+    compute_front, entry_from_json, write_front, Objective, ParetoEntry, ParetoError,
+    CAMPAIGN_PARETO,
+};
 use crate::plan::ShardStrategy;
 use crate::resume::{Completion, CompletionRecord};
 use serde::{Deserialize, Serialize};
@@ -47,8 +52,9 @@ pub const CAMPAIGN_CSV: &str = "campaign.csv";
 /// no list is sized by them.
 const MAX_LISTED: usize = 32;
 
-/// One scenario as recorded in a shard manifest: its plan ID and the
-/// artifact slug its CSV/JSON files are named by.
+/// One scenario as a shard manifest records it and [`finish_campaign`]
+/// reads it: its plan ID and the artifact slug its CSV/JSON files are
+/// named by.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ManifestEntry {
     /// Stable plan-order scenario ID.
@@ -421,22 +427,62 @@ pub struct MergeReport {
     pub csv_path: PathBuf,
 }
 
-/// Assemble the canonical campaign CSV from `(slug, csv)` parts in plan
-/// order: each per-scenario CSV under a `# <slug>` header. The one
-/// definition of the format — both the in-process artifact writer and
-/// the merger call this, so the byte-identity contract between the
-/// unsharded and merged paths cannot drift.
-pub(crate) fn assemble_campaign_csv<'a>(
-    parts: impl IntoIterator<Item = (&'a str, &'a str)>,
-) -> String {
-    let mut out = String::new();
-    for (slug, csv) in parts {
-        out.push_str("# ");
-        out.push_str(slug);
-        out.push('\n');
-        out.push_str(csv);
+/// Write a campaign's canonical files from the per-scenario artifacts
+/// in `dir`, the one finish step of every run, resume and merge:
+///
+/// - `campaign.csv`: each `<slug>.csv`, in the order of `scenarios`
+///   (plan order), under a `# <slug>` header;
+/// - `manifest`, as [`CAMPAIGN_MANIFEST`];
+/// - when `scenarios` is not empty, the trade-off front over every
+///   objective of each `<slug>.json` summary, as [`CAMPAIGN_PARETO`].
+///
+/// Every input is read and parsed before the first file is written, and
+/// a failure names the file ([`ParetoError::Io`] or
+/// [`ParetoError::BadArtifact`]). Returns the paths written, in that
+/// order.
+pub fn finish_campaign(
+    dir: &Path,
+    manifest: &CampaignManifest,
+    scenarios: &[ManifestEntry],
+) -> Result<Vec<PathBuf>, ParetoError> {
+    let mut campaign_csv = String::new();
+    for e in scenarios {
+        let path = dir.join(format!("{}.csv", e.slug));
+        let csv = std::fs::read_to_string(&path).map_err(|err| ParetoError::Io(path, err))?;
+        campaign_csv.push_str("# ");
+        campaign_csv.push_str(&e.slug);
+        campaign_csv.push('\n');
+        campaign_csv.push_str(&csv);
     }
-    out
+    let summaries = read_summaries(dir, scenarios)?;
+    let csv_path = dir.join(CAMPAIGN_CSV);
+    atomic_write(&csv_path, campaign_csv.as_bytes())
+        .map_err(|err| ParetoError::Io(csv_path.clone(), err))?;
+    let manifest_path = manifest
+        .write(dir)
+        .map_err(|err| ParetoError::Io(dir.join(CAMPAIGN_MANIFEST), err))?;
+    let mut paths = vec![csv_path, manifest_path];
+    if !scenarios.is_empty() {
+        let front = compute_front(&manifest.plan_hash, &Objective::ALL, &summaries)?;
+        paths.push(write_front(dir, &front)?);
+    }
+    Ok(paths)
+}
+
+/// Read each scenario's `<slug>.json` summary from `dir`, in the order
+/// of `scenarios`.
+pub(crate) fn read_summaries(
+    dir: &Path,
+    scenarios: &[ManifestEntry],
+) -> Result<Vec<ParetoEntry>, ParetoError> {
+    scenarios
+        .iter()
+        .map(|e| {
+            let path = dir.join(format!("{}.json", e.slug));
+            let bytes = std::fs::read(&path).map_err(|err| ParetoError::Io(path.clone(), err))?;
+            entry_from_json(e.id, &e.slug, &path, &bytes)
+        })
+        .collect()
 }
 
 /// Parse a `shard-<i>-of-<n>` directory name into `(i, n)`.
@@ -653,71 +699,36 @@ fn validate_shards(
 
 /// Validate a shard set and merge its artifacts into `out_dir`: copy
 /// every scenario's CSV/JSON into the campaign directory (atomically —
-/// a crash mid-merge never leaves torn campaign artifacts), rebuild the
-/// canonical `campaign.csv` (per-scenario CSVs concatenated in plan
-/// order under `# <slug>` headers) and write the audit
-/// [`CampaignManifest`].
+/// a crash mid-merge never leaves torn campaign artifacts), then write
+/// the canonical files with [`finish_campaign`].
 pub fn merge_shards(shard_dirs: &[PathBuf], out_dir: &Path) -> Result<MergeReport, MergeError> {
     let (reference, manifests) = validate_shards(shard_dirs)?;
-    // Scenario id → (shard index, shard dir, slug), in id order via
+    // Scenario id → (shard index, shard dir, entry), in id order via
     // BTreeMap.
-    let mut by_id: BTreeMap<usize, (usize, &Path, &str)> = BTreeMap::new();
+    let mut by_id: BTreeMap<usize, (usize, &Path, &ManifestEntry)> = BTreeMap::new();
     for (&shard, (dir, m)) in manifests.iter() {
         for entry in &m.scenarios {
-            by_id.insert(entry.id, (shard, dir.as_path(), entry.slug.as_str()));
+            by_id.insert(entry.id, (shard, dir.as_path(), entry));
         }
     }
     std::fs::create_dir_all(out_dir).map_err(|e| MergeError::Io(out_dir.to_path_buf(), e))?;
     let mut paths = Vec::with_capacity(2 * by_id.len() + 3);
-    let mut parts: Vec<(String, String)> = Vec::with_capacity(by_id.len());
-    let mut entries: Vec<crate::pareto::ParetoEntry> = Vec::with_capacity(by_id.len());
-    for (&id, &(shard, shard_dir, slug)) in by_id.iter() {
-        let csv_src = shard_dir.join(format!("{slug}.csv"));
-        let csv = std::fs::read_to_string(&csv_src).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                MergeError::MissingArtifact(csv_src.clone())
-            } else {
-                MergeError::Io(csv_src.clone(), e)
-            }
-        })?;
-        let csv_dst = out_dir.join(format!("{slug}.csv"));
-        atomic_write(&csv_dst, csv.as_bytes()).map_err(|e| MergeError::Io(csv_dst.clone(), e))?;
-        paths.push(csv_dst);
-        parts.push((slug.to_string(), csv));
-        let json_src = shard_dir.join(format!("{slug}.json"));
-        let json = std::fs::read(&json_src).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                MergeError::MissingArtifact(json_src.clone())
-            } else {
-                MergeError::Io(json_src.clone(), e)
-            }
-        })?;
-        let json_dst = out_dir.join(format!("{slug}.json"));
-        atomic_write(&json_dst, &json).map_err(|e| MergeError::Io(json_dst.clone(), e))?;
-        // The summary bytes are in hand and in plan order (BTreeMap
-        // iterates ids ascending): collect the Pareto entries for the
-        // front artifact written after the manifest.
-        entries.push(
-            crate::pareto::entry_from_json(id, slug, &json_dst, &json).map_err(|e| {
-                MergeError::CorruptArtifact {
-                    path: json_dst.clone(),
-                    detail: e.to_string(),
-                    rerun: rerun_command(
-                        shard_dir,
-                        shard,
-                        reference.nshards,
-                        Some(reference.strategy),
-                    ),
+    for &(_, shard_dir, entry) in by_id.values() {
+        for ext in ["csv", "json"] {
+            let name = format!("{}.{ext}", entry.slug);
+            let src = shard_dir.join(&name);
+            let bytes = std::fs::read(&src).map_err(|e| {
+                if e.kind() == std::io::ErrorKind::NotFound {
+                    MergeError::MissingArtifact(src.clone())
+                } else {
+                    MergeError::Io(src.clone(), e)
                 }
-            })?,
-        );
-        paths.push(json_dst);
+            })?;
+            let dst = out_dir.join(&name);
+            atomic_write(&dst, &bytes).map_err(|e| MergeError::Io(dst.clone(), e))?;
+            paths.push(dst);
+        }
     }
-    let campaign_csv = assemble_campaign_csv(parts.iter().map(|(s, c)| (s.as_str(), c.as_str())));
-    let csv_path = out_dir.join(CAMPAIGN_CSV);
-    atomic_write(&csv_path, campaign_csv.as_bytes())
-        .map_err(|e| MergeError::Io(csv_path.clone(), e))?;
-    paths.push(csv_path.clone());
     let manifest = CampaignManifest {
         plan_hash: reference.plan_hash.clone(),
         scenario_count: reference.total_scenarios,
@@ -725,38 +736,30 @@ pub fn merge_shards(shard_dirs: &[PathBuf], out_dir: &Path) -> Result<MergeRepor
         elapsed_seconds: manifests.values().map(|(_, m)| m.elapsed_seconds).sum(),
         spec: reference.spec,
     };
-    let manifest_path = manifest
-        .write(out_dir)
-        .map_err(|e| MergeError::Io(out_dir.join(CAMPAIGN_MANIFEST), e))?;
-    paths.push(manifest_path);
-    // The trade-off front over the merged summaries — the same entries,
-    // in the same plan order, through the same computation as the
-    // unsharded runner, so the two artifacts are byte-identical.
-    if !entries.is_empty() {
-        let front = crate::pareto::compute_front(
-            &reference.plan_hash,
-            &crate::pareto::Objective::ALL,
-            &entries,
-        )
-        .map_err(|e| {
-            MergeError::Io(
-                out_dir.join(crate::pareto::CAMPAIGN_PARETO),
-                std::io::Error::from(e),
-            )
-        })?;
-        let front_path = crate::pareto::write_front(out_dir, &front).map_err(|e| {
-            MergeError::Io(
-                out_dir.join(crate::pareto::CAMPAIGN_PARETO),
-                std::io::Error::from(e),
-            )
-        })?;
-        paths.push(front_path);
-    }
+    let entries: Vec<ManifestEntry> = by_id.values().map(|&(_, _, e)| e.clone()).collect();
+    let finished = finish_campaign(out_dir, &manifest, &entries).map_err(|e| match e {
+        ParetoError::BadArtifact(path, detail) => {
+            let rerun = by_id
+                .values()
+                .find(|(_, _, entry)| path == out_dir.join(format!("{}.json", entry.slug)))
+                .map_or_else(String::new, |&(shard, dir, _)| {
+                    rerun_command(dir, shard, reference.nshards, Some(reference.strategy))
+                });
+            MergeError::CorruptArtifact {
+                path,
+                detail,
+                rerun,
+            }
+        }
+        ParetoError::Io(path, e) => MergeError::Io(path, e),
+        other => MergeError::Io(out_dir.join(CAMPAIGN_PARETO), other.into()),
+    })?;
+    paths.extend(finished);
     Ok(MergeReport {
-        plan_hash: reference.plan_hash,
-        scenario_count: reference.total_scenarios,
-        shards: reference.nshards,
+        plan_hash: manifest.plan_hash,
+        scenario_count: manifest.scenario_count,
+        shards: manifest.shards,
         paths,
-        csv_path,
+        csv_path: out_dir.join(CAMPAIGN_CSV),
     })
 }

@@ -9,9 +9,10 @@
 //! objective vector ([`Objective`]), a dominance analysis separates the
 //! non-dominated set from the dominated one, and the result is written
 //! as the `campaign.pareto.json` artifact ([`CAMPAIGN_PARETO`]) next to
-//! `campaign.csv` — by both the in-process campaign runner and the
-//! shard merger, through this one code path, so a merged sharded
-//! campaign's front is byte-identical to the unsharded run's.
+//! `campaign.csv` — by [`crate::merge::finish_campaign`], which both the
+//! in-process campaign runner and the shard merger end with, so a
+//! merged sharded campaign's front is byte-identical to the unsharded
+//! run's.
 //!
 //! **Dominance.** All objectives are minimized. Vector `a` dominates
 //! `b` iff `a[i] <= b[i]` for every objective and `a[i] < b[i]` for at
@@ -27,8 +28,8 @@
 //! anchors each objective's best corner ([`FrontRegion`]).
 
 use crate::atomic::atomic_write;
-use crate::merge::{CampaignManifest, CAMPAIGN_MANIFEST};
-use crate::plan::{CampaignPlan, ShardStrategy};
+use crate::merge::{read_summaries, CampaignManifest, CAMPAIGN_MANIFEST};
+use crate::plan::{CampaignPlan, PlannedScenario, ShardStrategy};
 use crate::scenario::ScenarioSummary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -316,9 +317,8 @@ impl From<ParetoError> for std::io::Error {
 /// Run the dominance analysis: every entry becomes a [`ParetoPoint`],
 /// the non-dominated set is identified, and the front is attributed to
 /// partitioner families and objective corners. Entries must be in plan
-/// order (ascending ID) — both artifact-producing paths feed them that
-/// way, which is what makes the merged and unsharded artifacts
-/// byte-identical.
+/// order (ascending ID), as [`crate::merge::finish_campaign`] feeds
+/// them.
 pub fn compute_front(
     plan_hash: &str,
     objectives: &[Objective],
@@ -423,8 +423,7 @@ pub fn compute_front(
     })
 }
 
-/// Parse summary bytes into a [`ParetoEntry`] (shared by the directory
-/// loader and the merger, which already holds the artifact bytes).
+/// Parse summary bytes into a [`ParetoEntry`].
 pub fn entry_from_json(
     id: usize,
     slug: &str,
@@ -468,15 +467,8 @@ pub fn load_entries(dir: &Path) -> Result<(String, Vec<ParetoEntry>), ParetoErro
             replanned: plan.plan_hash,
         });
     }
-    let entries = plan
-        .scenarios
-        .iter()
-        .map(|p| {
-            let path = dir.join(format!("{}.json", p.slug));
-            let bytes = std::fs::read(&path).map_err(|e| ParetoError::Io(path.clone(), e))?;
-            entry_from_json(p.id, &p.slug, &path, &bytes)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let scenarios: Vec<_> = plan.scenarios.iter().map(PlannedScenario::entry).collect();
+    let entries = read_summaries(dir, &scenarios)?;
     Ok((plan.plan_hash, entries))
 }
 

@@ -16,6 +16,7 @@
 //! same campaign as the unsharded run.
 
 use crate::campaign::CampaignSpec;
+use crate::merge::ManifestEntry;
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -73,6 +74,16 @@ pub struct PlannedScenario {
     pub shard: usize,
     /// The fully described scenario.
     pub scenario: Scenario,
+}
+
+impl PlannedScenario {
+    /// The scenario's (id, slug) as manifests list it.
+    pub(crate) fn entry(&self) -> ManifestEntry {
+        ManifestEntry {
+            id: self.id,
+            slug: self.slug.clone(),
+        }
+    }
 }
 
 /// The deterministic, serializable expansion of a campaign spec — see

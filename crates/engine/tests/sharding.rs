@@ -238,34 +238,6 @@ fn merge_rejects_mixed_shard_strategies_by_name() {
 }
 
 #[test]
-fn executors_run_behind_the_trait() {
-    use samr_engine::{CampaignExecutor, ExecOutput, RayonExecutor};
-    let dir = temp_dir("trait");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
-    let executors: Vec<Box<dyn CampaignExecutor>> = vec![
-        Box::new(RayonExecutor::default()),
-        Box::new(ShardExecutor {
-            shard: 0,
-            resume: false,
-        }),
-        Box::new(ShardExecutor {
-            shard: 1,
-            resume: false,
-        }),
-    ];
-    let mut shard_dirs = Vec::new();
-    for executor in &executors {
-        match executor.execute(&plan, &dir).unwrap() {
-            ExecOutput::Outcomes(outcomes) => assert_eq!(outcomes.len(), plan.len()),
-            ExecOutput::Shards(dirs) => shard_dirs.extend(dirs),
-        }
-    }
-    let report = merge_shards(&shard_dirs, &dir).unwrap();
-    assert_eq!(report.scenario_count, plan.len());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn merge_rejects_duplicate_scenario_claims() {
     let dir = temp_dir("dup-scenario");
     let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
@@ -517,6 +489,11 @@ fn resumed_shard_skips_complete_scenarios_and_merges_to_golden() {
     assert!(
         merged == include_str!("golden/campaign_smoke.csv"),
         "resumed + merged campaign drifted from the golden artifact"
+    );
+    let front = std::fs::read_to_string(dir.join("campaign.pareto.json")).unwrap();
+    assert!(
+        front == include_str!("golden/campaign_pareto_smoke.json"),
+        "resumed + merged pareto front drifted from the golden artifact"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

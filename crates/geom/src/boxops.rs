@@ -67,9 +67,9 @@ pub fn subtract_all<const D: usize>(a: &AABox<D>, bs: &[AABox<D>]) -> Vec<AABox<
 
 /// [`subtract_all`] into caller-owned buffers: leaves the pieces of
 /// `a \ ∪ bs` in `pieces`, in the order `subtract_all` returns them, and
-/// uses `next` as scratch. Prior contents of both are ignored. A box
-/// that misses `a` leaves the pieces as they are, so a caller may filter
-/// those out of `bs` first.
+/// uses `next` as scratch. Prior contents of both are ignored. Every
+/// piece lies inside `a`, so a box that misses `a` misses every piece
+/// and is skipped without touching them.
 pub fn subtract_all_into<'b, const D: usize>(
     a: &AABox<D>,
     bs: impl IntoIterator<Item = &'b AABox<D>>,
@@ -79,6 +79,9 @@ pub fn subtract_all_into<'b, const D: usize>(
     pieces.clear();
     pieces.push(*a);
     for b in bs {
+        if !b.intersects(a) {
+            continue;
+        }
         next.clear();
         for piece in pieces.iter() {
             subtract_into(piece, b, next);
@@ -125,8 +128,9 @@ pub fn union_cells<const D: usize>(boxes: &[AABox<D>]) -> u64 {
 ///
 /// Counts `Σᵢ |bᵢ \ ∪_{j<i} bⱼ|`: each box's cells not covered by an
 /// earlier box. Only the earlier boxes that intersect `bᵢ` can remove
-/// cells from it, so only they are subtracted, in list order — not every
-/// piece of the disjointified prefix, as [`disjointify`] does.
+/// cells from it, so only they are subtracted ([`subtract_all_into`]
+/// skips the rest), in list order — not every piece of the
+/// disjointified prefix, as [`disjointify`] does.
 pub fn union_cells_with<const D: usize>(
     boxes: &[AABox<D>],
     pieces: &mut Vec<AABox<D>>,
@@ -134,8 +138,7 @@ pub fn union_cells_with<const D: usize>(
 ) -> u64 {
     let mut total = 0u64;
     for (i, b) in boxes.iter().enumerate() {
-        let earlier = boxes[..i].iter().filter(|e| e.intersects(b));
-        subtract_all_into(b, earlier, pieces, next);
+        subtract_all_into(b, &boxes[..i], pieces, next);
         total += total_cells(pieces);
     }
     total

@@ -59,6 +59,67 @@ fn arb_clustered_rects() -> impl Strategy<Value = Vec<Rect2>> {
     )
 }
 
+/// Strategy: up to 23 2-D boxes, about three in four of them moved to
+/// `x >= 92`, clear of every box with corners in `[-8, 24)` and extents
+/// below 12 (so of any `a` drawn from [`arb_near_rect`]).
+fn arb_mostly_missing_rects() -> impl Strategy<Value = Vec<Rect2>> {
+    prop::collection::vec(
+        (0u8..4, -8i64..24, -8i64..24, 1i64..12, 1i64..12).prop_map(|(near, x, y, w, h)| {
+            let x = if near == 0 { x } else { x + 100 };
+            Rect2::new(Point2::new(x, y), Point2::new(x + w - 1, y + h - 1))
+        }),
+        0..24,
+    )
+}
+
+/// Strategy: a 2-D box with corners in `[-8, 24)` and extents below 12.
+fn arb_near_rect() -> impl Strategy<Value = Rect2> {
+    (-8i64..24, -8i64..24, 1i64..12, 1i64..12)
+        .prop_map(|(x, y, w, h)| Rect2::new(Point2::new(x, y), Point2::new(x + w - 1, y + h - 1)))
+}
+
+/// Strategy: the 3-D analogue of [`arb_mostly_missing_rects`], moved
+/// boxes at `x >= 92`, near ones against [`arb_near_box3`].
+fn arb_mostly_missing_box3s() -> impl Strategy<Value = Vec<Box3>> {
+    prop::collection::vec(
+        (
+            0u8..4,
+            (-8i64..16, -8i64..16, -8i64..16),
+            (1i64..8, 1i64..8, 1i64..8),
+        )
+            .prop_map(|(near, (x, y, z), (w, h, d))| {
+                let x = if near == 0 { x } else { x + 100 };
+                Box3::new(
+                    Point3::new(x, y, z),
+                    Point3::new(x + w - 1, y + h - 1, z + d - 1),
+                )
+            }),
+        0..24,
+    )
+}
+
+/// Strategy: a 3-D box with corners in `[-8, 16)` and extents below 8.
+fn arb_near_box3() -> impl Strategy<Value = Box3> {
+    (
+        (-8i64..16, -8i64..16, -8i64..16),
+        (1i64..8, 1i64..8, 1i64..8),
+    )
+        .prop_map(|((x, y, z), (w, h, d))| {
+            Box3::new(
+                Point3::new(x, y, z),
+                Point3::new(x + w - 1, y + h - 1, z + d - 1),
+            )
+        })
+}
+
+/// `a` less every box of `bs`, subtracting each box from every piece
+/// in turn — misses included.
+fn subtract_one_at_a_time<const D: usize>(a: &AABox<D>, bs: &[AABox<D>]) -> Vec<AABox<D>> {
+    bs.iter().fold(vec![*a], |pieces, b| {
+        pieces.iter().flat_map(|p| boxops::subtract(p, b)).collect()
+    })
+}
+
 /// Strategy: a random subset of `0..cells` in shuffled order. Each index
 /// is kept when its first draw is below a per-case density (out of 8)
 /// and placed by its second draw.
@@ -240,6 +301,17 @@ proptest! {
             let brute = brute_union_cells(boxes);
             prop_assert_eq!(boxops::union_cells_with(boxes, &mut pieces, &mut next), brute);
         }
+    }
+
+    #[test]
+    fn subtract_all_skips_missing_boxes_without_changing_the_pieces(
+        a in arb_near_rect(),
+        bs in arb_mostly_missing_rects(),
+        a3 in arb_near_box3(),
+        bs3 in arb_mostly_missing_box3s(),
+    ) {
+        prop_assert_eq!(boxops::subtract_all(&a, &bs), subtract_one_at_a_time(&a, &bs));
+        prop_assert_eq!(boxops::subtract_all(&a3, &bs3), subtract_one_at_a_time(&a3, &bs3));
     }
 
     #[test]

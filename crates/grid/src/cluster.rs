@@ -53,65 +53,27 @@ struct Candidate<const D: usize> {
     flagged: u64,
 }
 
-/// Reusable scratch buffers for [`cluster_flags_with`].
-///
-/// Berger–Rigoutsos churns through short-lived allocations — a signature
-/// `Vec` per candidate scan, a work queue, and the accepted-box list per
-/// invocation. Callers that cluster repeatedly (the regrid step clusters
-/// one flag field per level per regrid) thread one `ClusterScratch`
-/// through and the recursion reuses the same buffers: after warm-up a
-/// call allocates nothing at all — the output slice is borrowed from the
-/// scratch arena.
-#[derive(Default)]
-pub struct ClusterScratch<const D: usize> {
-    /// Signature buffer shared by every axis scan.
-    sig: Vec<u32>,
-    /// Pending-candidate stack.
-    queue: Vec<Candidate<D>>,
-    /// Accepted boxes — the output arena [`cluster_flags_with`] borrows
-    /// its result slice from.
-    accepted: Vec<AABox<D>>,
-}
-
 /// Cluster the flagged cells of `flags` into boxes.
 ///
 /// Returned boxes are pairwise disjoint, contain every flagged cell, have
 /// extents `>= min_block` on every axis, and lie inside the flag domain.
 pub fn cluster_flags<const D: usize>(flags: &FlagField<D>, opts: &ClusterOptions) -> Vec<AABox<D>> {
-    let mut scratch = ClusterScratch::default();
-    cluster_flags_with(flags, opts, &mut scratch).to_vec()
-}
-
-/// [`cluster_flags`] with caller-owned scratch buffers — identical
-/// output, zero allocations once the scratch is warm. The returned
-/// slice is borrowed from the scratch arena and stays valid until the
-/// next clustering call through the same scratch.
-pub fn cluster_flags_with<'a, const D: usize>(
-    flags: &FlagField<D>,
-    opts: &ClusterOptions,
-    scratch: &'a mut ClusterScratch<D>,
-) -> &'a [AABox<D>] {
     assert!(opts.min_block >= 1);
     assert!(
         (0.0..=1.0).contains(&opts.min_efficiency),
         "efficiency must be in [0,1]"
     );
-    let ClusterScratch {
-        sig,
-        queue,
-        accepted,
-    } = scratch;
-    accepted.clear();
-    let domain = flags.domain();
+    let mut accepted = Vec::new();
     let Some(bbox) = flags.bounding_box() else {
         return accepted;
     };
-    queue.clear();
-    queue.push(Candidate {
-        window: domain,
+    // One signature buffer shared by every axis scan.
+    let mut sig = Vec::new();
+    let mut queue = vec![Candidate {
+        window: flags.domain(),
         bbox,
         flagged: flags.count_in(&bbox),
-    });
+    }];
 
     while let Some(c) = queue.pop() {
         if accepted.len() + queue.len() >= opts.max_boxes {
@@ -123,10 +85,10 @@ pub fn cluster_flags_with<'a, const D: usize>(
             accepted.push(expand_to_min(c.bbox, opts.min_block, &c.window));
             continue;
         }
-        let (axis, cut) = choose_split(flags, &c.bbox, opts.min_block, sig);
+        let (axis, cut) = choose_split(flags, &c.bbox, opts.min_block, &mut sig);
         let (wa, wb) = c.window.split_at(axis, cut);
         for w in [wa, wb] {
-            if let Some(bb) = flag_bbox_in(flags, &w, sig) {
+            if let Some(bb) = flag_bbox_in(flags, &w, &mut sig) {
                 let flagged = flags.count_in(&bb);
                 queue.push(Candidate {
                     window: w,
@@ -140,16 +102,6 @@ pub fn cluster_flags_with<'a, const D: usize>(
     // historical `(lo.y, lo.x, hi.y, hi.x)` key, generalized).
     accepted.sort_by(|a, b| a.cmp_spatial(b));
     accepted
-}
-
-/// Byte-for-byte capacity diagnostics for benchmarks and tests: how many
-/// boxes the scratch arena currently holds without reallocating.
-impl<const D: usize> ClusterScratch<D> {
-    /// `true` once every internal buffer has a non-zero capacity — i.e.
-    /// subsequent same-shape clustering calls will not allocate.
-    pub fn is_warm(&self) -> bool {
-        self.sig.capacity() > 0 && self.queue.capacity() > 0 && self.accepted.capacity() > 0
-    }
 }
 
 /// Tight bounding box of flags restricted to `window`.
@@ -450,41 +402,6 @@ mod tests {
         let a = cluster_flags(&flags, &opts());
         let b = cluster_flags(&flags, &opts());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scratch_reuse_is_identical_to_fresh() {
-        // One scratch threaded through dissimilar fields (different
-        // domain sizes, densities, dimensions of recursion) must give
-        // exactly the fresh-allocation result every time.
-        let mut scratch = ClusterScratch::default();
-        let fields = [
-            FlagField::from_fn(Rect2::from_extents(64, 64), |p| (p.x - p.y).abs() <= 1),
-            FlagField::from_fn(Rect2::from_extents(48, 16), |p| {
-                (p.x * 7 + p.y * 13) % 17 == 0
-            }),
-            FlagField::new(Rect2::from_extents(8, 8)),
-            FlagField::from_fn(Rect2::from_extents(24, 24), |_| true),
-        ];
-        for flags in &fields {
-            let fresh = cluster_flags(flags, &opts());
-            let reused = cluster_flags_with(flags, &opts(), &mut scratch);
-            assert_eq!(fresh, reused);
-        }
-        // After non-trivial fields, every internal buffer (including the
-        // accepted-box output arena) retains capacity for the next call.
-        assert!(scratch.is_warm());
-        // 3-D through the same (dimension-tagged) scratch type.
-        let mut scratch3 = ClusterScratch::default();
-        let f3 = FlagField::from_fn(Box3::from_extents(16, 16, 16), |p| {
-            (3..=8).contains(&p.x) && p.y >= 4 && p.z <= 10
-        });
-        for _ in 0..2 {
-            assert_eq!(
-                cluster_flags_with(&f3, &opts(), &mut scratch3),
-                cluster_flags(&f3, &opts())
-            );
-        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod hierarchy;
 pub mod nesting;
 pub mod stats;
 
-pub use cluster::{cluster_flags, cluster_flags_with, ClusterOptions, ClusterScratch};
+pub use cluster::{cluster_flags, ClusterOptions};
 pub use flags::FlagField;
 pub use hierarchy::{GridHierarchy, HierarchyError, Level, Patch, PatchId};
 pub use stats::HierarchyStats;

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use samr_geom::{Point2, Rect2, Region};
 use samr_grid::nesting::{clip_to_nesting, shrink_within};
-use samr_grid::{cluster_flags, cluster_flags_with, ClusterOptions, ClusterScratch, FlagField};
+use samr_grid::{cluster_flags, ClusterOptions, FlagField};
 
 /// Random flag fields: unions of blobs, rings and random speckle.
 fn arb_flags() -> impl Strategy<Value = FlagField<2>> {
@@ -59,26 +59,6 @@ proptest! {
         prop_assert!(cells(&hi) <= cells(&lo));
         // And generally uses at least as many boxes.
         prop_assert!(hi.len() >= lo.len());
-    }
-
-    #[test]
-    fn dirty_cluster_scratch_is_idempotent(fields in prop::collection::vec(arb_flags(), 1..5)) {
-        // One scratch arena threaded through a random sequence of
-        // dissimilar fields must reproduce the fresh-allocation result
-        // at every step — whatever the queue, signature buffer, and
-        // accepted-box arena were left holding by the previous field.
-        // This is the contract that lets the regrid loop (and the bench
-        // suite) reuse one `ClusterScratch` forever.
-        let opts = ClusterOptions::paper_defaults();
-        let mut scratch = ClusterScratch::default();
-        for flags in &fields {
-            let fresh = cluster_flags(flags, &opts);
-            let reused = cluster_flags_with(flags, &opts, &mut scratch);
-            prop_assert_eq!(&fresh, &reused.to_vec());
-            // Running the same field again through the now-dirty scratch
-            // changes nothing.
-            prop_assert_eq!(&fresh, &cluster_flags_with(flags, &opts, &mut scratch).to_vec());
-        }
     }
 
     #[test]

@@ -173,16 +173,14 @@ pub fn migration_accounting<const D: usize>(
             let prev_patches = prev.levels.get(fine).map_or(&[][..], |lv| &lv.patches);
             for frag in &cur_part.levels[fine].fragments {
                 // The part of this fragment that did not exist at t-1.
-                // Only the previous patches that meet it remove cells. A
-                // level's patches are disjoint, so a patch that contains
-                // the fragment is the only one it meets: nothing is left
-                // and the fragment costs no query.
+                // Only the previous patches that meet it remove cells
+                // (`subtract_all_into` skips the rest). A level's
+                // patches are disjoint, so a patch that contains the
+                // fragment is the only one it meets: nothing is left and
+                // the fragment costs no query.
                 let (pieces, next) = (&mut scratch.pieces, &mut scratch.next);
-                let meeting = prev_patches
-                    .iter()
-                    .map(|p| &p.rect)
-                    .filter(|r| r.intersects(&frag.rect));
-                boxops::subtract_all_into(&frag.rect, meeting, pieces, next);
+                let prev_rects = prev_patches.iter().map(|p| &p.rect);
+                boxops::subtract_all_into(&frag.rect, prev_rects, pieces, next);
                 for new_piece in pieces.iter() {
                     let parent = new_piece.coarsen(cur.ratio);
                     let mig = &mut scratch.mig;

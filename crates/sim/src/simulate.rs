@@ -49,39 +49,6 @@ pub struct SimResult {
     pub total_time: f64,
 }
 
-impl SimResult {
-    /// The grid-relative communication series.
-    pub fn rel_comm(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.rel_comm).collect()
-    }
-
-    /// The grid-relative migration series.
-    pub fn rel_migration(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.rel_migration).collect()
-    }
-
-    /// The load-imbalance series.
-    pub fn load_imbalance(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.load_imbalance).collect()
-    }
-
-    /// The partitioner-invocation cost series (abstract units; zero on
-    /// steps that reused the previous distribution) — the regrid
-    /// overhead axis of the Pareto trade-off analysis.
-    pub fn partition_cost(&self) -> Vec<f64> {
-        self.steps.iter().map(|s| s.partition_cost).collect()
-    }
-
-    /// Mean partitioner-invocation cost per coarse step (0.0 for an
-    /// empty run).
-    pub fn mean_partition_cost(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        self.steps.iter().map(|s| s.partition_cost).sum::<f64>() / self.steps.len() as f64
-    }
-}
-
 /// The part of a step's metrics that depends only on the snapshot and
 /// one distribution of it: one communication walk, the per-processor
 /// loads and volumes, the load imbalance and the fragment count. Every

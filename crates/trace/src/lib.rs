@@ -13,17 +13,13 @@
 //!   resident at a time, so paper-scale sweeps stay in bounded memory
 //!   from the generator to the consumers;
 //! - [`io`]: JSON-lines (human-inspectable) and compact binary
-//!   serialization, each with batch and streaming readers *and* writers;
-//! - [`TraceStats`]: aggregate descriptors of a trace (size dynamics,
-//!   depth usage) used by the experiment harness.
+//!   serialization, each with batch and streaming readers *and* writers.
 
 #![warn(missing_docs)]
 
 pub mod io;
 pub mod source;
-pub mod stats;
 pub mod trace;
 
 pub use source::{shared_source, AnySnapshotSource, MemorySource, SnapshotSource};
-pub use stats::TraceStats;
 pub use trace::{AnyTrace, HierarchyTrace, Snapshot, TraceMeta};

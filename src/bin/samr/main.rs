@@ -52,9 +52,8 @@
 
 use samr::apps::{trace_source_any, AppKind, ConfigError, TraceGenConfig};
 use samr::engine::{
-    build_thread_pool, configs, find_shard_dirs, merge_shards, Campaign, CampaignExecutor,
-    CampaignPlan, CampaignSpec, ExecOutput, PartitionerSpec, PolicySpec, ShardExecutor,
-    ShardStrategy, WorkerExecutor,
+    build_thread_pool, configs, find_shard_dirs, merge_shards, Campaign, CampaignPlan,
+    CampaignSpec, PartitionerSpec, PolicySpec, ShardExecutor, ShardStrategy, WorkerExecutor,
 };
 use samr::meta::compare_on_trace;
 use samr::model::{ModelAccumulator, ModelConfig};
@@ -474,15 +473,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("locate samr binary: {e}"))?;
         exec.retries = retries;
         exec.resume = resume;
-        // Dispatch through the executor trait: the worker fleet is just
-        // one strategy for executing the plan.
-        let executor: &dyn CampaignExecutor = &exec;
-        let ExecOutput::Shards(shard_dirs) = executor
-            .execute(&plan, &out_dir)
-            .map_err(|e| e.to_string())?
-        else {
-            return Err("worker executor unexpectedly ran in-process".into());
-        };
+        let shard_dirs = exec
+            .run_workers(&plan, &out_dir)
+            .map_err(|e| e.to_string())?;
         let report = merge_shards(&shard_dirs, &out_dir).map_err(|e| e.to_string())?;
         eprintln!(
             "merged {} scenarios from {} shards into {} (plan {})",

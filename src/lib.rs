@@ -13,7 +13,7 @@
 //! | [`geom`] | `samr-geom` | integer boxes, region algebra, space-filling curves |
 //! | [`grid`] | `samr-grid` | patches, levels, hierarchies, Berger–Rigoutsos clustering |
 //! | [`apps`] | `samr-apps` | the four application kernels (TP2D, BL2D, SC2D, RM2D) |
-//! | [`trace`] | `samr-trace` | hierarchy trace format and statistics |
+//! | [`trace`] | `samr-trace` | hierarchy trace format, codecs and snapshot streams |
 //! | [`partition`] | `samr-partition` | SFC / patch-based / hybrid partitioners |
 //! | [`sim`] | `samr-sim` | trace-driven execution simulator |
 //! | [`model`] | `samr-core` | the paper's model: penalties and classification space |

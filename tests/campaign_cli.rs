@@ -177,14 +177,17 @@ fn interrupted_unsharded_campaign_resumes_to_the_golden_csv() {
     args.extend(AXES);
     args.extend(["--out", dir.to_str().unwrap()]);
     assert_ok(&samr(&args), "initial campaign");
+    let front = std::fs::read(dir.join("campaign.pareto.json")).unwrap();
     // Tear the directory back to a mid-run state: one scenario loses
-    // its artifacts and stamp, the canonical CSV is gone too.
+    // its artifacts and stamp, and the campaign files are gone too.
     let victim = "tp2d_hybrid_p8_g1";
     for name in [
         format!("{victim}.csv"),
         format!("{victim}.json"),
         format!("{victim}.done.json"),
         "campaign.csv".to_string(),
+        "campaign.pareto.json".to_string(),
+        "campaign.manifest.json".to_string(),
     ] {
         std::fs::remove_file(dir.join(name)).unwrap();
     }
@@ -202,6 +205,14 @@ fn interrupted_unsharded_campaign_resumes_to_the_golden_csv() {
         campaign_csv(&dir) == GOLDEN,
         "resumed campaign.csv drifted from the golden artifact"
     );
+    assert!(
+        std::fs::read(dir.join("campaign.pareto.json")).unwrap() == front,
+        "resumed campaign.pareto.json differs from the uninterrupted run's"
+    );
+    let manifest: CampaignManifest =
+        serde_json::from_str(&std::fs::read_to_string(dir.join("campaign.manifest.json")).unwrap())
+            .unwrap();
+    assert_eq!(manifest.scenario_count, 4);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,7 +6,7 @@
 //! run cannot show is how much faster each optimized path is than its
 //! retained twin: the scalar SFC references, the all-pairs `naive_*`
 //! accounting, the restart-scan `naive_coalesce`, fresh-allocation
-//! clustering and partitioning. Each test times one pair and asserts
+//! partitioning. Each test times one pair and asserts
 //! that the median of its per-round `twin / optimized` time ratios is
 //! at least the pair's floor.
 //!
@@ -31,9 +31,7 @@ use samr::apps::AppKind;
 use samr::engine::{cached_trace, configs};
 use samr::geom::sfc::{self, scalar, BatchIsa, SfcCurve};
 use samr::geom::{boxops, Rect2};
-use samr::grid::{
-    cluster_flags, cluster_flags_with, ClusterOptions, ClusterScratch, FlagField, GridHierarchy,
-};
+use samr::grid::{FlagField, GridHierarchy};
 use samr::partition::weights::{composite_unit_weights, sfc_order, split_contiguous};
 use samr::partition::{
     DomainSfcParams, HybridPartitioner, PartitionScratch, Partitioner, PartitionerChoice,
@@ -317,43 +315,6 @@ fn row_major_flag_marking_beats_per_cell_set() {
             flags.count()
         },
     );
-}
-
-/// Berger–Rigoutsos through the scratch arena against fresh allocation
-/// on one flag field.
-fn cluster_arena_pair(pair: &str, floor: f64, flags: FlagField<2>) {
-    let opts = ClusterOptions::paper_defaults();
-    let mut scratch = ClusterScratch::default();
-    assert_speedup(
-        pair,
-        floor,
-        || cluster_flags_with(black_box(&flags), &opts, &mut scratch).len(),
-        || cluster_flags(black_box(&flags), &opts).len(),
-    );
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn cluster_arena_on_the_ring_is_not_slower() {
-    // The wavefront-like ring on a 256² grid: the grid generator's real
-    // workload shape.
-    let ring = FlagField::from_fn(Rect2::from_extents(256, 256), |p| {
-        let dx = p.x as f64 - 127.5;
-        let dy = p.y as f64 - 127.5;
-        let r = (dx * dx + dy * dy).sqrt();
-        (80.0..=92.0).contains(&r)
-    });
-    cluster_arena_pair("cluster_arena_ring", PARITY, ring);
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn cluster_arena_on_scattered_flags_is_not_slower() {
-    // Scattered noise flags: the clusterer's worst case, deep recursion.
-    let scattered = FlagField::from_fn(Rect2::from_extents(256, 256), |p| {
-        (p.x * 7 + p.y * 13) % 29 == 0
-    });
-    cluster_arena_pair("cluster_arena_scattered", PARITY, scattered);
 }
 
 /// Processors the accounting and partition pairs distribute over.
