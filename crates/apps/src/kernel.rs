@@ -121,21 +121,121 @@ pub(crate) mod oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::assert_matches_reference;
+    use super::oracle::{assert_matches_reference, Oracle};
     use super::*;
+    use crate::rm2d::tests::{on_tier, tiers};
     use crate::{bl2d::Bl2d, rm2d::Rm2d, sc2d::Sc2d, tp2d::Tp2d};
+    use std::hint::black_box;
+    use std::sync::{Mutex, PoisonError};
+    use std::time::Instant;
+
+    /// Held by each bench-scale test, so the speed ratios are timed
+    /// with the other bench-scale test's kernels off the CPUs.
+    static BENCH_SCALE: Mutex<()> = Mutex::new(());
 
     #[test]
     #[ignore = "bench scale, seconds in release: cargo test --release -p samr-apps -- --ignored"]
     fn every_sweep_matches_its_reference_at_bench_scale() {
+        let _alone = BENCH_SCALE.lock().unwrap_or_else(PoisonError::into_inner);
         // The `paper` benchmark's kernels: 74 cells along the shorter
         // axis (RM2D 148x74), 6 coarse steps.
         for seed in [2004, 911] {
-            assert_matches_reference::<Rm2d>(74, 6, seed);
+            crate::rm2d::tests::assert_every_tier_matches_reference(74, 6, seed);
             assert_matches_reference::<Tp2d>(74, 6, seed);
             assert_matches_reference::<Bl2d>(74, 6, seed);
             assert_matches_reference::<Sc2d>(74, 6, seed);
         }
+    }
+
+    /// The `p`-quantile of sorted `xs`, interpolated between neighbours.
+    fn quantile(xs: &[f64], p: f64) -> f64 {
+        let at = (xs.len() - 1) as f64 * p;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
+    }
+
+    /// Seconds `step` takes on `k`.
+    fn timed<K>(k: &mut K, step: fn(&mut K)) -> f64 {
+        let start = Instant::now();
+        step(black_box(k));
+        start.elapsed().as_secs_f64()
+    }
+
+    /// Run `fast` and `slow`, two bench-scale kernels (74 cells along
+    /// the shorter axis, 6 coarse steps), through their 6 steps in
+    /// lock step: each round times one coarse step of each, alternating
+    /// which goes first, and yields one `slow / fast` time ratio. Prints
+    /// the median ratio with its quartiles; returns a failure when the
+    /// median is below `floor`.
+    fn speedup<K: Oracle>(
+        pair: &str,
+        floor: f64,
+        (mut fast, fast_step): (K, fn(&mut K)),
+        (mut slow, slow_step): (K, fn(&mut K)),
+    ) -> Option<String> {
+        let mut ratios: Vec<f64> = (0..6)
+            .map(|round| {
+                if round % 2 == 0 {
+                    let f = timed(&mut fast, fast_step);
+                    timed(&mut slow, slow_step) / f
+                } else {
+                    let s = timed(&mut slow, slow_step);
+                    s / timed(&mut fast, fast_step)
+                }
+            })
+            .collect();
+        black_box((fast.fields(), slow.fields()));
+        ratios.sort_by(f64::total_cmp);
+        let (q1, median, q3) = (
+            quantile(&ratios, 0.25),
+            quantile(&ratios, 0.5),
+            quantile(&ratios, 0.75),
+        );
+        println!("{pair}: {median:.2} [{q1:.2}, {q3:.2}], floor {floor:.2}");
+        (median < floor)
+            .then(|| format!("{pair}: median {median:.2}x is below its floor {floor:.2}x"))
+    }
+
+    /// Each sweep against the per-cell stencil it replaced, and RM2D's
+    /// AVX2 entry against its baseline entry, at the `paper`
+    /// benchmark's size. A floor keeps half of the gain measured when
+    /// it was set, `1 + (median - 1) / 2`, as the repository's
+    /// `tests/speedups.rs` does; README.md has the measured medians.
+    #[test]
+    #[ignore = "times code: cargo test --release -p samr-apps -- --ignored --nocapture"]
+    fn sweeps_beat_their_per_cell_references() {
+        if cfg!(debug_assertions) {
+            panic!("a speed ratio of unoptimized code means nothing; run it with --release");
+        }
+        let _alone = BENCH_SCALE.lock().unwrap_or_else(PoisonError::into_inner);
+        fn pair<K: Oracle>(floor: f64) -> Option<String> {
+            let build = || K::build(74, 6, 2004);
+            let name = format!("{} sweep / per-cell reference", build().name());
+            let (sweep, reference) = (K::advance_coarse_step, K::reference_step);
+            speedup(&name, floor, (build(), sweep), (build(), reference))
+        }
+        let mut failures = vec![
+            pair::<Tp2d>(2.83),
+            pair::<Bl2d>(3.54),
+            pair::<Sc2d>(4.08),
+            pair::<Rm2d>(6.67),
+        ];
+        if tiers().contains(&true) {
+            let entry = |avx2| {
+                (
+                    on_tier(Rm2d::build(74, 6, 2004), avx2),
+                    Rm2d::advance_coarse_step as fn(&mut Rm2d),
+                )
+            };
+            failures.push(speedup(
+                "RM2D sweep AVX2 / baseline entry",
+                1.14,
+                entry(true),
+                entry(false),
+            ));
+        }
+        let failures: Vec<String> = failures.into_iter().flatten().collect();
+        assert!(failures.is_empty(), "{}", failures.join("; "));
     }
 
     #[test]

@@ -31,11 +31,18 @@
 //! Each 2-D solver's substep is one serial sweep over row slices: every
 //! face flux is computed once and applied to the two cells it
 //! separates, and per-cell quantities (RM2D's pressure, velocities and
-//! sound speed, BL2D's fractional flow) once per cell. The per-cell
-//! stencils the sweeps replaced stay in the tests as bit-identity
-//! oracles. Kernels start no threads: trace generation parallelizes
-//! across applications on the caller's rayon pool, so `--threads`
-//! caps it like everything else.
+//! sound speed, BL2D's fractional flow) once per cell. RM2D, the
+//! costliest kernel, keeps its rows as structure-of-arrays: one array
+//! per derived quantity and per face-flux component, so each of its
+//! loops is a plain slice loop that the compiler vectorizes. Its sweep
+//! is compiled twice, a baseline entry and an AVX2 entry, and the
+//! kernel picks one once from CPUID. Each cell's kinetic energy is
+//! carried from one substep's positivity floor to the next substep's
+//! pressure, which saves a division per cell. The per-cell stencils
+//! the sweeps replaced stay in the tests as bit-identity oracles, and
+//! RM2D's runs against both entries. Kernels start no threads: trace
+//! generation parallelizes across applications on the caller's rayon
+//! pool, so `--threads` caps it like everything else.
 //!
 //! Each kernel advances a uniform *reference* solution and exposes a
 //! normalized feature indicator; [`tracegen`] samples the indicator at
@@ -46,6 +53,7 @@
 //! granularity 2, 100 coarse steps.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bl2d;
 pub mod kernel;

@@ -50,76 +50,27 @@ fn pressure(s: &State) -> f64 {
     ((GAMMA - 1.0) * (e - 0.5 * (mx * mx + my * my) / rho)).max(P_FLOOR)
 }
 
-/// Everything the faces of one cell need, computed once per cell per
-/// substep: its state, its physical fluxes along x and y, and its
-/// Rusanov wave speeds `|u| + c` and `|v| + c`.
-#[derive(Clone, Copy, Default)]
-struct Cell {
-    s: State,
-    fx: State,
-    fy: State,
-    ax: f64,
-    ay: f64,
+/// One component of the Rusanov numerical flux across a face, given
+/// both sides' physical fluxes `fl`/`fr` and states `l`/`r`, and the
+/// larger of their wave speeds along the face normal.
+#[inline(always)]
+fn rusanov(fl: f64, fr: f64, l: f64, r: f64, smax: f64) -> f64 {
+    0.5 * (fl + fr) - 0.5 * smax * (r - l)
 }
 
-impl Cell {
-    #[inline]
-    fn new(s: State) -> Self {
-        let [rho, mx, my, e] = s;
-        let p = pressure(&s);
-        let u = mx / rho;
-        let v = my / rho;
-        let c = (GAMMA * p / rho).sqrt();
-        Self {
-            s,
-            fx: [mx, mx * u + p, my * u, (e + p) * u],
-            fy: [my, mx * v, my * v + p, (e + p) * v],
-            ax: u.abs() + c,
-            ay: v.abs() + c,
-        }
-    }
-
-    /// The reflective-x ghost of this cell: the same state with the
-    /// x momentum flipped.
-    #[inline]
-    fn mirrored(&self) -> Self {
-        let [rho, mx, my, e] = self.s;
-        Self::new([rho, -mx, my, e])
-    }
-}
-
-/// Rusanov numerical flux across the face from `l` to `r`, given both
-/// sides' physical fluxes `fl`/`fr` and wave speeds `al`/`ar` along the
-/// face normal.
-#[inline]
-fn rusanov(l: &State, r: &State, fl: &State, fr: &State, al: f64, ar: f64) -> State {
-    let smax = al.max(ar);
-    [
-        0.5 * (fl[0] + fr[0]) - 0.5 * smax * (r[0] - l[0]),
-        0.5 * (fl[1] + fr[1]) - 0.5 * smax * (r[1] - l[1]),
-        0.5 * (fl[2] + fr[2]) - 0.5 * smax * (r[2] - l[2]),
-        0.5 * (fl[3] + fr[3]) - 0.5 * smax * (r[3] - l[3]),
-    ]
-}
-
-/// Rusanov flux across the x face from `l` to `r`.
-#[inline]
-fn x_face(l: &Cell, r: &Cell) -> State {
-    rusanov(&l.s, &r.s, &l.fx, &r.fx, l.ax, r.ax)
-}
-
-/// Rusanov flux across the y face from `l` (below) to `r` (above).
-#[inline]
-fn y_face(l: &Cell, r: &Cell) -> State {
-    rusanov(&l.s, &r.s, &l.fy, &r.fy, l.ay, r.ay)
-}
-
-/// The four conserved fields of one time level.
+/// The four conserved fields of one time level, and the kinetic
+/// energy `0.5 (mx² + my²) / rho` of its cells.
+///
+/// The update's positivity floor computes each cell's kinetic energy
+/// from the state it stores, and the next substep's pressure is the
+/// same expression of the same operands: carrying it saves a division
+/// per cell and keeps the bits.
 struct Conserved {
     rho: Grid2<f64>,
     mx: Grid2<f64>,
     my: Grid2<f64>,
     en: Grid2<f64>,
+    ke: Grid2<f64>,
 }
 
 impl Conserved {
@@ -129,109 +80,284 @@ impl Conserved {
             mx: numerics::zeros(nx, ny),
             my: numerics::zeros(nx, ny),
             en: numerics::zeros(nx, ny),
+            ke: numerics::zeros(nx, ny),
         }
     }
 
-    /// Cell quantities of row `y`, written into `out`.
-    fn cells(&self, y: i64, out: &mut [Cell]) {
-        let (rho, mx) = (self.rho.row(y), self.mx.row(y));
-        let (my, en) = (self.my.row(y), self.en.row(y));
-        for (i, c) in out.iter_mut().enumerate() {
-            *c = Cell::new([rho[i], mx[i], my[i], en[i]]);
+    /// The states `(rho, mx, my, en)` of row `y`, one slice each.
+    #[inline(always)]
+    fn rows(&self, y: i64) -> [&[f64]; 4] {
+        [
+            self.rho.row(y),
+            self.mx.row(y),
+            self.my.row(y),
+            self.en.row(y),
+        ]
+    }
+
+    /// Row `y` of every field, the kinetic energy last, for writing.
+    #[inline(always)]
+    fn rows_mut(&mut self, y: i64) -> [&mut [f64]; 5] {
+        [
+            self.rho.row_mut(y),
+            self.mx.row_mut(y),
+            self.my.row_mut(y),
+            self.en.row_mut(y),
+            self.ke.row_mut(y),
+        ]
+    }
+}
+
+/// What the faces of one row need from its cells, computed once per
+/// cell and substep, one array per quantity: the physical flux
+/// components 1–3 along x and y (component 0 is the state's `mx` or
+/// `my`) and the Rusanov wave speeds `|u| + c` and `|v| + c`.
+struct Derived {
+    fx: [Vec<f64>; 3],
+    fy: [Vec<f64>; 3],
+    ax: Vec<f64>,
+    ay: Vec<f64>,
+}
+
+impl Derived {
+    fn new(nx: usize) -> Self {
+        Self {
+            fx: std::array::from_fn(|_| vec![0.0; nx]),
+            fy: std::array::from_fn(|_| vec![0.0; nx]),
+            ax: vec![0.0; nx],
+            ay: vec![0.0; nx],
         }
+    }
+
+    /// Fill the arrays from row `y` of `cur`.
+    #[inline(always)]
+    fn fill(&mut self, cur: &Conserved, y: i64) {
+        let n = self.ax.len();
+        let [rho, mx, my, en] = cur.rows(y).map(|s| &s[..n]);
+        let ke = &cur.ke.row(y)[..n];
+        let [fx1, fx2, fx3] = self.fx.each_mut().map(|f| &mut f[..n]);
+        let [fy1, fy2, fy3] = self.fy.each_mut().map(|f| &mut f[..n]);
+        let (ax, ay) = (&mut self.ax[..n], &mut self.ay[..n]);
+        for i in 0..n {
+            let p = ((GAMMA - 1.0) * (en[i] - ke[i])).max(P_FLOOR);
+            let u = mx[i] / rho[i];
+            let v = my[i] / rho[i];
+            let c = (GAMMA * p / rho[i]).sqrt();
+            fx1[i] = mx[i] * u + p;
+            fx2[i] = my[i] * u;
+            fx3[i] = (en[i] + p) * u;
+            fy1[i] = mx[i] * v;
+            fy2[i] = my[i] * v + p;
+            fy3[i] = (en[i] + p) * v;
+            ax[i] = u.abs() + c;
+            ay[i] = v.abs() + c;
+        }
+    }
+}
+
+/// The four flux components across a run of faces, one array each.
+type Faces = [Vec<f64>; 4];
+
+fn faces(n: usize) -> Faces {
+    std::array::from_fn(|_| vec![0.0; n])
+}
+
+/// Rusanov fluxes across the y faces from the row with states `sl` and
+/// quantities `dl` (below) to the row with `sr` and `dr` (above).
+#[inline(always)]
+fn y_faces(sl: [&[f64]; 4], dl: &Derived, sr: [&[f64]; 4], dr: &Derived, out: &mut Faces) {
+    let n = dl.ay.len();
+    let [rl, ml, nl, el] = sl.map(|s| &s[..n]);
+    let [rr, mr, nr, er] = sr.map(|s| &s[..n]);
+    let [fl1, fl2, fl3] = dl.fy.each_ref().map(|f| &f[..n]);
+    let [fr1, fr2, fr3] = dr.fy.each_ref().map(|f| &f[..n]);
+    let (al, ar) = (&dl.ay[..n], &dr.ay[..n]);
+    let [o0, o1, o2, o3] = out.each_mut().map(|o| &mut o[..n]);
+    for i in 0..n {
+        let smax = al[i].max(ar[i]);
+        o0[i] = rusanov(nl[i], nr[i], rl[i], rr[i], smax);
+        o1[i] = rusanov(fl1[i], fr1[i], ml[i], mr[i], smax);
+        o2[i] = rusanov(fl2[i], fr2[i], nl[i], nr[i], smax);
+        o3[i] = rusanov(fl3[i], fr3[i], el[i], er[i], smax);
+    }
+}
+
+/// Rusanov fluxes across the `nx + 1` x faces of the row with states
+/// `s` and quantities `d`: face `i` lies between cells `i - 1` and `i`,
+/// and faces 0 and `nx` are the reflective walls.
+#[inline(always)]
+fn x_faces(s: [&[f64]; 4], d: &Derived, out: &mut Faces) {
+    let n = d.ax.len();
+    let [rho, mx, my, en] = s.map(|s| &s[..n]);
+    let [f1, f2, f3] = d.fx.each_ref().map(|f| &f[..n]);
+    let a = &d.ax[..n];
+    let [o0, o1, o2, o3] = out.each_mut().map(|o| &mut o[..n + 1]);
+    for i in 1..n {
+        let smax = a[i - 1].max(a[i]);
+        o0[i] = rusanov(mx[i - 1], mx[i], rho[i - 1], rho[i], smax);
+        o1[i] = rusanov(f1[i - 1], f1[i], mx[i - 1], mx[i], smax);
+        o2[i] = rusanov(f2[i - 1], f2[i], my[i - 1], my[i], smax);
+        o3[i] = rusanov(f3[i - 1], f3[i], en[i - 1], en[i], smax);
+    }
+    // A wall face separates an edge cell from its mirror image, the
+    // same state with `mx` negated. Negating `mx` negates `u` exactly
+    // and IEEE products and quotients are sign-symmetric, so the
+    // mirror's x flux is the cell's with components 0, 2 and 3 negated
+    // and its wave speed is the cell's: the bits an evaluation of the
+    // mirrored state gives.
+    o0[0] = rusanov(-mx[0], mx[0], rho[0], rho[0], a[0]);
+    o1[0] = rusanov(f1[0], f1[0], -mx[0], mx[0], a[0]);
+    o2[0] = rusanov(-f2[0], f2[0], my[0], my[0], a[0]);
+    o3[0] = rusanov(-f3[0], f3[0], en[0], en[0], a[0]);
+    let e = n - 1;
+    o0[n] = rusanov(mx[e], -mx[e], rho[e], rho[e], a[e]);
+    o1[n] = rusanov(f1[e], f1[e], mx[e], -mx[e], a[e]);
+    o2[n] = rusanov(f2[e], -f2[e], my[e], my[e], a[e]);
+    o3[n] = rusanov(f3[e], -f3[e], en[e], en[e], a[e]);
+}
+
+/// Update a row from its states `s`, its x faces `xf` and the y faces
+/// below (`down`) and above (`up`) into `out`, the next level's row of
+/// every field, with the positivity floors: density, then pressure
+/// through the energy.
+#[inline(always)]
+fn update(s: [&[f64]; 4], xf: &Faces, down: &Faces, up: &Faces, lam: f64, out: [&mut [f64]; 5]) {
+    let n = s[0].len();
+    let [rho, mx, my, en] = s.map(|s| &s[..n]);
+    let [x0, x1, x2, x3] = xf.each_ref().map(|f| &f[..n + 1]);
+    let [d0, d1, d2, d3] = down.each_ref().map(|f| &f[..n]);
+    let [u0, u1, u2, u3] = up.each_ref().map(|f| &f[..n]);
+    let [nrho, nmx, nmy, nen, nke] = out.map(|o| &mut o[..n]);
+    for i in 0..n {
+        let r = (rho[i] - lam * (x0[i + 1] - x0[i] + u0[i] - d0[i])).max(RHO_FLOOR);
+        let m = mx[i] - lam * (x1[i + 1] - x1[i] + u1[i] - d1[i]);
+        let w = my[i] - lam * (x2[i + 1] - x2[i] + u2[i] - d2[i]);
+        let e = en[i] - lam * (x3[i + 1] - x3[i] + u3[i] - d3[i]);
+        let ke = 0.5 * (m * m + w * w) / r;
+        let p = (GAMMA - 1.0) * (e - ke);
+        nrho[i] = r;
+        nmx[i] = m;
+        nmy[i] = w;
+        nen[i] = if p < P_FLOOR {
+            ke + P_FLOOR / (GAMMA - 1.0)
+        } else {
+            e
+        };
+        nke[i] = ke;
     }
 }
 
 /// Row buffers of the face-flux sweep, kept across substeps so a
 /// substep allocates nothing.
 struct Sweep {
-    /// Cell quantities of the row being updated and the row above it.
-    row: Vec<Cell>,
-    above: Vec<Cell>,
-    /// Cell quantities of the top row, computed first for the periodic
-    /// wrap face and reused when the sweep reaches that row.
-    top: Vec<Cell>,
+    /// Quantities of the row being updated and of the row above it.
+    row: Derived,
+    above: Derived,
+    /// Quantities of the top row, computed first for the periodic wrap
+    /// face and moved into `above` when the sweep reaches that row.
+    top: Derived,
+    /// x-face fluxes of the row being updated.
+    xf: Faces,
     /// y-face fluxes below and above the row being updated.
-    down: Vec<State>,
-    up: Vec<State>,
+    down: Faces,
+    up: Faces,
     /// Flux across the periodic wrap face (top row to row 0).
-    wrap: Vec<State>,
+    wrap: Faces,
+    /// Substeps run the AVX2 entry. Set once, from CPUID: the entry is
+    /// sound only where the CPU has AVX2.
+    avx2: bool,
 }
 
 impl Sweep {
     fn new(nx: usize) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
         Self {
-            row: vec![Cell::default(); nx],
-            above: vec![Cell::default(); nx],
-            top: vec![Cell::default(); nx],
-            down: vec![[0.0; 4]; nx],
-            up: vec![[0.0; 4]; nx],
-            wrap: vec![[0.0; 4]; nx],
+            row: Derived::new(nx),
+            above: Derived::new(nx),
+            top: Derived::new(nx),
+            xf: faces(nx + 1),
+            down: faces(nx),
+            up: faces(nx),
+            wrap: faces(nx),
+            avx2,
         }
     }
 
-    /// One Rusanov substep from `cur` into `next` with `lam = dt/dx`:
-    /// rows bottom to top, each face flux computed once and applied to
-    /// the two cells it separates. Ghosts are reflective in x and
-    /// periodic in y.
+    /// One Rusanov substep from `cur` into `next` with `lam = dt/dx`,
+    /// through the entry chosen at construction.
     fn substep(&mut self, cur: &Conserved, next: &mut Conserved, lam: f64) {
-        let d = cur.rho.domain();
-        let ny = d.extent().y;
-        let nx = d.extent().x as usize;
-        cur.cells(ny - 1, &mut self.top);
-        cur.cells(0, &mut self.row);
-        for ((w, t), b) in self.wrap.iter_mut().zip(&self.top).zip(&self.row) {
-            *w = y_face(t, b);
+        #[cfg(target_arch = "x86_64")]
+        if self.avx2 {
+            // SAFETY: `avx2` is set only where the CPU reports AVX2
+            // (`Sweep::new`).
+            return unsafe { self.substep_avx2(cur, next, lam) };
         }
-        self.down.copy_from_slice(&self.wrap);
+        self.sweep(cur, next, lam);
+    }
+
+    /// [`Sweep::sweep`] compiled for AVX2: four cells per instruction
+    /// in every slice loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn substep_avx2(&mut self, cur: &Conserved, next: &mut Conserved, lam: f64) {
+        self.sweep(cur, next, lam);
+    }
+
+    /// The substep's body: rows bottom to top, each face flux computed
+    /// once and applied to the two cells it separates. Ghosts are
+    /// reflective in x and periodic in y. Every loop runs over slices
+    /// with no carried dependency, so the compiler vectorizes it for
+    /// whichever entry inlines it.
+    #[inline(always)]
+    fn sweep(&mut self, cur: &Conserved, next: &mut Conserved, lam: f64) {
+        let ny = cur.rho.domain().extent().y;
+        self.top.fill(cur, ny - 1);
+        self.row.fill(cur, 0);
+        y_faces(
+            cur.rows(ny - 1),
+            &self.top,
+            cur.rows(0),
+            &self.row,
+            &mut self.wrap,
+        );
+        for (d, w) in self.down.iter_mut().zip(&self.wrap) {
+            d.copy_from_slice(w);
+        }
         for y in 0..ny {
             if y + 1 < ny {
                 if y + 1 == ny - 1 {
-                    self.above.copy_from_slice(&self.top);
+                    std::mem::swap(&mut self.above, &mut self.top);
                 } else {
-                    cur.cells(y + 1, &mut self.above);
+                    self.above.fill(cur, y + 1);
                 }
-                for ((f, b), t) in self.up.iter_mut().zip(&self.row).zip(&self.above) {
-                    *f = y_face(b, t);
-                }
+                y_faces(
+                    cur.rows(y),
+                    &self.row,
+                    cur.rows(y + 1),
+                    &self.above,
+                    &mut self.up,
+                );
             } else {
-                self.up.copy_from_slice(&self.wrap);
-            }
-            let row = &self.row;
-            let (rho, mx) = (next.rho.row_mut(y), next.mx.row_mut(y));
-            let (my, en) = (next.my.row_mut(y), next.en.row_mut(y));
-            let mut fxm = x_face(&row[0].mirrored(), &row[0]);
-            for i in 0..nx {
-                let c = &row[i];
-                let fxp = match row.get(i + 1) {
-                    Some(e) => x_face(c, e),
-                    None => x_face(c, &c.mirrored()),
-                };
-                let (fyp, fym) = (&self.up[i], &self.down[i]);
-                let mut out = [0.0; 4];
-                for k in 0..4 {
-                    out[k] = c.s[k] - lam * (fxp[k] - fxm[k] + fyp[k] - fym[k]);
+                for (u, w) in self.up.iter_mut().zip(&self.wrap) {
+                    u.copy_from_slice(w);
                 }
-                [rho[i], mx[i], my[i], en[i]] = floored(out);
-                fxm = fxp;
             }
+            x_faces(cur.rows(y), &self.row, &mut self.xf);
+            update(
+                cur.rows(y),
+                &self.xf,
+                &self.down,
+                &self.up,
+                lam,
+                next.rows_mut(y),
+            );
             std::mem::swap(&mut self.down, &mut self.up);
             std::mem::swap(&mut self.row, &mut self.above);
         }
     }
-}
-
-/// Positivity floors on an updated state: density, then pressure
-/// through the energy.
-#[inline]
-fn floored(mut out: State) -> State {
-    out[0] = out[0].max(RHO_FLOOR);
-    let ke = 0.5 * (out[1] * out[1] + out[2] * out[2]) / out[0];
-    let p = (GAMMA - 1.0) * (out[3] - ke);
-    if p < P_FLOOR {
-        out[3] = ke + P_FLOOR / (GAMMA - 1.0);
-    }
-    out
 }
 
 /// Shock-tube Euler kernel with a perturbed heavy-fluid interface
@@ -292,10 +418,12 @@ impl Rm2d {
                 let uy = (y as f64 + 0.5) * dx;
                 let (r, u, p) = prim_init(ux, uy);
                 let at = Point2::new(x, y);
+                let (mx, my) = (r * u, 0.0);
                 cur.rho.set(at, r);
-                cur.mx.set(at, r * u);
-                cur.my.set(at, 0.0);
+                cur.mx.set(at, mx);
+                cur.my.set(at, my);
                 cur.en.set(at, p / (GAMMA - 1.0) + 0.5 * r * u * u);
+                cur.ke.set(at, 0.5 * (mx * mx + my * my) / r);
             }
         }
 
@@ -403,12 +531,40 @@ impl Kernel for Rm2d {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::kernel::oracle::{assert_matches_reference, Oracle};
+    use crate::kernel::oracle::{assert_lockstep, Oracle};
 
     fn kernel() -> Rm2d {
         Rm2d::new(24, 20, 5)
+    }
+
+    /// The sweep's entries this CPU runs: the baseline (`avx2` forced
+    /// off), and the AVX2 entry when CPUID chose it.
+    pub(crate) fn tiers() -> Vec<bool> {
+        if Sweep::new(1).avx2 {
+            vec![false, true]
+        } else {
+            vec![false]
+        }
+    }
+
+    /// A kernel whose sweep runs the entry `avx2` names; it must be one
+    /// of [`tiers`].
+    pub(crate) fn on_tier(mut k: Rm2d, avx2: bool) -> Rm2d {
+        assert!(tiers().contains(&avx2), "the AVX2 entry needs AVX2");
+        k.sweep.avx2 = avx2;
+        k
+    }
+
+    /// The sweep on every entry of [`tiers`] against the per-cell
+    /// stencil, bit for bit.
+    pub(crate) fn assert_every_tier_matches_reference(n: i64, steps: u32, seed: u64) {
+        for avx2 in tiers() {
+            let sweep = on_tier(Rm2d::new(n, steps, seed), avx2);
+            let what = format!("n={n} seed={seed} avx2={avx2}");
+            assert_lockstep(sweep, Rm2d::new(n, steps, seed), steps, &what);
+        }
     }
 
     /// Physical flux along axis 0 (x) or 1 (y).
@@ -526,7 +682,22 @@ mod tests {
         // in a few coarse steps: every x ghost face and the periodic y
         // wrap carry flow. 16x8 is the smallest grid, 22x11 an odd one.
         for (n, steps, seed) in [(8, 4, 2004), (8, 3, 7), (11, 3, 9923)] {
-            assert_matches_reference::<Rm2d>(n, steps, seed);
+            assert_every_tier_matches_reference(n, steps, seed);
+        }
+    }
+
+    #[test]
+    fn carried_kinetic_energy_is_the_states() {
+        for avx2 in tiers() {
+            let mut k = on_tier(Rm2d::new(8, 4, 2004), avx2);
+            k.advance_coarse_step();
+            k.advance_coarse_step();
+            let c = &k.cur;
+            let recomputed: Vec<u64> = (c.rho.data().iter().zip(c.mx.data()).zip(c.my.data()))
+                .map(|((rho, mx), my)| (0.5 * (mx * mx + my * my) / rho).to_bits())
+                .collect();
+            let carried: Vec<u64> = c.ke.data().iter().map(|v| v.to_bits()).collect();
+            assert!(carried == recomputed, "avx2={avx2}");
         }
     }
 
@@ -610,20 +781,24 @@ mod tests {
     fn reflective_and_periodic_ghosts() {
         let mut k = kernel();
         k.advance_coarse_step();
-        // Reflective x: the ghost mirrors the edge cell with flipped u,
-        // in the reference's ghost reads and in the sweep's ghost cells.
+        // Reflective x: the ghost mirrors the edge cell with flipped u
+        // in the reference's ghost reads, and the sweep's wall faces
+        // carry the flux against that mirror image.
         let c = &k.cur;
         let inside = state(c, 0, 3);
         let ghost = state(c, -1, 3);
         assert_eq!(inside[0], ghost[0]);
         assert_eq!(inside[1], -ghost[1]);
         assert_ne!(inside[1], 0.0);
-        let edge = Cell::new(inside);
-        assert_eq!(edge.mirrored().s, ghost);
-        assert_eq!(
-            state(c, k.nx, 3),
-            Cell::new(state(c, k.nx - 1, 3)).mirrored().s
-        );
+        let mut d = Derived::new(k.nx as usize);
+        d.fill(c, 3);
+        let mut xf = faces(k.nx as usize + 1);
+        x_faces(c.rows(3), &d, &mut xf);
+        let bits = |f: State| f.map(f64::to_bits);
+        let face = |i: usize| bits(xf.each_ref().map(|f| f[i]));
+        assert_eq!(face(0), bits(rusanov_axis(&ghost, &inside, 0)));
+        let (edge, mirror) = (state(c, k.nx - 1, 3), state(c, k.nx, 3));
+        assert_eq!(face(k.nx as usize), bits(rusanov_axis(&edge, &mirror, 0)));
         // Periodic y.
         assert_eq!(state(c, 5, -1), state(c, 5, k.ny - 1));
         assert_eq!(state(c, 5, k.ny), state(c, 5, 0));

@@ -80,7 +80,13 @@ impl Sp3d {
     /// shell surface, decaying as a Gaussian of the signed distance to
     /// it.
     pub fn indicator(&self, p: [f64; 3]) -> f64 {
-        let c = self.center();
+        self.indicator_around(self.center(), p)
+    }
+
+    /// [`Sp3d::indicator`] for a shell at `c`, the [`Sp3d::center`] of
+    /// the current time: a regrid samples many cells at one time, so it
+    /// computes the center once.
+    pub(crate) fn indicator_around(&self, c: [f64; 3], p: [f64; 3]) -> f64 {
         let d2: f64 = (0..3).map(|i| (p[i] - c[i]) * (p[i] - c[i])).sum();
         let signed = d2.sqrt() - self.radius;
         (-(signed / self.width) * (signed / self.width)).exp()

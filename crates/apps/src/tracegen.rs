@@ -347,8 +347,10 @@ fn regrid<const D: usize>(
 trait StepDriver<const D: usize> {
     /// Advance the reference solution by one coarse time step.
     fn advance(&mut self);
-    /// Feature indicator at unit-coordinate `u`.
-    fn indicator(&self, u: [f64; D]) -> f64;
+    /// The feature indicator at unit coordinates, for the current
+    /// time: a regrid builds it once and samples every flagged cell
+    /// through it.
+    fn sampler(&self) -> Box<dyn Fn([f64; D]) -> f64 + '_>;
     /// Flagging threshold for refinement level `level`.
     fn threshold(&self, level: usize) -> f64;
     /// Current physical time.
@@ -360,8 +362,8 @@ impl StepDriver<2> for Box<dyn Kernel> {
         self.advance_coarse_step();
     }
 
-    fn indicator(&self, u: [f64; 2]) -> f64 {
-        Kernel::indicator(self.as_ref(), u[0], u[1])
+    fn sampler(&self) -> Box<dyn Fn([f64; 2]) -> f64 + '_> {
+        Box::new(|u| Kernel::indicator(self.as_ref(), u[0], u[1]))
     }
 
     fn threshold(&self, level: usize) -> f64 {
@@ -378,8 +380,9 @@ impl StepDriver<3> for Sp3d {
         self.advance_coarse_step();
     }
 
-    fn indicator(&self, u: [f64; 3]) -> f64 {
-        Sp3d::indicator(self, u)
+    fn sampler(&self) -> Box<dyn Fn([f64; 3]) -> f64 + '_> {
+        let c = self.center();
+        Box::new(move |u| self.indicator_around(c, u))
     }
 
     fn threshold(&self, level: usize) -> f64 {
@@ -408,9 +411,9 @@ pub struct AppSource<const D: usize> {
 impl<const D: usize> AppSource<D> {
     fn regrid_from(&mut self, from_level: usize) {
         let driver = &self.driver;
-        let indicator = |u: [f64; D]| driver.indicator(u);
+        let indicator = driver.sampler();
         let threshold = |l: usize| driver.threshold(l);
-        regrid(&mut self.h, &indicator, &threshold, &self.cfg, from_level);
+        regrid(&mut self.h, &*indicator, &threshold, &self.cfg, from_level);
     }
 }
 

@@ -258,9 +258,9 @@ pub enum MergeError {
         /// The exact command that finishes the shard.
         rerun: String,
     },
-    /// An artifact's bytes disagree with its completion record: genuine
-    /// corruption (torn copy, bit rot, manual edit), not a resumable
-    /// gap.
+    /// An artifact's bytes disagree with its completion record, or the
+    /// summary the record stamps does not parse: genuine corruption
+    /// (torn copy, bit rot, manual edit), not a resumable gap.
     CorruptArtifact {
         /// The corrupt artifact (or record) path.
         path: PathBuf,
@@ -381,8 +381,9 @@ impl std::fmt::Display for MergeError {
                 rerun,
             } => write!(
                 f,
-                "{} is corrupt ({detail}): the bytes on disk are not what its \
-                 completion record stamped — regenerate the shard with `{rerun}`",
+                "{} is corrupt ({detail}): its bytes are not what the completion \
+                 record stamped, or the stamped summary does not parse — rerun \
+                 the scenario with `{rerun}`",
                 path.display()
             ),
             Self::MissingArtifact(path) => write!(

@@ -496,7 +496,7 @@ pub fn read_front(dir: &Path) -> Result<ParetoFront, ParetoError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::campaign::CampaignSpec;
     use crate::scenario::Scenario;
@@ -504,7 +504,7 @@ mod tests {
     use samr_apps::{AppKind, TraceGenConfig};
     use samr_sim::SimConfig;
 
-    fn summary_with(objectives: [f64; 4]) -> ScenarioSummary {
+    pub(crate) fn summary_with(objectives: [f64; 4]) -> ScenarioSummary {
         let scenario = Scenario::new(
             AppKind::Tp2d,
             TraceGenConfig::smoke(),

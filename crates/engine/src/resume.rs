@@ -17,6 +17,7 @@
 //! tell "incomplete but resumable" apart from genuine corruption.
 
 use crate::atomic::atomic_write;
+use crate::pareto::entry_from_json;
 use crate::plan::fnv1a_hex;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -50,8 +51,9 @@ pub enum Completion {
     /// resumable by re-executing it.
     Incomplete,
     /// A record exists but disagrees with the plan or with the bytes on
-    /// disk (stale spec, tampered or externally corrupted artifact);
-    /// the payload says which check failed.
+    /// disk (stale spec, tampered or externally corrupted artifact), or
+    /// the summary it stamps does not parse; the payload says which
+    /// check failed.
     Mismatch(String),
 }
 
@@ -100,8 +102,8 @@ impl CompletionRecord {
 
     /// Validate the completion state of scenario (`id`, `slug`) under
     /// `plan_hash` in `dir`: record present and parsing, identity and
-    /// plan hash matching, and both artifacts on disk with matching
-    /// digests.
+    /// plan hash matching, both artifacts on disk with matching
+    /// digests, and the JSON artifact parsing as a scenario summary.
     pub fn status(dir: &Path, id: usize, slug: &str, plan_hash: &str) -> Completion {
         let record_path = Self::path(dir, slug);
         let body = match std::fs::read_to_string(&record_path) {
@@ -148,6 +150,14 @@ impl CompletionRecord {
                     artifact.display()
                 ));
             }
+            // A stamped summary that the campaign files cannot be built
+            // from must not count as done, or `--resume` would skip the
+            // one scenario that needs to run again.
+            if ext == "json" {
+                if let Err(e) = entry_from_json(id, slug, &artifact, &bytes) {
+                    return Completion::Mismatch(format!("stamped summary {e}"));
+                }
+            }
         }
         Completion::Complete
     }
@@ -165,10 +175,18 @@ mod tests {
         dir
     }
 
-    fn stamp_pair(dir: &Path, slug: &str, plan: &str) {
+    /// Write and stamp scenario 7's artifacts: `csv-bytes` and the
+    /// summary `json`.
+    fn stamp_with(dir: &Path, slug: &str, plan: &str, json: &[u8]) {
         std::fs::write(dir.join(format!("{slug}.csv")), b"csv-bytes").unwrap();
-        std::fs::write(dir.join(format!("{slug}.json")), b"json-bytes").unwrap();
-        CompletionRecord::stamp(dir, 7, slug, plan, b"csv-bytes", b"json-bytes").unwrap();
+        std::fs::write(dir.join(format!("{slug}.json")), json).unwrap();
+        CompletionRecord::stamp(dir, 7, slug, plan, b"csv-bytes", json).unwrap();
+    }
+
+    fn stamp_pair(dir: &Path, slug: &str, plan: &str) {
+        let summary = crate::pareto::tests::summary_with([0.1, 0.2, 0.3, 0.4]);
+        let json = serde_json::to_string_pretty(&summary).unwrap();
+        stamp_with(dir, slug, plan, json.as_bytes());
     }
 
     #[test]
@@ -220,6 +238,17 @@ mod tests {
         std::fs::write(dir.join("s.csv"), b"csv-byt").unwrap(); // truncated
         match CompletionRecord::status(&dir, 7, "s", "abc123") {
             Completion::Mismatch(detail) => assert!(detail.contains("digest"), "{detail}"),
+            other => panic!("expected Mismatch, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stamped_summary_that_does_not_parse_is_a_mismatch() {
+        let dir = temp_dir("unparsable");
+        stamp_with(&dir, "s", "abc123", br#"{"not": "a summary"}"#);
+        match CompletionRecord::status(&dir, 7, "s", "abc123") {
+            Completion::Mismatch(detail) => assert!(detail.contains("does not parse"), "{detail}"),
             other => panic!("expected Mismatch, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();

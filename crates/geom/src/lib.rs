@@ -32,6 +32,7 @@
 //! generic code to the original 2-D outputs).
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod boxops;
 pub mod dense;

@@ -4,7 +4,7 @@
 //! golden artifact), and the merge CLI must fail loudly on incomplete
 //! shard sets.
 
-use samr::engine::{CampaignManifest, ShardManifest};
+use samr::engine::{CampaignManifest, CompletionRecord, ShardManifest};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -166,6 +166,57 @@ fn merge_of_a_forged_scenario_total_fails_with_an_error() {
     assert!(
         stderr.contains("error:") && stderr.contains("covered by no shard"),
         "unhelpful merge error: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_stamped_summary_that_does_not_parse_is_rerun_by_resume() {
+    let dir = temp_dir("unparsable-summary");
+    let shard = ["--shard", "0/1", "--out", dir.to_str().unwrap()];
+    let mut args = vec!["campaign"];
+    args.extend(AXES);
+    args.extend(shard);
+    assert_ok(&samr(&args), "shard 0/1");
+    // Forge one summary and restamp its completion record to match, so
+    // the record validates everything but the summary's contents.
+    let shard_dir = dir.join("shard-0-of-1");
+    let victim = "tp2d_hybrid_p8_g1";
+    let forged = br#"{"not": "a summary"}"#;
+    std::fs::write(shard_dir.join(format!("{victim}.json")), forged).unwrap();
+    let record_path = CompletionRecord::path(&shard_dir, victim);
+    let mut record: CompletionRecord =
+        serde_json::from_str(&std::fs::read_to_string(&record_path).unwrap()).unwrap();
+    record.json_digest = CompletionRecord::digest(forged);
+    std::fs::write(&record_path, serde_json::to_string(&record).unwrap()).unwrap();
+
+    let merge = samr(&["campaign-merge", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&merge.stderr);
+    assert_eq!(merge.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(victim) && stderr.contains("does not parse") && stderr.contains("--resume"),
+        "unhelpful merge error: {stderr}"
+    );
+    // The rerun the error names runs exactly the forged scenario again.
+    let mut args = vec!["campaign"];
+    args.extend(AXES);
+    args.extend(shard);
+    args.push("--resume");
+    let out = samr(&args);
+    assert_ok(&out, "resumed shard");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("wrote 1 of 4 scenarios")
+            && stderr.contains("3 resumed as already complete"),
+        "resume did not rerun the forged scenario alone: {stderr}"
+    );
+    assert_ok(
+        &samr(&["campaign-merge", dir.to_str().unwrap()]),
+        "second merge",
+    );
+    assert!(
+        campaign_csv(&dir) == GOLDEN,
+        "merged campaign.csv after the rerun drifted from the golden artifact"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
