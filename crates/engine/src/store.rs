@@ -101,9 +101,10 @@ pub fn set_trace_cache_budget(bytes: u64) {
 /// system temp dir, so repeated runs reuse each other's spill files
 /// instead of regenerating (and instead of leaking one directory per
 /// pid). Safe because file names are content keys — a hash of the full
-/// trace configuration *and* the crate version, so a build whose
-/// generator changed never reads an older build's bytes — and files are
-/// written to a unique temp name and renamed into place whole. The
+/// trace configuration *and* the running executable's identity
+/// ([`exe_identity`]), so a build whose generator changed never reads an
+/// older build's bytes — and files are written to a unique temp name and
+/// renamed into place whole. The
 /// directory itself is created lazily by [`generate_spill`], so an
 /// unwritable temp dir surfaces as a typed I/O error on the degradable
 /// spill path instead of a panic.
@@ -112,10 +113,29 @@ fn spill_dir() -> &'static PathBuf {
     DIR.get_or_init(|| std::env::temp_dir().join("samr-trace-cache"))
 }
 
-/// FNV-1a over the full-config key, salted with the crate version: a
-/// stable, file-safe spill name.
+/// The running executable's path, length and modification time, read
+/// once. Every rebuild changes it, while `--workers` children, which run
+/// the same binary, share it and with it their spill files.
+fn exe_identity() -> &'static str {
+    static IDENTITY: OnceLock<String> = OnceLock::new();
+    IDENTITY.get_or_init(|| {
+        let exe = std::env::current_exe().ok();
+        let meta = exe.as_ref().and_then(|p| std::fs::metadata(p).ok());
+        let len = meta.as_ref().map(std::fs::Metadata::len);
+        let modified = meta.and_then(|m| m.modified().ok());
+        format!("{exe:?} {len:?} {modified:?}")
+    })
+}
+
+/// The spill file of `key` for this executable.
 fn spill_path(key: &str) -> PathBuf {
-    let hash = crate::plan::fnv1a_hex([env!("CARGO_PKG_VERSION").as_bytes(), key.as_bytes()]);
+    spill_path_as(exe_identity(), key)
+}
+
+/// FNV-1a over the full-config key, salted with an executable identity:
+/// a stable, file-safe spill name.
+fn spill_path_as(identity: &str, key: &str) -> PathBuf {
+    let hash = crate::plan::fnv1a_hex([identity.as_bytes(), key.as_bytes()]);
     spill_dir().join(format!("{hash}.trc"))
 }
 
@@ -336,6 +356,41 @@ mod tests {
         // zero budget: the projected size always exceeds it.
         let file_bytes = std::fs::metadata(&path).unwrap().len();
         assert!(3 * file_bytes > 0);
+    }
+
+    #[test]
+    fn a_spill_from_another_executable_is_regenerated_not_read() {
+        // Spill names hash the key with the running executable's path,
+        // length and modification time.
+        let exe = std::env::current_exe().unwrap();
+        let len = std::fs::metadata(&exe).unwrap().len();
+        assert!(exe_identity().starts_with(&format!("Some({exe:?}) Some({len})")));
+        let cfg = TraceGenConfig {
+            seed: 79,
+            ..TraceGenConfig::smoke()
+        };
+        let key = trace_key(AppKind::Bl2d, &cfg);
+        let own = spill_path(&key);
+        assert_eq!(own, spill_path_as(exe_identity(), &key));
+        // Another build left a decoy under this key: a well-formed trace
+        // of another configuration. This executable regenerates instead.
+        let decoy = spill_path_as("Some(\"/elsewhere/samr\") Some(1) None", &key);
+        let decoy_cfg = TraceGenConfig {
+            seed: 80,
+            ..TraceGenConfig::smoke()
+        };
+        generate_spill(AppKind::Bl2d, &decoy_cfg, &decoy).unwrap();
+        assert_ne!(own, decoy);
+        std::fs::remove_file(&own).ok();
+        let streamed = cached_source(AppKind::Bl2d, &cfg)
+            .unwrap()
+            .collect()
+            .unwrap();
+        assert_eq!(streamed, generate_trace_any(AppKind::Bl2d, &cfg));
+        assert!(own.exists(), "the trace was spilled under this identity");
+        let decoy_trace = open_trace_source(&decoy).unwrap().collect().unwrap();
+        assert_ne!(streamed, decoy_trace);
+        std::fs::remove_file(&decoy).ok();
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! unique and file-safe across the full registry × machine axis — the
 //! invariant distributed campaign artifacts depend on, since shard
 //! merges address scenarios by slug-named files —, every static preset
-//! reports a configured name of its own, and every static preset
-//! simulates identically at every streaming window.
+//! reports a configured name of its own, partitions independently of
+//! call order, and simulates identically at every streaming window.
 
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_engine::{cached_trace, PartitionerSpec, Scenario};
+use samr_grid::GridHierarchy;
 use samr_sim::{
     default_window, simulate_policy_source_stats, MachineModel, SimConfig, SimResult, StaticPolicy,
 };
@@ -136,9 +137,9 @@ fn at_windows<const D: usize>(
 
 #[test]
 fn every_static_preset_is_window_invariant_in_2d_and_3d() {
-    // Window > 1 pre-partitions each window in parallel with fresh
-    // scratch; window 1 partitions on demand through the reused scratch.
-    // Every static preset must give the same result either way.
+    // Window > 1 pre-partitions each window in one parallel map; window
+    // 1 partitions each snapshot on demand, in step order. Every static
+    // preset must give the same result either way.
     let tp2d = cached_trace(AppKind::Tp2d, &TraceGenConfig::smoke());
     let sp3d = cached_trace(
         AppKind::Sp3d,
@@ -162,6 +163,54 @@ fn every_static_preset_is_window_invariant_in_2d_and_3d() {
         for (w, (r2, r3)) in windows.iter().zip(runs2.iter().zip(&runs3)) {
             assert_eq!(r2, &runs2[0], "{name}: TP2D at window {w}");
             assert_eq!(r3, &runs3[0], "{name}: SP3D at window {w}");
+        }
+    }
+}
+
+/// One instance of `spec` partitions `a`, `b`, then `a` again: both
+/// partitions of `a` must equal a fresh instance's, so nothing one call
+/// leaves behind reaches the next.
+fn assert_call_order_free<const D: usize>(
+    name: &str,
+    spec: &PartitionerSpec,
+    a: &GridHierarchy<D>,
+    b: &GridHierarchy<D>,
+    nprocs: usize,
+) {
+    let machine = MachineModel::default();
+    let fresh = spec.build::<D>(&machine).partition(a, nprocs);
+    let p = spec.build::<D>(&machine);
+    assert_eq!(p.partition(a, nprocs), fresh, "{name}: first call");
+    p.partition(b, nprocs);
+    assert_eq!(p.partition(a, nprocs), fresh, "{name}: after another");
+}
+
+#[test]
+fn every_static_preset_partitions_independently_of_call_order() {
+    // Two snapshots of different shape per dimension: the last, deepest
+    // TP2D snapshot and the first; SP3D's last and first.
+    let tp2d = cached_trace(AppKind::Tp2d, &TraceGenConfig::smoke());
+    let sp3d = cached_trace(
+        AppKind::Sp3d,
+        &TraceGenConfig {
+            base_cells: 16,
+            steps: 6,
+            ..TraceGenConfig::smoke()
+        },
+    );
+    let (t2, t3) = (tp2d.as_2d().unwrap(), sp3d.as_3d().unwrap());
+    let ends = |n: usize| [n - 1, 0];
+    let [a2, b2] = ends(t2.len()).map(|i| &t2.snapshots[i].hierarchy);
+    let [a3, b3] = ends(t3.len()).map(|i| &t3.snapshots[i].hierarchy);
+    assert_ne!(a2, b2);
+    assert_ne!(a3, b3);
+    for (name, spec) in PartitionerSpec::registry() {
+        if spec.stateful() {
+            continue;
+        }
+        for nprocs in [3, 16] {
+            assert_call_order_free(name, &spec, a2, b2, nprocs);
+            assert_call_order_free(name, &spec, a3, b3, nprocs);
         }
     }
 }

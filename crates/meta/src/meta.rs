@@ -4,13 +4,13 @@
 //! enables fully dynamic `P(A(t), C(t))` triples: the partitioning
 //! technique is a function of the current application state.
 
-use parking_lot::Mutex;
 use samr_core::tradeoff1::{beta_c, beta_l, dimension1};
 use samr_core::tradeoff2::Tradeoff2State;
 use samr_core::tradeoff3::beta_m;
 use samr_core::ClassificationPoint;
 use samr_grid::GridHierarchy;
 use samr_partition::{Partition, Partitioner};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::selector::{PartitionerChoice, Selector, SelectorConfig};
 
@@ -69,16 +69,23 @@ impl<const D: usize> MetaPartitioner<D> {
         }
     }
 
+    /// The selection state. A panic in another holder does not poison
+    /// it: each field stays a valid value after a partial update, and the
+    /// worst such a panic leaves is one half-recorded classification.
+    fn state(&self) -> MutexGuard<'_, MetaState<D>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The sequence of `(classification point, choice)` decisions made so
     /// far (for the experiment reports).
     pub fn decisions(&self) -> Vec<(ClassificationPoint, PartitionerChoice)> {
-        self.state.lock().history.clone()
+        self.state().history.clone()
     }
 
     /// Classify a hierarchy against the stored previous one and advance
     /// the internal state. Exposed for the experiment driver.
     pub fn classify_and_select(&self, h: &GridHierarchy<D>, nprocs: usize) -> PartitionerChoice {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let bl = beta_l(h, self.unit, nprocs);
         let bc = beta_c(h, nprocs);
         let bm = match &st.prev_hierarchy {
@@ -126,7 +133,7 @@ impl<const D: usize> Partitioner<D> for MetaPartitioner<D> {
         // Classification cost (box intersections, one pass over patches)
         // plus the cost of whatever was selected last.
         let classify = h.levels.iter().map(|l| l.patch_count()).sum::<usize>() as f64 / 20.0;
-        let st = self.state.lock();
+        let st = self.state();
         let delegated = st
             .history
             .last()

@@ -13,10 +13,10 @@
 //! only, relative to the previous state) feeding the published
 //! octant-to-family mapping.
 
-use parking_lot::Mutex;
 use samr_core::octant::{ArmadaClassifier, Octant};
 use samr_grid::GridHierarchy;
 use samr_partition::{Partition, Partitioner, PartitionerChoice};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Octant-approach baseline partitioner: classifies each hierarchy into a
 /// discrete octant (relative to the previous state, ArMADA-style) and
@@ -45,15 +45,22 @@ impl<const D: usize> OctantMetaPartitioner<D> {
         }
     }
 
+    /// The classification state, recovered from poisoning as
+    /// [`MetaPartitioner`](crate::MetaPartitioner)'s is: each field stays
+    /// a valid value after a partial update.
+    fn state(&self) -> MutexGuard<'_, OctantState<D>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Octants chosen so far.
     pub fn history(&self) -> Vec<Octant> {
-        self.state.lock().history.clone()
+        self.state().history.clone()
     }
 
     /// Classify `h` against the previously seen hierarchy, record the
     /// octant, and return the family it maps onto.
     fn classify(&self, h: &GridHierarchy<D>) -> PartitionerChoice {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let prev = st.prev.take();
         let octant = st.classifier.classify(prev.as_ref(), h);
         st.history.push(octant);
@@ -94,7 +101,7 @@ impl<const D: usize> Partitioner<D> for OctantMetaPartitioner<D> {
         // Simple box operations (ArMADA) plus the delegated family.
         let patches: usize = h.levels.iter().map(|l| l.patch_count()).sum();
         let delegated = {
-            let st = self.state.lock();
+            let st = self.state();
             st.history
                 .last()
                 .map(|o| Self::family_for(o).cost_estimate(h))

@@ -24,8 +24,7 @@
 //! 5. Hue blocks are distributed greedily to top up processor loads.
 
 use crate::choice::PartitionerChoice;
-use crate::types::{Fragment, Partition, PartitionScratch, Partitioner, ProcId};
-use rayon::prelude::*;
+use crate::types::{Fragment, Partition, Partitioner, ProcId};
 use samr_geom::sfc::{order_for, sfc_key_nd, SfcCurve};
 use samr_geom::{boxops, AABox, Point, Region};
 use samr_grid::stats::component_labels;
@@ -193,8 +192,9 @@ impl HybridPartitioner {
     /// by the level range `lo..hi`. Fills the flat `pieces` arena and one
     /// `(sfc key, piece start, piece count, weight)` record per occupied
     /// unit into `units` (sorted by key) — no per-unit heap allocation,
-    /// and both arenas are reused across bi-levels and snapshots.
-    fn bilevel_units_with<const D: usize>(
+    /// and both arenas are reused across the cores and bi-levels of one
+    /// partition.
+    fn bilevel_units<const D: usize>(
         &self,
         h: &GridHierarchy<D>,
         footprint: &[AABox<D>],
@@ -343,15 +343,14 @@ impl HybridPartitioner {
 }
 
 /// Coalesce one level's fragments per owner, bucketing by owner in a
-/// single pass over the list (`buckets` is the reusable per-processor
-/// arena) — the same output, in the same order, as the historical
-/// `nprocs` x filter-scan compaction.
+/// single pass over the list (`buckets` holds one list per processor,
+/// reused across levels) — the same output, in the same order, as the
+/// historical `nprocs` x filter-scan compaction.
 fn compact_level<const D: usize>(
     frags: &[Fragment<D>],
-    nprocs: usize,
-    buckets: &mut Vec<Vec<AABox<D>>>,
+    buckets: &mut [Vec<AABox<D>>],
 ) -> Vec<Fragment<D>> {
-    PartitionScratch::reset_buckets(buckets, nprocs);
+    buckets.iter_mut().for_each(Vec::clear);
     for f in frags {
         buckets[f.owner as usize].push(f.rect);
     }
@@ -398,19 +397,6 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
     }
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
-        self.partition_with(h, nprocs, &mut PartitionScratch::default())
-    }
-
-    fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
-        Some(PartitionerChoice::Hybrid(self.params))
-    }
-
-    fn partition_with(
-        &self,
-        h: &GridHierarchy<D>,
-        nprocs: usize,
-        scratch: &mut PartitionScratch<D>,
-    ) -> Partition<D> {
         assert!(nprocs >= 1);
         let (mut cores, hue) = self.find_cores(h);
         Self::assign_groups(&mut cores, nprocs);
@@ -418,29 +404,23 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
         let mut loads = vec![0u64; nprocs];
 
         // --- Cores: per bi-level domain-based split within the group.
+        let (mut pieces, mut units, mut owners) = (Vec::new(), Vec::new(), Vec::new());
         let bl = self.params.bilevel_size.max(1);
         for core in &cores {
             let mut b = 0usize;
             while b * bl < h.levels.len() {
                 let bounds = (b * bl, ((b + 1) * bl).min(h.levels.len()));
-                self.bilevel_units_with(
-                    h,
-                    &core.footprint,
-                    bounds,
-                    &mut scratch.pieces,
-                    &mut scratch.units,
-                );
-                if scratch.units.is_empty() {
+                self.bilevel_units(h, &core.footprint, bounds, &mut pieces, &mut units);
+                if units.is_empty() {
                     b += 1;
                     continue;
                 }
-                Self::split_units(&scratch.units, &core.group, &mut scratch.owners);
+                Self::split_units(&units, &core.group, &mut owners);
                 for l in bounds.0..bounds.1 {
                     let scale = h.ratio.pow(l as u32);
                     let w = (h.ratio as u64).pow(l as u32);
-                    for (&(_, start, count, _), owner) in scratch.units.iter().zip(&scratch.owners)
-                    {
-                        for piece in &scratch.pieces[start as usize..(start + count) as usize] {
+                    for (&(_, start, count, _), owner) in units.iter().zip(&owners) {
+                        for piece in &pieces[start as usize..(start + count) as usize] {
                             let fine = piece.refine(scale);
                             for patch in &h.levels[l].patches {
                                 if let Some(frag) = patch.rect.intersect(&fine) {
@@ -464,25 +444,16 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
         let ideal = total_work as f64 / nprocs as f64;
         self.top_up(blocks, loads, ideal, &mut part.levels[0].fragments);
 
-        // Compact per-owner fragment lists. Levels are independent here:
-        // on the outer pool compact them rayon-parallel (inside a
-        // streaming-window worker `current_num_threads()` reports 1, so
-        // the sequential scratch-arena path runs — no oversubscription).
-        if rayon::current_num_threads() > 1 && part.levels.len() > 1 {
-            let compacted: Vec<Vec<Fragment<D>>> = part
-                .levels
-                .par_iter()
-                .map(|lp| compact_level(&lp.fragments, nprocs, &mut Vec::new()))
-                .collect();
-            for (lp, frags) in part.levels.iter_mut().zip(compacted) {
-                lp.fragments = frags;
-            }
-        } else {
-            for lp in &mut part.levels {
-                lp.fragments = compact_level(&lp.fragments, nprocs, &mut scratch.owner_rects);
-            }
+        // Compact per-owner fragment lists.
+        let mut buckets = vec![Vec::new(); nprocs];
+        for lp in &mut part.levels {
+            lp.fragments = compact_level(&lp.fragments, &mut buckets);
         }
         part
+    }
+
+    fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
+        Some(PartitionerChoice::Hybrid(self.params))
     }
 
     fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
@@ -628,26 +599,6 @@ mod tests {
         let a = HybridPartitioner::default().partition(&h, 5);
         let b = HybridPartitioner::default().partition(&h, 5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn scratch_reuse_is_identical_to_fresh() {
-        // The PartitionScratch contract across dirty scratch state and
-        // changing snapshots/processor counts.
-        let p = HybridPartitioner::default();
-        let mut scratch = PartitionScratch::default();
-        let hierarchies = [
-            hierarchy(),
-            GridHierarchy::base_only(Rect2::from_extents(64, 64), 2),
-            hierarchy(),
-        ];
-        for h in &hierarchies {
-            for nprocs in [1, 4, 16, 3] {
-                let fresh = p.partition(h, nprocs);
-                let reused = p.partition_with(h, nprocs, &mut scratch);
-                assert_eq!(fresh, reused, "nprocs={nprocs}");
-            }
-        }
     }
 
     #[test]

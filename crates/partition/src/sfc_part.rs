@@ -2,9 +2,8 @@
 //! generic over the dimension.
 
 use crate::choice::PartitionerChoice;
-use crate::types::{Fragment, Partition, PartitionScratch, Partitioner, ProcId};
-use crate::weights::{composite_unit_weights_in, sfc_order_with, split_contiguous_into};
-use rayon::prelude::*;
+use crate::types::{Fragment, Partition, Partitioner, ProcId};
+use crate::weights::{composite_unit_weights, sfc_order, split_contiguous};
 use samr_geom::sfc::SfcCurve;
 use samr_geom::{boxops, AABox};
 use samr_grid::GridHierarchy;
@@ -57,47 +56,32 @@ impl DomainSfcPartitioner {
         h: &GridHierarchy<D>,
         nprocs: usize,
     ) -> Vec<Vec<AABox<D>>> {
-        let mut scratch = PartitionScratch::default();
-        self.proc_regions_with(h, nprocs, &mut scratch);
-        std::mem::take(&mut scratch.regions)
-    }
-
-    /// [`Self::proc_regions`] into `scratch.regions`, reusing the
-    /// scratch's weight, key and order buffers across snapshots.
-    pub(crate) fn proc_regions_with<const D: usize>(
-        &self,
-        h: &GridHierarchy<D>,
-        nprocs: usize,
-        scratch: &mut PartitionScratch<D>,
-    ) {
-        let buf = std::mem::take(&mut scratch.weights);
-        let grid = composite_unit_weights_in(h, self.params.atomic_unit, buf);
-        sfc_order_with(&grid, self.params.curve, self.params.full_order, scratch);
-        split_contiguous_into(&grid, &scratch.order, nprocs, &mut scratch.owners);
-        PartitionScratch::reset_buckets(&mut scratch.regions, nprocs);
-        for (i, &u) in scratch.order.iter().enumerate() {
-            scratch.regions[scratch.owners[i] as usize].push(grid.unit_rect(&h.base_domain, u));
+        let grid = composite_unit_weights(h, self.params.atomic_unit);
+        let order = sfc_order(&grid, self.params.curve, self.params.full_order);
+        let owners = split_contiguous(&grid, &order, nprocs);
+        let mut regions = vec![Vec::new(); nprocs];
+        for (&u, &owner) in order.iter().zip(&owners) {
+            regions[owner as usize].push(grid.unit_rect(&h.base_domain, u));
         }
-        for r in &mut scratch.regions {
+        for r in &mut regions {
             boxops::coalesce_in_place(r);
         }
-        // Hand the weight buffer back for the next snapshot.
-        scratch.weights = grid.weights;
+        regions
     }
 }
 
 /// Build one level's fragment list from the processor regions, bucketing
-/// pieces by owner in a single pass (`buckets` is the reusable
-/// per-processor arena) and coalescing each bucket — the same output, in
-/// the same order, as the historical push-all-then-filter-per-proc loop.
+/// pieces by owner in a single pass (`buckets` holds one list per
+/// processor, reused across levels) and coalescing each bucket — the
+/// same output, in the same order, as the historical
+/// push-all-then-filter-per-proc loop.
 fn build_level<const D: usize>(
     h: &GridHierarchy<D>,
     l: usize,
     regions: &[Vec<AABox<D>>],
-    buckets: &mut Vec<Vec<AABox<D>>>,
+    buckets: &mut [Vec<AABox<D>>],
 ) -> Vec<Fragment<D>> {
-    let nprocs = regions.len();
-    PartitionScratch::reset_buckets(buckets, nprocs);
+    buckets.iter_mut().for_each(Vec::clear);
     let level = &h.levels[l];
     let scale = h.ratio.pow(l as u32);
     for (proc, region) in regions.iter().enumerate() {
@@ -138,44 +122,18 @@ impl<const D: usize> Partitioner<D> for DomainSfcPartitioner {
     }
 
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
-        self.partition_with(h, nprocs, &mut PartitionScratch::default())
+        assert!(nprocs >= 1);
+        let regions = self.proc_regions(h, nprocs);
+        let mut part = Partition::new(nprocs, h.levels.len());
+        let mut buckets = vec![Vec::new(); nprocs];
+        for (l, lp) in part.levels.iter_mut().enumerate() {
+            lp.fragments = build_level(h, l, &regions, &mut buckets);
+        }
+        part
     }
 
     fn select(&self, _h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
         Some(PartitionerChoice::DomainSfc(self.params))
-    }
-
-    fn partition_with(
-        &self,
-        h: &GridHierarchy<D>,
-        nprocs: usize,
-        scratch: &mut PartitionScratch<D>,
-    ) -> Partition<D> {
-        assert!(nprocs >= 1);
-        self.proc_regions_with(h, nprocs, scratch);
-        let mut part = Partition::new(nprocs, h.levels.len());
-        // Levels are independent given the processor regions. On the
-        // outer thread pool, build them rayon-parallel; inside a worker
-        // (e.g. under the streaming window's snapshot parallelism)
-        // `current_num_threads()` reports 1 and the sequential
-        // scratch-arena path runs instead — no oversubscription, and
-        // byte-identical output either way.
-        if rayon::current_num_threads() > 1 && h.levels.len() > 1 {
-            let regions = &scratch.regions;
-            let built: Vec<Vec<Fragment<D>>> = (0..h.levels.len())
-                .into_par_iter()
-                .map(|l| build_level(h, l, regions, &mut Vec::new()))
-                .collect();
-            for (lp, frags) in part.levels.iter_mut().zip(built) {
-                lp.fragments = frags;
-            }
-        } else {
-            for l in 0..h.levels.len() {
-                part.levels[l].fragments =
-                    build_level(h, l, &scratch.regions, &mut scratch.owner_rects);
-            }
-        }
-        part
     }
 
     fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
@@ -265,36 +223,6 @@ mod tests {
                     "nprocs={nprocs} curve={curve:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_is_identical_to_fresh() {
-        // The PartitionScratch contract: partition_with through one
-        // reused scratch returns exactly what partition returns, for
-        // every snapshot in a sequence and across dirty scratch state.
-        let p = DomainSfcPartitioner::default();
-        let mut scratch = PartitionScratch::default();
-        let hierarchies = [
-            hierarchy(),
-            GridHierarchy::base_only(Rect2::from_extents(64, 64), 2),
-            hierarchy(),
-        ];
-        for h in &hierarchies {
-            for nprocs in [1, 3, 16, 5] {
-                let fresh = p.partition(h, nprocs);
-                let reused = p.partition_with(h, nprocs, &mut scratch);
-                assert_eq!(fresh, reused, "nprocs={nprocs}");
-            }
-        }
-        // 3-D too.
-        let h3 = hierarchy_3d();
-        let mut s3 = PartitionScratch::<3>::default();
-        for nprocs in [2, 8, 3] {
-            assert_eq!(
-                p.partition(&h3, nprocs),
-                p.partition_with(&h3, nprocs, &mut s3)
-            );
         }
     }
 

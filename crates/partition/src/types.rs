@@ -153,74 +153,14 @@ impl<const D: usize> Partition<D> {
     }
 }
 
-/// Reusable working memory for the partitioner hot path.
-///
-/// A snapshot stream invokes a partitioner once per regrid; without a
-/// scratch every invocation re-allocates the same region buckets, unit
-/// arenas and SFC key buffers. Callers that partition many snapshots
-/// hold one `PartitionScratch` and pass it to
-/// [`Partitioner::partition_with`]; the buffers grow to the
-/// high-water mark of the stream and are reused from then on.
-///
-/// The reuse contract: `partition_with(h, n, scratch)` returns exactly
-/// the same `Partition` as `partition(h, n)` for every implementor —
-/// the scratch only changes *where* intermediates live, never what is
-/// computed. The contents of the scratch between calls are
-/// unspecified; any invocation may clobber them.
-pub struct PartitionScratch<const D: usize> {
-    /// Per-processor rect buckets (region lists, coalesce inputs).
-    pub(crate) owner_rects: Vec<Vec<AABox<D>>>,
-    /// Per-processor base-domain region boxes (domain-SFC).
-    pub(crate) regions: Vec<Vec<AABox<D>>>,
-    /// Composite unit weights (handed into `UnitGrid` and back).
-    pub(crate) weights: Vec<u64>,
-    /// Unit coordinates for batch SFC key generation.
-    pub(crate) coords: Vec<[u64; D]>,
-    /// Batch SFC key output.
-    pub(crate) keys: Vec<u64>,
-    /// `(effective key, unit)` pairs awaiting the order sort.
-    pub(crate) keyed: Vec<(u64, [i64; D])>,
-    /// The SFC-ordered unit sequence.
-    pub(crate) order: Vec<[i64; D]>,
-    /// Owner of each SFC-ordered unit.
-    pub(crate) owners: Vec<ProcId>,
-    /// Flat piece arena for the hybrid bi-level units.
-    pub(crate) pieces: Vec<AABox<D>>,
-    /// Hybrid units as `(key, piece start, piece count, weight)` over
-    /// the piece arena.
-    pub(crate) units: Vec<(u64, u32, u32, u64)>,
-}
-
-impl<const D: usize> Default for PartitionScratch<D> {
-    fn default() -> Self {
-        Self {
-            owner_rects: Vec::new(),
-            regions: Vec::new(),
-            weights: Vec::new(),
-            coords: Vec::new(),
-            keys: Vec::new(),
-            keyed: Vec::new(),
-            order: Vec::new(),
-            owners: Vec::new(),
-            pieces: Vec::new(),
-            units: Vec::new(),
-        }
-    }
-}
-
-impl<const D: usize> PartitionScratch<D> {
-    /// Clear `buckets` down to `n` empty per-processor lists, keeping
-    /// the allocated capacity of each retained list.
-    pub(crate) fn reset_buckets(buckets: &mut Vec<Vec<AABox<D>>>, n: usize) {
-        buckets.truncate(n);
-        for b in buckets.iter_mut() {
-            b.clear();
-        }
-        while buckets.len() < n {
-            buckets.push(Vec::new());
-        }
-    }
-}
+/// The field-less remnant of the partitioner scratch arena, kept with
+/// the provided [`Partitioner::partition_with`] for callers that still
+/// name them (`samr-benchmark`'s traced replay). Every partitioner keeps
+/// its working buffers for the length of one
+/// [`partition`](Partitioner::partition) call, so the scratch holds
+/// nothing; both leave once that replay runs the engine itself.
+#[derive(Default)]
+pub struct PartitionScratch<const D: usize>;
 
 /// A partitioning algorithm: hierarchy in, owner-tagged fragments out.
 pub trait Partitioner<const D: usize> {
@@ -230,11 +170,8 @@ pub trait Partitioner<const D: usize> {
     /// Partition `h` over `nprocs` processors.
     fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D>;
 
-    /// Partition `h` over `nprocs` processors, reusing `scratch` for
-    /// intermediate allocations. Must return exactly what
-    /// [`Partitioner::partition`] returns; the default implementation
-    /// simply ignores the scratch, so implementors without a hot path
-    /// need not change.
+    /// [`partition`](Self::partition); the [`PartitionScratch`] holds
+    /// nothing and is ignored.
     fn partition_with(
         &self,
         h: &GridHierarchy<D>,
@@ -256,7 +193,7 @@ pub trait Partitioner<const D: usize> {
     /// snapshot stream partition each selected configuration once.
     ///
     /// The default, `None`, names no configuration: the partitioner is
-    /// run through [`partition_with`](Self::partition_with).
+    /// run through [`partition`](Self::partition).
     fn select(&self, h: &GridHierarchy<D>, nprocs: usize) -> Option<PartitionerChoice> {
         let _ = (h, nprocs);
         None

@@ -8,7 +8,6 @@
 //! full composite workload of the column of cells above it:
 //! `Σ_l |level_l ∩ refine(unit)| · ratio^l`.
 
-use crate::types::PartitionScratch;
 use samr_geom::sfc::{order_for, sfc_keys_nd, SfcCurve};
 use samr_geom::{AABox, Point};
 use samr_grid::GridHierarchy;
@@ -56,25 +55,12 @@ impl<const D: usize> UnitGrid<D> {
 /// Dice the base domain of `h` into `unit`-sized atomic units and compute
 /// the composite workload of each.
 pub fn composite_unit_weights<const D: usize>(h: &GridHierarchy<D>, unit: i64) -> UnitGrid<D> {
-    composite_unit_weights_in(h, unit, Vec::new())
-}
-
-/// [`composite_unit_weights`] building the weight table into `weights`
-/// (cleared, resized, and moved into the returned grid). Callers on the
-/// hot path hand the buffer back out of `UnitGrid::weights` afterwards
-/// to keep the allocation alive across snapshots.
-pub fn composite_unit_weights_in<const D: usize>(
-    h: &GridHierarchy<D>,
-    unit: i64,
-    mut weights: Vec<u64>,
-) -> UnitGrid<D> {
     assert!(unit >= 1);
     let domain = h.base_domain;
     let e = domain.extent();
     let dims: [i64; D] = std::array::from_fn(|i| (e[i] + unit - 1) / unit);
     let index_box = AABox::<D>::from_extent_array(dims);
-    weights.clear();
-    weights.resize(index_box.cells() as usize, 0u64);
+    let mut weights = vec![0u64; index_box.cells() as usize];
     for (l, level) in h.levels.iter().enumerate() {
         let scale = h.ratio.pow(l as u32);
         let w = (h.ratio as u64).pow(l as u32);
@@ -117,35 +103,23 @@ pub fn sfc_order<const D: usize>(
     curve: SfcCurve,
     full_order: bool,
 ) -> Vec<[i64; D]> {
-    let mut scratch = PartitionScratch::default();
-    sfc_order_with(grid, curve, full_order, &mut scratch);
-    std::mem::take(&mut scratch.order)
-}
-
-/// [`sfc_order`] into `scratch.order`, reusing the scratch's coordinate,
-/// key and sort buffers across snapshots. Output is identical to
-/// [`sfc_order`] for the same inputs.
-pub fn sfc_order_with<const D: usize>(
-    grid: &UnitGrid<D>,
-    curve: SfcCurve,
-    full_order: bool,
-    scratch: &mut PartitionScratch<D>,
-) {
     let order = order_for(grid.dims.iter().copied().max().unwrap_or(1) as u64);
-    scratch.coords.clear();
-    scratch
-        .coords
-        .extend(grid.index_box().iter_cells().map(|u| {
+    let coords: Vec<[u64; D]> = grid
+        .index_box()
+        .iter_cells()
+        .map(|u| {
             let c = u.coords();
-            std::array::from_fn::<u64, D, _>(|i| c[i] as u64)
-        }));
+            std::array::from_fn(|i| c[i] as u64)
+        })
+        .collect();
     // Batch-encode the whole unit grid (one SFC kernel dispatch per
     // snapshot instead of one per cell).
-    sfc_keys_nd::<D>(curve, order, &scratch.coords, &mut scratch.keys);
-    scratch.keyed.clear();
-    scratch
-        .keyed
-        .extend(scratch.keys.iter().zip(&scratch.coords).map(|(&key, c)| {
+    let mut keys = Vec::new();
+    sfc_keys_nd::<D>(curve, order, &coords, &mut keys);
+    let mut keyed: Vec<(u64, [i64; D])> = keys
+        .iter()
+        .zip(&coords)
+        .map(|(&key, c)| {
             // Partial ordering: keep only the top 4 levels of the curve
             // (buckets of 2^(D*(order-4)) positions); ties resolved by
             // the row-major push order (sort is stable).
@@ -154,11 +128,11 @@ pub fn sfc_order_with<const D: usize>(
             } else {
                 key >> (D as u32 * (order - 4))
             };
-            (eff_key, std::array::from_fn::<i64, D, _>(|i| c[i] as i64))
-        }));
-    scratch.keyed.sort_by_key(|&(k, _)| k);
-    scratch.order.clear();
-    scratch.order.extend(scratch.keyed.iter().map(|&(_, u)| u));
+            (eff_key, std::array::from_fn(|i| c[i] as i64))
+        })
+        .collect();
+    keyed.sort_by_key(|&(k, _)| k);
+    keyed.into_iter().map(|(_, u)| u).collect()
 }
 
 /// Split an SFC-ordered unit sequence into `nprocs` contiguous chunks of
@@ -169,22 +143,9 @@ pub fn split_contiguous<const D: usize>(
     order: &[[i64; D]],
     nprocs: usize,
 ) -> Vec<u32> {
-    let mut owners = Vec::with_capacity(order.len());
-    split_contiguous_into(grid, order, nprocs, &mut owners);
-    owners
-}
-
-/// [`split_contiguous`] into a reusable `owners` buffer (cleared first).
-pub fn split_contiguous_into<const D: usize>(
-    grid: &UnitGrid<D>,
-    order: &[[i64; D]],
-    nprocs: usize,
-    owners: &mut Vec<u32>,
-) {
     assert!(nprocs >= 1);
     let total = grid.total_weight() as f64;
-    owners.clear();
-    owners.reserve(order.len());
+    let mut owners = Vec::with_capacity(order.len());
     let mut acc = 0.0f64;
     let mut proc = 0u32;
     for &u in order {
@@ -199,6 +160,7 @@ pub fn split_contiguous_into<const D: usize>(
         owners.push(proc);
         acc += w;
     }
+    owners
 }
 
 #[cfg(test)]

@@ -206,9 +206,10 @@ impl<const D: usize> FragIndex<D> {
 
 /// Reusable buffers for the indexed metric paths: one fragment index plus
 /// the clip/volume arenas threaded through [`crate::comm::comm_accounting`]
-/// and [`crate::migration::migration_accounting`]. Like
-/// [`samr_partition::PartitionScratch`], the scratch only changes where
-/// intermediates live — results never depend on its prior contents.
+/// and [`crate::migration::migration_accounting`]. The streaming driver
+/// holds one per stream, so its per-step accounting is allocation-free at
+/// steady state. The scratch only changes where intermediates live —
+/// results never depend on its prior contents.
 #[derive(Default)]
 pub struct MetricScratch<const D: usize> {
     /// The per-level fragment index (rebuilt once per level walked).

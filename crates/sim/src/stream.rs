@@ -17,14 +17,15 @@
 //! [`simulate_policy_source_stats`] is the one-member cohort.
 //!
 //! When no member can switch (every policy is static) and `window > 1`,
-//! the driver partitions a whole window rayon-parallel before folding
-//! its step metrics in order. Otherwise it partitions one snapshot at a
-//! time, in step order, so selectors and switching policies see exactly
-//! the live invocation order; a snapshot's distinct partitions then run
-//! rayon-parallel when there are several. Like every rayon operation,
-//! that parallelism only exists when the driver is called outside a
-//! pool worker: a campaign running several cohorts at once runs each
-//! cohort, partitions included, as one serial task. Either way no
+//! the driver partitions a whole window before folding its step metrics
+//! in order. Otherwise it partitions one snapshot at a time, in step
+//! order, so selectors and switching policies see exactly the live
+//! invocation order. In both regimes one rayon-parallel map computes
+//! the batch's distinct fresh partitions, each a serial call that owns
+//! its working buffers. Like every rayon operation, that
+//! parallelism only exists when the driver is called outside a pool
+//! worker: a campaign running several cohorts at once runs each cohort,
+//! partitions included, as one serial task. Either way no
 //! partitioner is invoked on a step whose hierarchy is unchanged under
 //! `reuse_unchanged` while no switch is pending: the member keeps its
 //! previous distribution. The driver carries exactly one snapshot across
@@ -40,7 +41,7 @@ use crate::policy::{PartitionPolicy, PolicySwitch, SwitchEvent};
 use crate::simulate::{Accounted, SimConfig, SimResult};
 use rayon::prelude::*;
 use samr_grid::GridHierarchy;
-use samr_partition::{Partition, PartitionScratch, Partitioner, PartitionerChoice};
+use samr_partition::{Partition, Partitioner, PartitionerChoice};
 use samr_trace::io::TraceIoError;
 use samr_trace::{Snapshot, SnapshotSource};
 use std::rc::Rc;
@@ -168,12 +169,8 @@ pub fn simulate_cohort<const D: usize>(
     let mut carry: Option<Snapshot<D>> = None;
     let mut peak_resident = 0usize;
     let mut consumed = 0usize;
-    // Arenas reused across every snapshot of the stream: the sequential
-    // partitioning path and the per-step metric walks are allocation-free
-    // at steady state. Both arenas are partitioner-agnostic (pure
-    // geometry buffers), so reuse stays correct across members and
-    // mid-stream partitioner changes.
-    let mut pscratch = PartitionScratch::<D>::default();
+    // The metric walks' buffers, reused across every snapshot of the
+    // stream: the per-step accounting is allocation-free at steady state.
     let mut mscratch = MetricScratch::<D>::default();
     let no_migration = vec![0u64; cfg.nprocs];
     loop {
@@ -199,8 +196,8 @@ pub fn simulate_cohort<const D: usize>(
                 }
             };
             // Plan the batch in step order, then compute every distinct
-            // fresh partition it needs — in parallel when there are
-            // several (see the module docs) — before any member observes.
+            // fresh partition it needs — in parallel (see the module
+            // docs) — before any member observes.
             let (plans, parts) = {
                 let members = &*members;
                 let plans: Vec<Plan<'_, D>> = (start..end)
@@ -214,17 +211,10 @@ pub fn simulate_cohort<const D: usize>(
                     .zip(&buf[start..end])
                     .flat_map(|(plan, snap)| plan.fresh.iter().map(|o| (&snap.hierarchy, *o)))
                     .collect();
-                let parts: Vec<Partition<D>> = if tasks.len() > 1 {
-                    tasks
-                        .par_iter()
-                        .map(|(h, origin)| origin.partition(h, cfg.nprocs))
-                        .collect()
-                } else {
-                    tasks
-                        .iter()
-                        .map(|(h, origin)| origin.partition_with(h, cfg.nprocs, &mut pscratch))
-                        .collect()
-                };
+                let parts: Vec<Partition<D>> = tasks
+                    .par_iter()
+                    .map(|(h, origin)| origin.partition(h, cfg.nprocs))
+                    .collect();
                 // Keep each plan's sources and fresh count only: the
                 // origins borrow the members, which the fold mutates.
                 let plans: Vec<(Vec<Source>, usize)> = plans
@@ -320,18 +310,6 @@ impl<const D: usize> Origin<'_, D> {
         match self {
             Self::Choice(c) => c.partition(h, nprocs),
             Self::Partitioner(p) => p.partition(h, nprocs),
-        }
-    }
-
-    fn partition_with(
-        &self,
-        h: &GridHierarchy<D>,
-        nprocs: usize,
-        scratch: &mut PartitionScratch<D>,
-    ) -> Partition<D> {
-        match self {
-            Self::Choice(c) => c.partition_with(h, nprocs, scratch),
-            Self::Partitioner(p) => p.partition_with(h, nprocs, scratch),
         }
     }
 }

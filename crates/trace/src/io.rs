@@ -19,7 +19,6 @@
 
 use crate::source::{AnySnapshotSource, SnapshotSource};
 use crate::trace::{AnyTrace, HierarchyTrace, Snapshot, TraceMeta};
-use bytes::{BufMut, Bytes, BytesMut};
 use samr_geom::{AABox, Point};
 use samr_grid::{GridHierarchy, Level};
 use serde::Deserialize;
@@ -230,16 +229,15 @@ fn collect_source<const D: usize, S: SnapshotSource<D>>(
 // Binary (SAMRTRC2)
 // ---------------------------------------------------------------------------
 
-/// Encode one snapshot record into `buf` (the shared body encoding of
-/// the batch encoder and the streaming writer).
-fn encode_snapshot<const D: usize>(buf: &mut BytesMut, s: &Snapshot<D>) {
-    buf.put_u32_le(s.step);
-    buf.put_f64_le(s.time);
+/// Encode one snapshot record into `buf`.
+fn encode_snapshot<const D: usize>(buf: &mut Vec<u8>, s: &Snapshot<D>) {
+    buf.extend_from_slice(&s.step.to_le_bytes());
+    buf.extend_from_slice(&s.time.to_le_bytes());
     put_rect(buf, &s.hierarchy.base_domain);
-    buf.put_u8(s.hierarchy.ratio as u8);
-    buf.put_u16_le(s.hierarchy.levels.len() as u16);
+    buf.push(s.hierarchy.ratio as u8);
+    buf.extend_from_slice(&(s.hierarchy.levels.len() as u16).to_le_bytes());
     for level in &s.hierarchy.levels {
-        buf.put_u32_le(level.patches.len() as u32);
+        buf.extend_from_slice(&(level.patches.len() as u32).to_le_bytes());
         for p in &level.patches {
             put_rect(buf, &p.rect);
         }
@@ -260,13 +258,13 @@ impl<W: Write + Seek> BinarySnapshotWriter<W> {
     /// Write the stream header (magic, dimension byte, metadata, count
     /// placeholder).
     pub fn new<const D: usize>(mut w: W, meta: &TraceMeta<D>) -> Result<Self, TraceIoError> {
-        let mut head = BytesMut::with_capacity(1 << 10);
-        head.put_slice(MAGIC);
-        head.put_u8(D as u8);
         let meta_json = serde_json::to_vec(meta).expect("meta serializes");
-        head.put_u32_le(meta_json.len() as u32);
-        head.put_slice(&meta_json);
-        w.write_all(&head.freeze())?;
+        let mut head = Vec::with_capacity(13 + meta_json.len());
+        head.extend_from_slice(MAGIC);
+        head.push(D as u8);
+        head.extend_from_slice(&(meta_json.len() as u32).to_le_bytes());
+        head.extend_from_slice(&meta_json);
+        w.write_all(&head)?;
         let count_pos = w.stream_position()?;
         w.write_all(&0u32.to_le_bytes())?;
         Ok(Self {
@@ -281,9 +279,9 @@ impl<W: Write + Seek> BinarySnapshotWriter<W> {
         &mut self,
         snap: &Snapshot<D>,
     ) -> Result<(), TraceIoError> {
-        let mut record = BytesMut::with_capacity(1 << 12);
+        let mut record = Vec::with_capacity(1 << 12);
         encode_snapshot(&mut record, snap);
-        self.w.write_all(&record.freeze())?;
+        self.w.write_all(&record)?;
         self.count += 1;
         Ok(())
     }
@@ -463,23 +461,21 @@ impl<const D: usize, R: Read> SnapshotSource<D> for BinarySnapshotReader<D, R> {
     }
 }
 
-/// Encode a trace into the compact binary format.
-pub fn encode_binary<const D: usize>(trace: &HierarchyTrace<D>) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(D as u8);
-    let meta_json = serde_json::to_vec(&trace.meta).expect("meta serializes");
-    buf.put_u32_le(meta_json.len() as u32);
-    buf.put_slice(&meta_json);
-    buf.put_u32_le(trace.snapshots.len() as u32);
-    for s in &trace.snapshots {
-        encode_snapshot(&mut buf, s);
-    }
-    buf.freeze()
+/// Encode a trace into the compact binary format: the snapshots drained
+/// through a [`BinarySnapshotWriter`] into memory.
+pub fn encode_binary<const D: usize>(trace: &HierarchyTrace<D>) -> Vec<u8> {
+    let encode = || -> Result<Vec<u8>, TraceIoError> {
+        let mut w = BinarySnapshotWriter::new(io::Cursor::new(Vec::new()), &trace.meta)?;
+        for s in &trace.snapshots {
+            w.write_snapshot(s)?;
+        }
+        Ok(w.finish()?.into_inner())
+    };
+    encode().expect("writing to memory cannot fail")
 }
 
 /// Encode a dimension-erased trace.
-pub fn encode_binary_any(trace: &AnyTrace) -> Bytes {
+pub fn encode_binary_any(trace: &AnyTrace) -> Vec<u8> {
     match trace {
         AnyTrace::D2(t) => encode_binary(t),
         AnyTrace::D3(t) => encode_binary(t),
@@ -507,27 +503,26 @@ pub fn binary_dim(data: &[u8]) -> Result<usize, TraceIoError> {
 /// dimension byte must match `D`; use [`decode_binary_any`] to dispatch
 /// on it instead. A collect over [`BinarySnapshotReader`]; trailing bytes
 /// after the declared snapshot count are ignored, as before.
-pub fn decode_binary<const D: usize>(data: Bytes) -> Result<HierarchyTrace<D>, TraceIoError> {
-    let mut slice: &[u8] = &data;
-    collect_source(BinarySnapshotReader::<D, _>::new(&mut slice)?)
+pub fn decode_binary<const D: usize>(mut data: &[u8]) -> Result<HierarchyTrace<D>, TraceIoError> {
+    collect_source(BinarySnapshotReader::<D, _>::new(&mut data)?)
 }
 
 /// Decode a binary trace of either dimension, dispatching on the header's
 /// dimension byte.
-pub fn decode_binary_any(data: Bytes) -> Result<AnyTrace, TraceIoError> {
-    match binary_dim(&data)? {
+pub fn decode_binary_any(data: &[u8]) -> Result<AnyTrace, TraceIoError> {
+    match binary_dim(data)? {
         2 => decode_binary::<2>(data).map(AnyTrace::D2),
         3 => decode_binary::<3>(data).map(AnyTrace::D3),
         _ => unreachable!("binary_dim only returns supported dimensions"),
     }
 }
 
-fn put_rect<const D: usize>(buf: &mut BytesMut, r: &AABox<D>) {
+fn put_rect<const D: usize>(buf: &mut Vec<u8>, r: &AABox<D>) {
     for i in 0..D {
-        buf.put_i32_le(r.lo()[i] as i32);
+        buf.extend_from_slice(&(r.lo()[i] as i32).to_le_bytes());
     }
     for i in 0..D {
-        buf.put_i32_le(r.hi()[i] as i32);
+        buf.extend_from_slice(&(r.hi()[i] as i32).to_le_bytes());
     }
 }
 
@@ -715,7 +710,7 @@ mod tests {
     fn binary_roundtrip() {
         let t = sample_trace();
         let bytes = encode_binary(&t);
-        let back = decode_binary::<2>(bytes).unwrap();
+        let back = decode_binary::<2>(&bytes).unwrap();
         assert_eq!(t, back);
     }
 
@@ -724,27 +719,26 @@ mod tests {
         let t = sample_trace_3d();
         let bytes = encode_binary(&t);
         assert_eq!(binary_dim(&bytes).unwrap(), 3);
-        let back = decode_binary::<3>(bytes.clone()).unwrap();
+        let back = decode_binary::<3>(&bytes).unwrap();
         assert_eq!(t, back);
-        let any = decode_binary_any(bytes.clone()).unwrap();
+        let any = decode_binary_any(&bytes).unwrap();
         assert_eq!(any, AnyTrace::D3(t));
         // Dimension mismatch is a clean error, not a mis-parse.
-        let err = decode_binary::<2>(bytes).unwrap_err();
+        let err = decode_binary::<2>(&bytes).unwrap_err();
         assert!(err.to_string().contains("dimension mismatch"));
     }
 
     #[test]
-    fn streaming_binary_writer_matches_batch_encoder() {
+    fn binary_header_is_magic_dimension_meta_and_count() {
         let t = sample_trace();
-        let mut cursor = io::Cursor::new(Vec::new());
-        {
-            let mut w = BinarySnapshotWriter::new(&mut cursor, &t.meta).unwrap();
-            for s in &t.snapshots {
-                w.write_snapshot(s).unwrap();
-            }
-            w.finish().unwrap();
-        }
-        assert_eq!(cursor.into_inner(), encode_binary(&t).to_vec());
+        let bytes = encode_binary(&t);
+        assert_eq!(&bytes[..8], MAGIC);
+        assert_eq!(bytes[8], 2);
+        let meta_json = serde_json::to_vec(&t.meta).unwrap();
+        let n = meta_json.len();
+        assert_eq!(bytes[9..13], (n as u32).to_le_bytes());
+        assert_eq!(bytes[13..13 + n], meta_json[..]);
+        assert_eq!(bytes[13 + n..17 + n], (t.len() as u32).to_le_bytes());
     }
 
     #[test]
@@ -793,7 +787,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_magic() {
-        let err = decode_binary::<2>(Bytes::from_static(b"NOTMAGIC.....")).unwrap_err();
+        let err = decode_binary::<2>(b"NOTMAGIC.....").unwrap_err();
         assert!(matches!(err, TraceIoError::Format(_)));
         assert!(binary_dim(b"NOTMAGIC.....").is_err());
     }
@@ -803,7 +797,7 @@ mod tests {
         let t = sample_trace();
         let bytes = encode_binary(&t);
         for cut in [3usize, 9, 20, bytes.len() - 5] {
-            let err = decode_binary::<2>(bytes.slice(..cut)).unwrap_err();
+            let err = decode_binary::<2>(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(err, TraceIoError::Format(_) | TraceIoError::Json(_)),
                 "cut at {cut} gave {err:?}"
@@ -824,7 +818,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let bin_path = dir.join("t.bin.trace");
         let jsonl_path = dir.join("t.jsonl.trace");
-        std::fs::write(&bin_path, &encode_binary(&t)[..]).unwrap();
+        std::fs::write(&bin_path, encode_binary(&t)).unwrap();
         let mut jf = Vec::new();
         write_jsonl(&t, &mut jf).unwrap();
         std::fs::write(&jsonl_path, jf).unwrap();
@@ -852,6 +846,6 @@ mod tests {
         let mut cursor = io::Cursor::new(Vec::new());
         let n = write_binary_source::<2, _>(&mut src, &mut cursor).unwrap();
         assert_eq!(n as usize, t.len());
-        assert_eq!(cursor.into_inner(), encode_binary(&t).to_vec());
+        assert_eq!(cursor.into_inner(), encode_binary(&t));
     }
 }

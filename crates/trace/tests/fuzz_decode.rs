@@ -74,9 +74,9 @@ proptest! {
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         // Any outcome is fine except a panic — in either instantiation
         // and in the dimension-dispatching reader.
-        let _ = decode_binary::<2>(bytes::Bytes::from(bytes.clone()));
-        let _ = decode_binary::<3>(bytes::Bytes::from(bytes.clone()));
-        let _ = decode_binary_any(bytes::Bytes::from(bytes));
+        let _ = decode_binary::<2>(&bytes);
+        let _ = decode_binary::<3>(&bytes);
+        let _ = decode_binary_any(&bytes);
     }
 
     #[test]
@@ -87,9 +87,9 @@ proptest! {
         let mut data = b"SAMRTRC2".to_vec();
         data.push(dim_byte); // including unsupported dimensions
         data.extend(bytes);
-        let _ = decode_binary::<2>(bytes::Bytes::from(data.clone()));
-        let _ = decode_binary::<3>(bytes::Bytes::from(data.clone()));
-        let _ = decode_binary_any(bytes::Bytes::from(data));
+        let _ = decode_binary::<2>(&data);
+        let _ = decode_binary::<3>(&data);
+        let _ = decode_binary_any(&data);
     }
 
     #[test]
@@ -102,11 +102,10 @@ proptest! {
         // e.g. inside the time float or box coordinates that stay
         // ordered, produce different-but-wellformed data; pushes are
         // validated, so structural breakage surfaces as an error).
-        let good = encode_binary(&sample_trace());
-        let mut bad = good.to_vec();
+        let mut bad = encode_binary(&sample_trace());
         let pos = ((bad.len() - 1) as f64 * pos_frac) as usize;
         bad[pos] ^= flip;
-        let result = std::panic::catch_unwind(|| decode_binary::<2>(bytes::Bytes::from(bad)));
+        let result = std::panic::catch_unwind(|| decode_binary::<2>(&bad));
         // catch_unwind guards against hierarchy-validation panics inside
         // push(); either clean error, validation panic caught here, or a
         // structurally valid decode are acceptable — silent memory
@@ -119,12 +118,11 @@ proptest! {
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let good = encode_binary(&sample_trace_3d());
-        let mut bad = good.to_vec();
+        let mut bad = encode_binary(&sample_trace_3d());
         let pos = ((bad.len() - 1) as f64 * pos_frac) as usize;
         bad[pos] ^= flip;
         let result =
-            std::panic::catch_unwind(|| decode_binary_any(bytes::Bytes::from(bad)));
+            std::panic::catch_unwind(|| decode_binary_any(&bad));
         let _ = result;
     }
 
@@ -132,7 +130,7 @@ proptest! {
     fn truncation_at_every_length_is_clean(frac in 0.0f64..1.0) {
         let good = encode_binary(&sample_trace());
         let cut = ((good.len() - 1) as f64 * frac) as usize;
-        let result = std::panic::catch_unwind(|| decode_binary::<2>(good.slice(..cut)));
+        let result = std::panic::catch_unwind(|| decode_binary::<2>(&good[..cut]));
         match result {
             Ok(inner) => prop_assert!(inner.is_err(), "truncated decode must fail"),
             Err(_) => prop_assert!(false, "decoder panicked on truncation"),
@@ -143,7 +141,7 @@ proptest! {
     fn truncation_at_every_length_is_clean_3d(frac in 0.0f64..1.0) {
         let good = encode_binary(&sample_trace_3d());
         let cut = ((good.len() - 1) as f64 * frac) as usize;
-        let result = std::panic::catch_unwind(|| decode_binary_any(good.slice(..cut)));
+        let result = std::panic::catch_unwind(|| decode_binary_any(&good[..cut]));
         match result {
             Ok(inner) => prop_assert!(inner.is_err(), "truncated 3-D decode must fail"),
             Err(_) => prop_assert!(false, "decoder panicked on 3-D truncation"),
@@ -157,11 +155,11 @@ proptest! {
         // garbage parse.
         let b3 = encode_binary(&sample_trace_3d());
         let cut = 9 + ((b3.len() - 9) as f64 * frac) as usize;
-        let r = decode_binary::<2>(b3.slice(..cut));
+        let r = decode_binary::<2>(&b3[..cut]);
         prop_assert!(r.is_err());
         let b2 = encode_binary(&sample_trace());
         let cut = 9 + ((b2.len() - 9) as f64 * frac) as usize;
-        let r = decode_binary::<3>(b2.slice(..cut));
+        let r = decode_binary::<3>(&b2[..cut]);
         prop_assert!(r.is_err());
     }
 }

@@ -5,8 +5,8 @@
 //! End-to-end timing belongs to `samr-benchmark/`. What an end-to-end
 //! run cannot show is how much faster each optimized path is than its
 //! retained twin: the scalar SFC references, the all-pairs `naive_*`
-//! accounting, the restart-scan `naive_coalesce`, fresh-allocation
-//! partitioning. Each test times one pair and asserts
+//! accounting, the restart-scan `naive_coalesce`. Each test times one
+//! pair and asserts
 //! that the median of its per-round `twin / optimized` time ratios is
 //! at least the pair's floor.
 //!
@@ -33,10 +33,7 @@ use samr::geom::sfc::{self, scalar, BatchIsa, SfcCurve};
 use samr::geom::{boxops, Rect2};
 use samr::grid::{FlagField, GridHierarchy};
 use samr::partition::weights::{composite_unit_weights, sfc_order, split_contiguous};
-use samr::partition::{
-    DomainSfcParams, HybridPartitioner, PartitionScratch, Partitioner, PartitionerChoice,
-    PatchPartitioner,
-};
+use samr::partition::{DomainSfcParams, Partitioner, PartitionerChoice, PatchPartitioner};
 use samr::sim::comm::{
     comm_accounting, naive_involved_comm_points, naive_per_proc_comm, naive_total_comm,
 };
@@ -51,8 +48,6 @@ use std::time::{Duration, Instant};
 const ROUNDS: usize = 15;
 /// How long each side runs per sample.
 const SAMPLE: Duration = Duration::from_millis(10);
-/// The floor of a pair measured at parity with its twin.
-const PARITY: f64 = 0.75;
 /// Held while a pair is timed: the test harness runs tests on parallel
 /// threads, and two pairs timed at once would share cores and memory
 /// bandwidth.
@@ -476,26 +471,6 @@ fn involvement_union_beats_disjointify() {
                 .map(|clips| boxops::total_cells(&boxops::disjointify(clips)))
                 .sum::<u64>()
         },
-    );
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn scratch_reusing_partition_is_not_slower() {
-    // The hybrid partitioner through a reused `PartitionScratch` against
-    // its fresh-allocation path; the output is identical.
-    let h_rm = representative_hierarchy(AppKind::Rm2d);
-    let hybrid = HybridPartitioner::default();
-    let mut pscratch = PartitionScratch::default();
-    assert_speedup(
-        "partition_scratch_rm2d",
-        PARITY,
-        || {
-            hybrid
-                .partition_with(black_box(&h_rm), NPROCS, &mut pscratch)
-                .fragment_count()
-        },
-        || hybrid.partition(black_box(&h_rm), NPROCS).fragment_count(),
     );
 }
 

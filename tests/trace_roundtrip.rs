@@ -39,7 +39,7 @@ fn binary_roundtrip_on_real_traces() {
         let trace = cached_trace(kind, &cfg);
         let trace = trace.as_2d().expect("paper app");
         let bytes = encode_binary(trace);
-        let back = decode_binary::<2>(bytes).unwrap();
+        let back = decode_binary::<2>(&bytes).unwrap();
         assert_eq!(*trace, back, "{}", kind.name());
     }
 }
@@ -84,10 +84,7 @@ fn streaming_writer_and_reader_roundtrip_real_traces_via_files() {
         assert_eq!(back, AnyTrace::D2(t2.clone()), "{}", path.display());
     }
     // The streamed binary bytes are exactly the batch encoder's bytes.
-    assert_eq!(
-        std::fs::read(&bin_path).unwrap(),
-        encode_binary(t2).to_vec()
-    );
+    assert_eq!(std::fs::read(&bin_path).unwrap(), encode_binary(t2));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -96,7 +93,7 @@ fn roundtrips_on_real_3d_traces() {
     let trace = cached_trace(AppKind::Sp3d, &cfg_3d());
     // Binary, via the dimension-erased entry points the CLI uses.
     let bytes = encode_binary_any(&trace);
-    let back = decode_binary_any(bytes).unwrap();
+    let back = decode_binary_any(&bytes).unwrap();
     assert_eq!(*trace, back);
     // JSON-lines with dimension sniffing.
     let t3 = trace.as_3d().expect("SP3D is 3-D");
@@ -112,7 +109,7 @@ fn model_is_invariant_under_serialization() {
     let trace = cached_trace(AppKind::Bl2d, &cfg);
     let trace = trace.as_2d().expect("BL2D is 2-D");
     let direct = ModelPipeline::new().run(trace);
-    let roundtripped = decode_binary::<2>(encode_binary(trace)).unwrap();
+    let roundtripped = decode_binary::<2>(&encode_binary(trace)).unwrap();
     let indirect = ModelPipeline::new().run(&roundtripped);
     assert_eq!(direct, indirect);
 }
@@ -122,7 +119,7 @@ fn model_is_invariant_under_serialization_3d() {
     let trace = cached_trace(AppKind::Sp3d, &cfg_3d());
     let trace = trace.as_3d().expect("SP3D is 3-D");
     let direct = ModelPipeline::new().run(trace);
-    let roundtripped = decode_binary::<3>(encode_binary(trace)).unwrap();
+    let roundtripped = decode_binary::<3>(&encode_binary(trace)).unwrap();
     let indirect = ModelPipeline::new().run(&roundtripped);
     assert_eq!(direct, indirect);
 }
