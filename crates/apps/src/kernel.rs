@@ -161,30 +161,39 @@ mod tests {
         start.elapsed().as_secs_f64()
     }
 
-    /// Run `fast` and `slow`, two bench-scale kernels (74 cells along
-    /// the shorter axis, 6 coarse steps), through their 6 steps in
-    /// lock step: each round times one coarse step of each, alternating
-    /// which goes first, and yields one `slow / fast` time ratio. Prints
-    /// the median ratio with its quartiles; returns a failure when the
+    /// Coarse steps of one bench-scale kernel.
+    const STEPS: u32 = 6;
+    /// Timed rounds per pair: three fresh kernel pairs of [`STEPS`]
+    /// steps, at least the 15 rounds `tests/speedups.rs` times.
+    const ROUNDS: usize = 18;
+
+    /// Time `fast` against `slow` over [`ROUNDS`] rounds: each pair of
+    /// freshly built bench-scale kernels (74 cells along the shorter
+    /// axis, [`STEPS`] coarse steps) runs its steps in lock step, each
+    /// round timing one coarse step of each, alternating which goes
+    /// first, and yielding one `slow / fast` time ratio. Prints the
+    /// median ratio with its quartiles; returns a failure when the
     /// median is below `floor`.
     fn speedup<K: Oracle>(
         pair: &str,
         floor: f64,
-        (mut fast, fast_step): (K, fn(&mut K)),
-        (mut slow, slow_step): (K, fn(&mut K)),
+        (fast, fast_step): (impl Fn() -> K, fn(&mut K)),
+        (slow, slow_step): (impl Fn() -> K, fn(&mut K)),
     ) -> Option<String> {
-        let mut ratios: Vec<f64> = (0..6)
-            .map(|round| {
-                if round % 2 == 0 {
+        let mut ratios: Vec<f64> = Vec::with_capacity(ROUNDS);
+        while ratios.len() < ROUNDS {
+            let (mut fast, mut slow) = (fast(), slow());
+            for _ in 0..STEPS {
+                ratios.push(if ratios.len().is_multiple_of(2) {
                     let f = timed(&mut fast, fast_step);
                     timed(&mut slow, slow_step) / f
                 } else {
                     let s = timed(&mut slow, slow_step);
                     s / timed(&mut fast, fast_step)
-                }
-            })
-            .collect();
-        black_box((fast.fields(), slow.fields()));
+                });
+            }
+            black_box((fast.fields(), slow.fields()));
+        }
         ratios.sort_by(f64::total_cmp);
         let (q1, median, q3) = (
             quantile(&ratios, 0.25),
@@ -209,10 +218,10 @@ mod tests {
         }
         let _alone = BENCH_SCALE.lock().unwrap_or_else(PoisonError::into_inner);
         fn pair<K: Oracle>(floor: f64) -> Option<String> {
-            let build = || K::build(74, 6, 2004);
+            let build = || K::build(74, STEPS, 2004);
             let name = format!("{} sweep / per-cell reference", build().name());
             let (sweep, reference) = (K::advance_coarse_step, K::reference_step);
-            speedup(&name, floor, (build(), sweep), (build(), reference))
+            speedup(&name, floor, (build, sweep), (build, reference))
         }
         let mut failures = vec![
             pair::<Tp2d>(2.83),
@@ -223,7 +232,7 @@ mod tests {
         if tiers().contains(&true) {
             let entry = |avx2| {
                 (
-                    on_tier(Rm2d::build(74, 6, 2004), avx2),
+                    move || on_tier(Rm2d::build(74, STEPS, 2004), avx2),
                     Rm2d::advance_coarse_step as fn(&mut Rm2d),
                 )
             };

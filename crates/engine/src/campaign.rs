@@ -288,7 +288,7 @@ impl Campaign {
     /// front (in parallel) and shared through the process-wide store, so
     /// the scenario sweep itself is pure partition-and-simulate work.
     pub fn run(spec: &CampaignSpec) -> Vec<ScenarioOutcome> {
-        let plan = CampaignPlan::new(spec, 1, ShardStrategy::default());
+        let plan = CampaignPlan::new(spec, 1, ShardStrategy);
         let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
         run_cohorts(&scenarios, |_, outcome| outcome)
     }
@@ -320,7 +320,7 @@ impl Campaign {
         resume: bool,
     ) -> std::io::Result<CampaignRun> {
         let start = Instant::now();
-        let plan = CampaignPlan::new(spec, 1, ShardStrategy::default());
+        let plan = CampaignPlan::new(spec, 1, ShardStrategy);
         std::fs::create_dir_all(dir)?;
         let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
         let (outcomes, skipped) = run_slice(dir, &plan.plan_hash, &scenarios, resume)?;

@@ -1,9 +1,11 @@
 //! Campaign execution: the *where and how it runs* half of a campaign.
 //!
 //! Every path runs a slice of a [`CampaignPlan`] the same way, as
-//! [`cohorts`]: the scenarios that share a snapshot stream, a processor
-//! count and a static choice run as one simulation
+//! [`cohorts`]: the scenarios the plan grouped to share a snapshot
+//! stream, a processor count and a static choice run as one simulation
 //! ([`Scenario::run_cohort`]), and each member's outcome is its own.
+//! The plan puts each cohort whole on one shard, so a sharded run
+//! simulates every cohort once.
 //!
 //! - [`Campaign::run`](crate::Campaign::run) keeps the outcomes in
 //!   memory, in plan order;
@@ -90,22 +92,19 @@ fn warm_store(scenarios: &[&PlannedScenario]) {
     });
 }
 
-/// Split a slice of planned scenarios into cohorts
-/// ([`Scenario::same_cohort`]), in order of first appearance, each in
-/// slice order. In a plan, a cohort of scenarios that never switch is
-/// the members of the innermost `machines` axis; every scenario that
-/// can switch on one stream and processor count joins one cohort,
-/// whatever its partitioner, policy and machine. Cohorts form inside
-/// whatever slice an executor runs — one shard's scenarios, the
-/// remainder a resume left — so shard assignment and completion stay
-/// per scenario.
+/// Split a slice of planned scenarios into the cohorts the plan
+/// recorded ([`PlannedScenario::cohort`]), in order of first appearance,
+/// each in slice order. In a plan, a cohort of scenarios that never
+/// switch is the members of the innermost `machines` axis; every
+/// scenario that can switch on one stream and processor count joins one
+/// cohort, whatever its partitioner, policy and machine. A slice — one
+/// shard's scenarios, the remainder a resume left — holds whole cohorts
+/// or, after a resume, what is left of them; completion stays per
+/// scenario.
 pub fn cohorts<'a>(scenarios: &[&'a PlannedScenario]) -> Vec<Vec<&'a PlannedScenario>> {
     let mut out: Vec<Vec<&'a PlannedScenario>> = Vec::new();
     for &p in scenarios {
-        match out
-            .iter_mut()
-            .find(|c| c[0].scenario.same_cohort(&p.scenario))
-        {
+        match out.iter_mut().find(|c| c[0].cohort == p.cohort) {
             Some(cohort) => cohort.push(p),
             None => out.push(vec![p]),
         }
@@ -280,7 +279,6 @@ impl ShardExecutor {
             shard: self.shard,
             nshards: plan.nshards,
             total_scenarios: plan.len(),
-            strategy: plan.strategy,
             elapsed_seconds: start.elapsed().as_secs_f64(),
             spec: plan.spec.clone(),
             scenarios: scenarios.iter().map(|p| p.entry()).collect(),
@@ -354,8 +352,6 @@ impl WorkerExecutor {
             .arg(spec_path)
             .arg("--shard")
             .arg(format!("{shard}/{}", plan.nshards))
-            .arg("--shard-strategy")
-            .arg(plan.strategy.name())
             .arg("--out")
             .arg(dir)
             // Workers' per-scenario digests would interleave across

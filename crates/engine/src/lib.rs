@@ -24,10 +24,11 @@
 //!   partitioners × policies × processor counts × ghost widths ×
 //!   machines). The [`plan`] layer expands a [`CampaignSpec`] into a
 //!   deterministic, serializable [`CampaignPlan`] (stable scenario IDs,
-//!   globally unique artifact slugs, shard assignment via
-//!   [`ShardStrategy`]); the [`exec`] layer runs a slice of it — the
-//!   whole plan in-process, one shard ([`ShardExecutor`]), or one child
-//!   process per shard ([`WorkerExecutor`]); the [`merge`] layer
+//!   globally unique artifact slugs, the cohorts of scenarios that share
+//!   one simulation, and a shard assignment that keeps each cohort
+//!   whole); the [`exec`] layer runs a slice of it — the whole plan
+//!   in-process, one shard ([`ShardExecutor`]), or one child process
+//!   per shard ([`WorkerExecutor`]); the [`merge`] layer
 //!   validates shard manifests and copies their artifacts. A run is
 //!   plan → run slice → finish, a merge is validate → copy → finish,
 //!   and both finish through [`finish_campaign`], which writes

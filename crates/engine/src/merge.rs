@@ -7,7 +7,8 @@
 //! covered, and the spec needed to reproduce the campaign.
 //! [`merge_shards`] validates the set — same plan hash everywhere, all
 //! shard indices present exactly once, every scenario ID covered
-//! exactly once, every artifact pair stamped by a completion record
+//! exactly once (which also refuses shards planned under a different
+//! assignment), every artifact pair stamped by a completion record
 //! that matches the bytes on disk — and only then copies the
 //! per-scenario CSV/JSON artifacts into the campaign directory. The
 //! canonical `campaign.csv`, the audit [`CampaignManifest`] and the
@@ -31,7 +32,6 @@ use crate::pareto::{
     compute_front, entry_from_json, write_front, Objective, ParetoEntry, ParetoError,
     CAMPAIGN_PARETO,
 };
-use crate::plan::ShardStrategy;
 use crate::resume::{Completion, CompletionRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,11 +74,6 @@ pub struct ShardManifest {
     pub nshards: usize,
     /// Scenario count of the *whole* plan (the merge's ID space).
     pub total_scenarios: usize,
-    /// The shard-assignment strategy the plan used. The plan hash is
-    /// deliberately strategy-invariant, so this is recorded separately:
-    /// shards assigned under different strategies cover different ID
-    /// slices and must be rejected by name, not as ID corruption.
-    pub strategy: ShardStrategy,
     /// Wall-clock seconds this shard's execution took.
     pub elapsed_seconds: f64,
     /// The campaign spec, so a merged campaign is reproducible from
@@ -118,17 +113,7 @@ impl ShardManifest {
                     shard,
                     nshards,
                     missing: vec![format!("{SHARD_MANIFEST} (shard killed mid-run)")],
-                    // The killed shard cannot say which --shard-strategy
-                    // it ran under, but a surviving sibling's manifest
-                    // can — and the rerun command must carry it, or a
-                    // non-default-strategy shard would be re-executed
-                    // over the wrong scenario slice.
-                    rerun: rerun_command(
-                        shard_dir,
-                        shard,
-                        nshards,
-                        sibling_strategy(shard_dir, nshards),
-                    ),
+                    rerun: rerun_command(shard_dir, shard, nshards),
                 },
                 None => MergeError::MissingManifest(shard_dir.to_path_buf()),
             }
@@ -183,16 +168,6 @@ pub enum MergeError {
         expected: String,
         /// Hash the offending shard declared.
         found: String,
-        /// The offending shard directory.
-        dir: PathBuf,
-    },
-    /// Shards were assigned under different `--shard-strategy` values,
-    /// so they cover different slices of the ID space.
-    StrategyMismatch {
-        /// Strategy the first shard declared.
-        expected: ShardStrategy,
-        /// Strategy the offending shard declared.
-        found: ShardStrategy,
         /// The offending shard directory.
         dir: PathBuf,
     },
@@ -305,18 +280,6 @@ impl std::fmt::Display for MergeError {
                 "{} belongs to plan {found}, other shards to plan {expected}: \
                  shards of different campaigns cannot be merged",
                 dir.display()
-            ),
-            Self::StrategyMismatch {
-                expected,
-                found,
-                dir,
-            } => write!(
-                f,
-                "{} was sharded with --shard-strategy {}, other shards with {}: \
-                 rerun it under the same strategy before merging",
-                dir.display(),
-                found.name(),
-                expected.name()
             ),
             Self::ShapeMismatch {
                 expected,
@@ -494,40 +457,11 @@ fn parse_shard_dir_name(dir: &Path) -> Option<(usize, usize)> {
     Some((i.parse().ok()?, n.parse().ok()?))
 }
 
-/// The `--shard-strategy` a manifestless (killed-mid-run) shard ran
-/// under, recovered from any surviving sibling's manifest in the same
-/// `-of-<n>` family: shards of one campaign always share the strategy,
-/// and a rerun command that omitted a non-default strategy would
-/// re-execute the wrong scenario slice.
-fn sibling_strategy(shard_dir: &Path, nshards: usize) -> Option<ShardStrategy> {
-    let parent = shard_dir.parent()?;
-    for entry in std::fs::read_dir(parent).ok()?.filter_map(|e| e.ok()) {
-        let p = entry.path();
-        if p == *shard_dir || !p.is_dir() {
-            continue;
-        }
-        if parse_shard_dir_name(&p).is_none_or(|(_, n)| n != nshards) {
-            continue;
-        }
-        if let Ok(json) = std::fs::read_to_string(p.join(SHARD_MANIFEST)) {
-            if let Ok(m) = serde_json::from_str::<ShardManifest>(&json) {
-                return Some(m.strategy);
-            }
-        }
-    }
-    None
-}
-
 /// The exact invocation that finishes an incomplete shard: resumes the
 /// shard in place, using the campaign's spec file when one exists next
 /// to the shard directory (the `--workers` layout) and the original
 /// axis flags otherwise.
-fn rerun_command(
-    shard_dir: &Path,
-    shard: usize,
-    nshards: usize,
-    strategy: Option<ShardStrategy>,
-) -> String {
+fn rerun_command(shard_dir: &Path, shard: usize, nshards: usize) -> String {
     let parent = shard_dir
         .parent()
         .map(Path::to_path_buf)
@@ -538,12 +472,8 @@ fn rerun_command(
     } else {
         "<original axis flags>".to_string()
     };
-    let strategy_part = match strategy {
-        Some(s) if s != ShardStrategy::default() => format!(" --shard-strategy {}", s.name()),
-        _ => String::new(),
-    };
     format!(
-        "samr campaign {spec_part} --shard {shard}/{nshards}{strategy_part} --resume --out {}",
+        "samr campaign {spec_part} --shard {shard}/{nshards} --resume --out {}",
         parent.display()
     )
 }
@@ -600,13 +530,6 @@ fn validate_shards(
                 return Err(MergeError::PlanHashMismatch {
                     expected: r.plan_hash.clone(),
                     found: m.plan_hash,
-                    dir: dir.clone(),
-                });
-            }
-            if m.strategy != r.strategy {
-                return Err(MergeError::StrategyMismatch {
-                    expected: r.strategy,
-                    found: m.strategy,
                     dir: dir.clone(),
                 });
             }
@@ -680,7 +603,7 @@ fn validate_shards(
                     return Err(MergeError::CorruptArtifact {
                         path: CompletionRecord::path(dir, &entry.slug),
                         detail,
-                        rerun: rerun_command(dir, m.shard, m.nshards, Some(m.strategy)),
+                        rerun: rerun_command(dir, m.shard, m.nshards),
                     });
                 }
             }
@@ -691,7 +614,7 @@ fn validate_shards(
                 shard: m.shard,
                 nshards: m.nshards,
                 missing: incomplete,
-                rerun: rerun_command(dir, m.shard, m.nshards, Some(m.strategy)),
+                rerun: rerun_command(dir, m.shard, m.nshards),
             });
         }
     }
@@ -744,7 +667,7 @@ pub fn merge_shards(shard_dirs: &[PathBuf], out_dir: &Path) -> Result<MergeRepor
                 .values()
                 .find(|(_, _, entry)| path == out_dir.join(format!("{}.json", entry.slug)))
                 .map_or_else(String::new, |&(shard, dir, _)| {
-                    rerun_command(dir, shard, reference.nshards, Some(reference.strategy))
+                    rerun_command(dir, shard, reference.nshards)
                 });
             MergeError::CorruptArtifact {
                 path,

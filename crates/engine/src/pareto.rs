@@ -458,9 +458,9 @@ pub fn load_entries(dir: &Path) -> Result<(String, Vec<ParetoEntry>), ParetoErro
     })?;
     let manifest: CampaignManifest = serde_json::from_str(&json)
         .map_err(|e| ParetoError::BadArtifact(manifest_path.clone(), e.to_string()))?;
-    // The plan hash is shard-count and strategy invariant, so re-planning
+    // The plan hash is shard-count invariant, so re-planning
     // single-shard recovers the exact (id, slug) space of any run.
-    let plan = CampaignPlan::new(&manifest.spec, 1, ShardStrategy::default());
+    let plan = CampaignPlan::new(&manifest.spec, 1, ShardStrategy);
     if plan.plan_hash != manifest.plan_hash {
         return Err(ParetoError::PlanMismatch {
             recorded: manifest.plan_hash,

@@ -4,16 +4,24 @@
 //! [`CampaignSpec`]: the ordered scenario list with stable per-campaign
 //! scenario IDs, globally unique artifact slugs (slug collisions are
 //! suffixed at plan time, in plan order, so every executor — in-process,
-//! sharded, multi-process — names artifacts identically), a shard
-//! assignment per scenario, and a content hash over the spec and the
+//! sharded, multi-process — names artifacts identically), each
+//! scenario's cohort and shard, and a content hash over the spec and the
 //! expansion. Executors ([`crate::exec`]) consume plans; the merger
 //! ([`crate::merge`]) uses the plan hash and the ID space to prove a set
 //! of shard artifact directories reassembles exactly this plan.
 //!
-//! The plan hash deliberately excludes the shard count and strategy:
-//! splitting the same spec 1-way, 3-way round-robin or 5-way size-aware
-//! yields the same hash, so a merged sharded campaign is provably the
-//! same campaign as the unsharded run.
+//! The plan is the one place scenarios are grouped into cohorts, the
+//! scenarios that share one simulation ([`Scenario::same_cohort`]), and
+//! shards hold whole cohorts: each cohort, in order of first appearance,
+//! goes to the currently lightest shard (ties to the lowest index). A
+//! cohort weighs the sum over its members of their estimated cost times
+//! their processor count, so a sharded run simulates every cohort once,
+//! as the unsharded run does. When every cohort has one member and the
+//! same weight, the assignment is round-robin by scenario ID.
+//!
+//! The plan hash deliberately excludes the shard count: splitting the
+//! same spec 1-way or 5-way yields the same hash, so a merged sharded
+//! campaign is provably the same campaign as the unsharded run.
 
 use crate::campaign::CampaignSpec;
 use crate::merge::ManifestEntry;
@@ -21,46 +29,17 @@ use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// How the planner distributes scenarios across shards.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardStrategy {
-    /// Scenario `id` goes to shard `id % nshards`: trivially
-    /// deterministic and well-mixed across the cartesian axes.
-    #[default]
-    RoundRobin,
-    /// Greedy balance by estimated scenario cost: scenarios are walked
-    /// in plan order and each goes to the currently lightest shard
-    /// (ties to the lowest shard index), so shards finish together even
-    /// when the axes mix cheap smoke scenarios with heavy 3-D or
-    /// stateful-selector ones. Deterministic for a given plan.
-    SizeAware,
-}
-
-impl ShardStrategy {
-    /// Parse a strategy from its CLI name (`round-robin` or
-    /// `size-aware`).
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "round-robin" => Ok(Self::RoundRobin),
-            "size-aware" => Ok(Self::SizeAware),
-            other => Err(format!(
-                "unknown shard strategy '{other}' (expected round-robin or size-aware)"
-            )),
-        }
-    }
-
-    /// The CLI name of the strategy.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::RoundRobin => "round-robin",
-            Self::SizeAware => "size-aware",
-        }
-    }
-}
+/// The field-less remnant of the shard-assignment strategy, kept for
+/// callers that still pass one to [`CampaignPlan::new`]
+/// (`samr-benchmark`'s traced replay). Shards hold whole cohorts, so
+/// there is nothing to choose and the plan ignores it; the type leaves
+/// once that replay runs the engine itself.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardStrategy;
 
 /// One scenario of a plan: the scenario description plus everything the
 /// plan decided about it — its stable ID (the plan-order index), its
-/// globally unique artifact slug and the shard it runs on.
+/// globally unique artifact slug, its cohort and the shard it runs on.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PlannedScenario {
     /// Stable scenario ID: the index in plan order. IDs are the merge
@@ -70,7 +49,11 @@ pub struct PlannedScenario {
     /// in plan order when two scenarios (e.g. same-family partitioners
     /// with different unnamed parameters) would collide.
     pub slug: String,
-    /// The shard this scenario is assigned to (`0..nshards`).
+    /// The cohort this scenario runs in: the index, in order of first
+    /// appearance, of the scenarios it shares one simulation with.
+    pub cohort: usize,
+    /// The shard this scenario is assigned to (`0..nshards`): its
+    /// cohort's.
     pub shard: usize,
     /// The fully described scenario.
     pub scenario: Scenario,
@@ -95,42 +78,43 @@ pub struct CampaignPlan {
     /// alone).
     pub spec: CampaignSpec,
     /// Content hash over the spec and the expanded slug list (hex
-    /// FNV-1a); independent of `nshards` and `strategy`.
+    /// FNV-1a); independent of `nshards`.
     pub plan_hash: String,
     /// Number of shards the plan is split into (≥ 1).
     pub nshards: usize,
-    /// The strategy that produced the shard assignment.
-    pub strategy: ShardStrategy,
     /// Every scenario, in plan order (`scenarios[i].id == i`).
     pub scenarios: Vec<PlannedScenario>,
 }
 
 impl CampaignPlan {
     /// Expand a spec into a plan split `nshards` ways (`0` is treated
-    /// as `1`).
-    pub fn new(spec: &CampaignSpec, nshards: usize, strategy: ShardStrategy) -> Self {
+    /// as `1`), whole cohorts to a shard (see the [module docs](self)).
+    pub fn new(spec: &CampaignSpec, nshards: usize, _: ShardStrategy) -> Self {
         let nshards = nshards.max(1);
         let scenarios = spec.scenarios();
         let slugs = unique_slugs(&scenarios);
-        let shards = assign_shards(&scenarios, nshards, strategy);
+        let cohorts = cohort_ids(&scenarios);
+        let shards = assign_shards(&scenarios, &cohorts, nshards);
         let plan_hash = plan_hash(spec, &slugs);
         let scenarios = scenarios
             .into_iter()
             .zip(slugs)
-            .zip(shards)
+            .zip(cohorts.into_iter().zip(shards))
             .enumerate()
-            .map(|(id, ((scenario, slug), shard))| PlannedScenario {
-                id,
-                slug,
-                shard,
-                scenario,
-            })
+            .map(
+                |(id, ((scenario, slug), (cohort, shard)))| PlannedScenario {
+                    id,
+                    slug,
+                    cohort,
+                    shard,
+                    scenario,
+                },
+            )
             .collect();
         Self {
             spec: spec.clone(),
             plan_hash,
             nshards,
-            strategy,
             scenarios,
         }
     }
@@ -172,38 +156,56 @@ fn unique_slugs(scenarios: &[Scenario]) -> Vec<String> {
         .collect()
 }
 
-/// Rough relative cost of simulating one scenario, for size-aware
-/// sharding: snapshots to stream × cells per base grid, doubled for
-/// stateful selectors and non-static policies (both strictly
-/// sequential, no snapshot parallelism). Only ratios matter — the
-/// estimate steers balance, not correctness.
-fn scenario_weight(s: &Scenario) -> u128 {
-    let cells = (s.trace.base_cells.max(1) as u128).pow(s.dim as u32);
-    let steps = s.trace.steps.max(1) as u128;
-    let sequential = s.partitioner.stateful() || !s.policy.is_static();
-    steps * cells * if sequential { 2 } else { 1 }
+/// Each scenario's cohort: the index, in order of first appearance, of
+/// the scenarios it shares one simulation with
+/// ([`Scenario::same_cohort`]).
+fn cohort_ids(scenarios: &[Scenario]) -> Vec<usize> {
+    let mut firsts: Vec<&Scenario> = Vec::new();
+    scenarios
+        .iter()
+        .map(|s| {
+            firsts
+                .iter()
+                .position(|f| f.same_cohort(s))
+                .unwrap_or_else(|| {
+                    firsts.push(s);
+                    firsts.len() - 1
+                })
+        })
+        .collect()
 }
 
-fn assign_shards(scenarios: &[Scenario], nshards: usize, strategy: ShardStrategy) -> Vec<usize> {
-    match strategy {
-        ShardStrategy::RoundRobin => (0..scenarios.len()).map(|id| id % nshards).collect(),
-        ShardStrategy::SizeAware => {
-            let mut load = vec![0u128; nshards];
-            scenarios
-                .iter()
-                .map(|s| {
-                    let shard = load
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(i, &l)| (l, *i))
-                        .map(|(i, _)| i)
-                        .expect("nshards >= 1");
-                    load[shard] += scenario_weight(s);
-                    shard
-                })
-                .collect()
-        }
+/// Rough relative cost of simulating one scenario: snapshots to stream
+/// × cells per base grid, doubled for a scenario that can switch (its
+/// cohort runs the strictly sequential window-1 driver). Only ratios
+/// matter — the estimate steers balance, not correctness.
+fn scenario_weight(s: &Scenario) -> u128 {
+    let cells = (s.trace.base_cells.max(1) as u128).saturating_pow(s.dim as u32);
+    let steps = s.trace.steps.max(1) as u128;
+    let sequential = if s.static_choice().is_none() { 2 } else { 1 };
+    steps.saturating_mul(cells).saturating_mul(sequential)
+}
+
+/// Each scenario's shard: every cohort, in order of first appearance,
+/// goes whole to the currently lightest shard (ties to the lowest
+/// index), weighing the sum of its members' [`scenario_weight`] times
+/// their processor counts.
+fn assign_shards(scenarios: &[Scenario], cohorts: &[usize], nshards: usize) -> Vec<usize> {
+    let mut weights = vec![0u128; cohorts.iter().max().map_or(0, |&c| c + 1)];
+    for (s, &c) in scenarios.iter().zip(cohorts) {
+        let w = scenario_weight(s).saturating_mul(s.sim.nprocs as u128);
+        weights[c] = weights[c].saturating_add(w);
     }
+    let mut load = vec![0u128; nshards];
+    let shard_of: Vec<usize> = weights
+        .into_iter()
+        .map(|w| {
+            let shard = (0..nshards).min_by_key(|&i| load[i]).expect("nshards >= 1");
+            load[shard] = load[shard].saturating_add(w);
+            shard
+        })
+        .collect();
+    cohorts.iter().map(|&c| shard_of[c]).collect()
 }
 
 /// FNV-1a over a sequence of byte chunks, rendered as 16 hex digits —
@@ -242,6 +244,7 @@ mod tests {
     use crate::spec::PartitionerSpec;
     use samr_apps::{AppKind, TraceGenConfig};
     use samr_partition::{HybridParams, PartitionerChoice};
+    use samr_sim::MachineModel;
 
     fn spec() -> CampaignSpec {
         CampaignSpec::new(TraceGenConfig::smoke())
@@ -255,8 +258,8 @@ mod tests {
 
     #[test]
     fn plan_is_deterministic_and_ids_are_plan_order() {
-        let a = CampaignPlan::new(&spec(), 3, ShardStrategy::RoundRobin);
-        let b = CampaignPlan::new(&spec(), 3, ShardStrategy::RoundRobin);
+        let a = CampaignPlan::new(&spec(), 3, ShardStrategy);
+        let b = CampaignPlan::new(&spec(), 3, ShardStrategy);
         assert_eq!(a, b);
         assert_eq!(a.len(), 8);
         for (i, p) in a.scenarios.iter().enumerate() {
@@ -266,54 +269,54 @@ mod tests {
 
     #[test]
     fn plan_hash_is_shard_invariant_but_spec_sensitive() {
-        let one = CampaignPlan::new(&spec(), 1, ShardStrategy::RoundRobin);
-        let three = CampaignPlan::new(&spec(), 3, ShardStrategy::RoundRobin);
-        let sized = CampaignPlan::new(&spec(), 5, ShardStrategy::SizeAware);
+        let one = CampaignPlan::new(&spec(), 1, ShardStrategy);
+        let three = CampaignPlan::new(&spec(), 3, ShardStrategy);
+        let five = CampaignPlan::new(&spec(), 5, ShardStrategy);
         assert_eq!(one.plan_hash, three.plan_hash);
-        assert_eq!(one.plan_hash, sized.plan_hash);
-        let other = CampaignPlan::new(&spec().nprocs([4]), 1, ShardStrategy::RoundRobin);
+        assert_eq!(one.plan_hash, five.plan_hash);
+        let other = CampaignPlan::new(&spec().nprocs([4]), 1, ShardStrategy);
         assert_ne!(one.plan_hash, other.plan_hash);
     }
 
-    #[test]
-    fn round_robin_interleaves_by_id() {
-        let plan = CampaignPlan::new(&spec(), 3, ShardStrategy::RoundRobin);
-        for p in &plan.scenarios {
-            assert_eq!(p.shard, p.id % 3);
-        }
-        // Every shard covers the plan exactly once, in order.
-        let mut ids: Vec<usize> = (0..3)
-            .flat_map(|s| {
-                plan.shard_scenarios(s)
-                    .iter()
-                    .map(|p| p.id)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..plan.len()).collect::<Vec<_>>());
+    fn shards(plan: &CampaignPlan) -> Vec<usize> {
+        plan.scenarios.iter().map(|p| p.shard).collect()
     }
 
     #[test]
-    fn size_aware_balances_and_stays_deterministic() {
-        let mixed = CampaignSpec::new(TraceGenConfig::smoke())
-            .apps([AppKind::Tp2d, AppKind::Sp3d])
+    fn cohorts_go_whole_to_the_lightest_shard() {
+        // One-member cohorts of equal weight are dealt round-robin.
+        let even = spec().nprocs([8]);
+        assert_eq!(
+            shards(&CampaignPlan::new(&even, 3, ShardStrategy)),
+            [0, 1, 2, 0]
+        );
+        // A cohort weighs its processor count: the 256-processor cohorts
+        // do not both land on shard 1.
+        let uneven = CampaignSpec::new(TraceGenConfig::smoke())
+            .apps([AppKind::Tp2d])
+            .partitioners([
+                PartitionerSpec::parse("hybrid").unwrap(),
+                PartitionerSpec::parse("domain-sfc").unwrap(),
+            ])
+            .nprocs([64, 256]);
+        assert_eq!(
+            shards(&CampaignPlan::new(&uneven, 2, ShardStrategy)),
+            [0, 1, 0, 0]
+        );
+        // A static choice's machines form one cohort, and so does every
+        // scenario that can switch on one stream: each goes whole.
+        let machines = CampaignSpec::new(TraceGenConfig::smoke())
+            .apps([AppKind::Tp2d])
             .partitioners([
                 PartitionerSpec::parse("hybrid").unwrap(),
                 PartitionerSpec::Meta,
             ])
-            .nprocs([4, 8]);
-        let a = CampaignPlan::new(&mixed, 3, ShardStrategy::SizeAware);
-        let b = CampaignPlan::new(&mixed, 3, ShardStrategy::SizeAware);
-        assert_eq!(a, b);
-        // Every scenario lands on exactly one valid shard, and with 8
-        // scenarios over 3 shards none is empty.
-        for p in &a.scenarios {
-            assert!(p.shard < 3);
-        }
-        for shard in 0..3 {
-            assert!(!a.shard_scenarios(shard).is_empty());
-        }
+            .nprocs([8])
+            .machines([MachineModel::default(), MachineModel::slow_network()]);
+        let plan = CampaignPlan::new(&machines, 2, ShardStrategy);
+        let cohorts: Vec<usize> = plan.scenarios.iter().map(|p| p.cohort).collect();
+        assert_eq!(cohorts, [0, 0, 1, 1]);
+        assert_eq!(shards(&plan), [0, 0, 1, 1]);
     }
 
     #[test]
@@ -328,14 +331,14 @@ mod tests {
                 })),
             ])
             .nprocs([4]);
-        let plan = CampaignPlan::new(&spec, 1, ShardStrategy::RoundRobin);
+        let plan = CampaignPlan::new(&spec, 1, ShardStrategy);
         let slugs: Vec<&str> = plan.scenarios.iter().map(|p| p.slug.as_str()).collect();
         assert_eq!(slugs, vec!["tp2d_hybrid_p4_g1", "tp2d_hybrid_p4_g1-2"]);
     }
 
     #[test]
     fn plan_roundtrips_through_json() {
-        let plan = CampaignPlan::new(&spec(), 3, ShardStrategy::SizeAware);
+        let plan = CampaignPlan::new(&spec(), 3, ShardStrategy);
         let json = serde_json::to_string(&plan).unwrap();
         let back: CampaignPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(plan, back);
@@ -343,16 +346,8 @@ mod tests {
 
     #[test]
     fn zero_shards_is_one_shard() {
-        let plan = CampaignPlan::new(&spec(), 0, ShardStrategy::RoundRobin);
+        let plan = CampaignPlan::new(&spec(), 0, ShardStrategy);
         assert_eq!(plan.nshards, 1);
         assert!(plan.scenarios.iter().all(|p| p.shard == 0));
-    }
-
-    #[test]
-    fn strategy_names_roundtrip() {
-        for s in [ShardStrategy::RoundRobin, ShardStrategy::SizeAware] {
-            assert_eq!(ShardStrategy::parse(s.name()).unwrap(), s);
-        }
-        assert!(ShardStrategy::parse("hash").is_err());
     }
 }

@@ -22,7 +22,17 @@
 //! keyed on a field subset and collided); the spill file name is a hash
 //! of the same full-config key. The application kind encodes the
 //! dimension, so 2-D and 3-D entries can never collide either.
+//!
+//! **Spill layout.** Each executable identity (path, length and
+//! modification time) spills into its own subdirectory of
+//! `$TMPDIR/samr-trace-cache`, which records the executable's path. A
+//! process's first spill removes the subdirectories recorded for the
+//! same path under another identity — earlier builds of the same binary
+//! — and the loose `<16 hex>.trc` files of the older flat layout, so the
+//! cache holds one set of spills per executable instead of one per
+//! build.
 
+use crate::atomic::atomic_write;
 use samr_apps::{generate_trace_any, trace_source_any, AppKind, TraceGenConfig};
 use samr_core::{ModelPipeline, ModelState};
 use samr_trace::io::{open_trace_source, write_binary_source, TraceIoError};
@@ -31,7 +41,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 
 /// The full-configuration cache key of a trace request.
 pub fn trace_key(kind: AppKind, cfg: &TraceGenConfig) -> String {
@@ -97,21 +107,25 @@ pub fn set_trace_cache_budget(bytes: u64) {
     budget().store(bytes, Ordering::Relaxed);
 }
 
-/// The directory spill files live in: shared across processes under the
-/// system temp dir, so repeated runs reuse each other's spill files
-/// instead of regenerating (and instead of leaking one directory per
-/// pid). Safe because file names are content keys — a hash of the full
-/// trace configuration *and* the running executable's identity
-/// ([`exe_identity`]), so a build whose generator changed never reads an
-/// older build's bytes — and files are written to a unique temp name and
-/// renamed into place whole. The
-/// directory itself is created lazily by [`generate_spill`], so an
-/// unwritable temp dir surfaces as a typed I/O error on the degradable
-/// spill path instead of a panic.
-fn spill_dir() -> &'static PathBuf {
+/// The directory every executable's spill subdirectory lives in:
+/// shared across processes under the system temp dir, so repeated runs
+/// reuse each other's spill files instead of regenerating (and instead
+/// of leaking one directory per pid). Safe because file names are
+/// content keys — a hash of the full trace configuration inside a
+/// subdirectory named by the running executable's identity
+/// ([`exe_identity`]), so a build whose generator changed never reads
+/// an older build's bytes — and files are written to a unique temp name
+/// and renamed into place whole. The directories are created lazily by
+/// [`generate_spill`], so an unwritable temp dir surfaces as a typed
+/// I/O error on the degradable spill path instead of a panic.
+fn spill_root() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| std::env::temp_dir().join("samr-trace-cache"))
 }
+
+/// The file in a spill subdirectory that records the path of the
+/// executable that spilled there.
+const EXE_RECORD: &str = "executable";
 
 /// The running executable's path, length and modification time, read
 /// once. Every rebuild changes it, while `--workers` children, which run
@@ -127,16 +141,68 @@ fn exe_identity() -> &'static str {
     })
 }
 
+/// The spill subdirectory of an executable identity.
+fn identity_dir(identity: &str) -> PathBuf {
+    spill_root().join(crate::plan::fnv1a_hex([identity.as_bytes()]))
+}
+
 /// The spill file of `key` for this executable.
 fn spill_path(key: &str) -> PathBuf {
     spill_path_as(exe_identity(), key)
 }
 
-/// FNV-1a over the full-config key, salted with an executable identity:
-/// a stable, file-safe spill name.
+/// The spill file of `key` for an executable identity: FNV-1a over the
+/// full-config key, a stable, file-safe name.
 fn spill_path_as(identity: &str, key: &str) -> PathBuf {
-    let hash = crate::plan::fnv1a_hex([identity.as_bytes(), key.as_bytes()]);
-    spill_dir().join(format!("{hash}.trc"))
+    let hash = crate::plan::fnv1a_hex([key.as_bytes()]);
+    identity_dir(identity).join(format!("{hash}.trc"))
+}
+
+/// Before this process's first spill: record this executable's path in
+/// its spill subdirectory and prune what earlier builds of it left
+/// ([`prune_spills`]). Best effort: a spill never fails for it.
+fn claim_spill_dir() {
+    static CLAIMED: Once = Once::new();
+    CLAIMED.call_once(|| {
+        let Ok(exe) = std::env::current_exe() else {
+            return;
+        };
+        let own = identity_dir(exe_identity());
+        let exe = exe.as_os_str().as_encoded_bytes();
+        if std::fs::create_dir_all(&own).is_ok() && atomic_write(&own.join(EXE_RECORD), exe).is_ok()
+        {
+            prune_spills(spill_root(), &own, exe);
+        }
+    });
+}
+
+/// Remove, from the spill root `root`, every subdirectory but `own`
+/// whose record names the executable path `exe` (an earlier build of
+/// this executable), and every loose `<16 hex>.trc` file (the flat
+/// layout older builds wrote). Other executables' subdirectories, a
+/// subdirectory with no record and every other file — such as
+/// `samr-benchmark`'s `<app>.trc` — stay.
+fn prune_spills(root: &Path, own: &Path, exe: &[u8]) {
+    let Ok(entries) = std::fs::read_dir(root) else {
+        return;
+    };
+    for path in entries.filter_map(|e| e.ok()).map(|e| e.path()) {
+        if path.is_dir() {
+            if path != own && std::fs::read(path.join(EXE_RECORD)).is_ok_and(|r| r == exe) {
+                std::fs::remove_dir_all(&path).ok();
+            }
+        } else if is_flat_spill(&path) {
+            std::fs::remove_file(&path).ok();
+        }
+    }
+}
+
+/// `true` for a spill file of the flat layout: `<16 hex>.trc`.
+fn is_flat_spill(path: &Path) -> bool {
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+    name.strip_suffix(".trc").is_some_and(|stem| {
+        stem.len() == 16 && stem.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    })
 }
 
 /// Generate the trace as a stream and spill it to `path` (binary
@@ -202,6 +268,7 @@ pub fn cached_source(
     }
     let path = spill_path(&key);
     if !path.exists() {
+        claim_spill_dir();
         generate_spill(kind, cfg, &path)?;
     }
     let file_bytes = std::fs::metadata(&path)?.len();
@@ -360,8 +427,8 @@ mod tests {
 
     #[test]
     fn a_spill_from_another_executable_is_regenerated_not_read() {
-        // Spill names hash the key with the running executable's path,
-        // length and modification time.
+        // Spills live in a subdirectory named by the running
+        // executable's path, length and modification time.
         let exe = std::env::current_exe().unwrap();
         let len = std::fs::metadata(&exe).unwrap().len();
         assert!(exe_identity().starts_with(&format!("Some({exe:?}) Some({len})")));
@@ -390,7 +457,57 @@ mod tests {
         assert!(own.exists(), "the trace was spilled under this identity");
         let decoy_trace = open_trace_source(&decoy).unwrap().collect().unwrap();
         assert_ne!(streamed, decoy_trace);
-        std::fs::remove_file(&decoy).ok();
+        std::fs::remove_dir_all(decoy.parent().unwrap()).ok();
+        // The spill recorded this executable's path next to it.
+        let recorded = std::fs::read(own.with_file_name(EXE_RECORD)).unwrap();
+        assert_eq!(recorded, exe.as_os_str().as_encoded_bytes());
+    }
+
+    #[test]
+    fn pruning_removes_earlier_builds_and_the_flat_layout_only() {
+        let root = std::env::temp_dir().join(format!("samr-spill-prune-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let subdir = |name: &str, exe: Option<&str>| {
+            let dir = root.join(name);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("0123456789abcdef.trc"), b"spill").unwrap();
+            if let Some(exe) = exe {
+                std::fs::write(dir.join(EXE_RECORD), exe).unwrap();
+            }
+        };
+        subdir("own", Some("/bin/samr"));
+        subdir("earlier-build", Some("/bin/samr"));
+        subdir("other-executable", Some("/bin/samr-test"));
+        subdir("unrecorded", None);
+        for file in [
+            "0123456789abcdef.trc",
+            "0123456789ABCDEF.trc",
+            "0123456789abcde.trc",
+            "0123456789abcdef.tmp-1-0",
+            "tp2d.trc",
+        ] {
+            std::fs::write(root.join(file), b"spill").unwrap();
+        }
+        prune_spills(&root, &root.join("own"), b"/bin/samr");
+        let mut left: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            [
+                "0123456789ABCDEF.trc",
+                "0123456789abcde.trc",
+                "0123456789abcdef.tmp-1-0",
+                "other-executable",
+                "own",
+                "tp2d.trc",
+                "unrecorded",
+            ]
+        );
+        assert!(root.join("own/0123456789abcdef.trc").exists());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn run_to_dir_writes_one_csv_and_one_json_per_scenario() {
     assert_eq!(manifest.spec, spec);
     assert_eq!(
         manifest.plan_hash,
-        samr_engine::CampaignPlan::new(&spec, 1, samr_engine::ShardStrategy::RoundRobin).plan_hash
+        samr_engine::CampaignPlan::new(&spec, 1, samr_engine::ShardStrategy).plan_hash
     );
     std::fs::remove_dir_all(&dir).ok();
 }

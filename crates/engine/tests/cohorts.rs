@@ -120,10 +120,9 @@ fn cohort_campaign_is_identical_across_threads_and_a_sharded_merge() {
     let mut names = scenario_artifacts(&one);
     names.extend(["campaign.csv".to_string(), CAMPAIGN_PARETO.to_string()]);
     assert_same_bytes(&one, &two, &names, "1 and 2 threads");
-    // Round-robin over three shards hands the members of every cohort
-    // to different shards; the merge must not notice.
+    // Three shards of whole cohorts merge to the unsharded bytes.
     let sharded = temp_dir("sharded");
-    let plan = CampaignPlan::new(&spec, 3, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&spec, 3, ShardStrategy);
     let shard_dirs: Vec<PathBuf> = (0..plan.nshards)
         .map(|shard| {
             ShardExecutor {
@@ -149,7 +148,7 @@ fn cohort_campaign_is_identical_across_threads_and_a_sharded_merge() {
 
 #[test]
 fn cohorts_span_a_static_choice_s_machines_and_everything_that_can_switch() {
-    let plan = CampaignPlan::new(&registry_spec(), 1, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&registry_spec(), 1, ShardStrategy);
     let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
     let found = cohorts(&scenarios);
     assert_eq!(found.iter().map(Vec::len).sum::<usize>(), plan.len());
@@ -173,21 +172,20 @@ fn cohorts_span_a_static_choice_s_machines_and_everything_that_can_switch() {
         assert!(cohort.iter().all(|p| p.scenario.app == first.app));
         assert!(cohort.windows(2).all(|w| w[0].id < w[1].id), "slice order");
     }
-    // Round-robin over as many shards as machines hands the members of
-    // a static choice's cohort to different shards: each shard runs its
-    // own part of every cohort.
-    let sharded = CampaignPlan::new(&registry_spec(), 3, ShardStrategy::RoundRobin);
+    // Over as many shards as machines, every cohort still lands whole
+    // on one shard: each shard's cohorts are the plan's.
+    let sharded = CampaignPlan::new(&registry_spec(), 3, ShardStrategy);
     for shard in 0..3 {
         let slice = sharded.shard_scenarios(shard);
         for cohort in cohorts(&slice) {
-            if cohort[0].scenario.static_choice().is_some() {
-                assert_eq!(
-                    cohort.len(),
-                    1,
-                    "shard {shard} cohort at {}",
-                    cohort[0].slug
-                );
-            }
+            let whole = found.iter().find(|c| c[0].id == cohort[0].id).unwrap();
+            let ids = |c: &[&PlannedScenario]| c.iter().map(|p| p.id).collect::<Vec<_>>();
+            assert_eq!(
+                ids(&cohort),
+                ids(whole),
+                "shard {shard} cohort at {}",
+                cohort[0].slug
+            );
         }
     }
 }
@@ -207,7 +205,7 @@ fn resume_reruns_only_the_deleted_cohort_member() {
     Campaign::run_to_dir(&spec, &dir).unwrap();
     let golden_csv = std::fs::read(dir.join("campaign.csv")).unwrap();
     let golden_front = std::fs::read(dir.join(CAMPAIGN_PARETO)).unwrap();
-    let plan = CampaignPlan::new(&spec, 1, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&spec, 1, ShardStrategy);
     // The middle member of the switching cohort.
     let victim = &plan.scenarios[4];
     assert_eq!(victim.slug, "tp2d_hybrid_p4_g1_mslow-net_abalance");

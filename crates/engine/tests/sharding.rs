@@ -1,15 +1,19 @@
 //! Plan → shard-execute → merge integration: a campaign split across
 //! shard executors and merged back must be byte-identical to the
-//! unsharded run (and to the checked-in golden artifact), and the
-//! merger must reject incomplete, foreign or corrupt shard sets with
-//! precise errors instead of merging them wrong.
+//! unsharded run (and to the checked-in golden artifact), every cohort
+//! must land whole on one shard, and the merger must reject incomplete,
+//! foreign or corrupt shard sets with precise errors instead of merging
+//! them wrong.
 
+use proptest::prelude::*;
 use samr_apps::{AppKind, TraceGenConfig};
 use samr_engine::{
-    find_shard_dirs, merge_shards, Campaign, CampaignPlan, CampaignSpec, MergeError,
-    PartitionerSpec, ShardExecutor, ShardManifest, ShardStrategy,
+    cohorts, find_shard_dirs, merge_shards, Campaign, CampaignPlan, CampaignSpec, MergeError,
+    PartitionerSpec, PolicySpec, ShardExecutor, ShardManifest, ShardStrategy, CAMPAIGN_PARETO,
 };
+use samr_sim::MachineModel;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn two_by_two() -> CampaignSpec {
     CampaignSpec::new(TraceGenConfig::smoke())
@@ -45,28 +49,116 @@ fn run_shards(plan: &CampaignPlan, dir: &std::path::Path) -> Vec<PathBuf> {
 
 #[test]
 fn three_shard_split_merges_to_the_golden_bytes() {
-    for strategy in [ShardStrategy::RoundRobin, ShardStrategy::SizeAware] {
-        let dir = temp_dir(&format!("golden-{}", strategy.name()));
-        let plan = CampaignPlan::new(&two_by_two(), 3, strategy);
-        let shard_dirs = run_shards(&plan, &dir);
-        assert_eq!(shard_dirs.len(), 3);
-        // Discovery finds the same directories the executors returned.
-        let mut found = find_shard_dirs(&dir).unwrap();
-        found.sort();
-        let mut expected = shard_dirs.clone();
-        expected.sort();
-        assert_eq!(found, expected);
-        let report = merge_shards(&shard_dirs, &dir).unwrap();
-        assert_eq!(report.scenario_count, plan.len());
-        assert_eq!(report.shards, 3);
-        assert_eq!(report.plan_hash, plan.plan_hash);
-        let merged = std::fs::read_to_string(&report.csv_path).unwrap();
-        assert!(
-            merged == include_str!("golden/campaign_smoke.csv"),
-            "merged {} campaign drifted from the golden artifact",
-            strategy.name()
-        );
-        std::fs::remove_dir_all(&dir).ok();
+    let dir = temp_dir("golden");
+    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy);
+    let shard_dirs = run_shards(&plan, &dir);
+    assert_eq!(shard_dirs.len(), 3);
+    // Discovery finds the same directories the executors returned.
+    let mut found = find_shard_dirs(&dir).unwrap();
+    found.sort();
+    let mut expected = shard_dirs.clone();
+    expected.sort();
+    assert_eq!(found, expected);
+    let report = merge_shards(&shard_dirs, &dir).unwrap();
+    assert_eq!(report.scenario_count, plan.len());
+    assert_eq!(report.shards, 3);
+    assert_eq!(report.plan_hash, plan.plan_hash);
+    let merged = std::fs::read_to_string(&report.csv_path).unwrap();
+    assert!(
+        merged == include_str!("golden/campaign_smoke.csv"),
+        "merged campaign drifted from the golden artifact"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The members of `all` whose bit is set in `mask`, in order.
+fn pick<T: Copy>(all: &[T], mask: u8) -> Vec<T> {
+    (0..all.len())
+        .filter(|i| mask >> i & 1 == 1)
+        .map(|i| all[i])
+        .collect()
+}
+
+/// A spec over the subsets of each axis that the bit masks pick: static
+/// and switching partitioners, the static and an adaptive policy, three
+/// machines, 2-D and 3-D, on a trace small enough to run every case.
+fn random_spec(
+    (apps, partitioners, policies, machines, nprocs): (u8, u8, u8, u8, u8),
+) -> CampaignSpec {
+    let partitioners = pick(
+        &["hybrid", "domain-sfc", "meta", "octant-meta"],
+        partitioners,
+    );
+    let policies = pick(&["static", "adaptive:balance"], policies);
+    let machines = pick(&["uniform", "slow-net", "slow-cpu"], machines);
+    CampaignSpec::new(TraceGenConfig {
+        steps: 4,
+        base_cells: 8,
+        ref_resolution: 24,
+        ..TraceGenConfig::smoke()
+    })
+    .apps(pick(&[AppKind::Tp2d, AppKind::Sc2d, AppKind::Sp3d], apps))
+    .partitioners(
+        partitioners
+            .iter()
+            .map(|p| PartitionerSpec::parse(p).unwrap()),
+    )
+    .policies(policies.iter().map(|p| PolicySpec::parse(p).unwrap()))
+    .machines(machines.iter().map(|m| MachineModel::parse(m).unwrap()))
+    .nprocs(pick(&[2, 4, 8], nprocs))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn every_cohort_lands_whole_on_one_shard_at_any_shard_count(
+        axes in (1u8..8, 1u8..16, 1u8..4, 1u8..8, 1u8..8),
+    ) {
+        let spec = random_spec(axes);
+        let one = CampaignPlan::new(&spec, 1, ShardStrategy);
+        for nshards in 1..=7 {
+            let plan = CampaignPlan::new(&spec, nshards, ShardStrategy);
+            prop_assert_eq!(&plan, &CampaignPlan::new(&spec, nshards, ShardStrategy));
+            prop_assert_eq!(&plan.plan_hash, &one.plan_hash);
+            // Every scenario lands on exactly one shard.
+            let mut ids: Vec<usize> = (0..nshards)
+                .flat_map(|shard| plan.shard_scenarios(shard))
+                .map(|p| p.id)
+                .collect();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..plan.len()).collect::<Vec<_>>());
+            // The recorded cohorts are the scenarios that share one
+            // simulation, and each one's members share a shard.
+            for a in &plan.scenarios {
+                for b in &plan.scenarios {
+                    let same = a.scenario.same_cohort(&b.scenario);
+                    prop_assert_eq!(a.cohort == b.cohort, same);
+                    prop_assert!(!same || a.shard == b.shard, "{} and {} split", a.slug, b.slug);
+                }
+            }
+            // So a shard's cohorts are whole.
+            for shard in 0..nshards {
+                for cohort in cohorts(&plan.shard_scenarios(shard)) {
+                    let members = plan.scenarios.iter().filter(|p| p.cohort == cohort[0].cohort);
+                    prop_assert_eq!(cohort.len(), members.count());
+                }
+            }
+        }
+        // Seven shards, some of them empty when the plan has fewer
+        // cohorts, merge to the unsharded bytes.
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let (sharded, unsharded) = (temp_dir(&format!("prop-{case}")), temp_dir(&format!("prop-{case}-one")));
+        let plan = CampaignPlan::new(&spec, 7, ShardStrategy);
+        merge_shards(&run_shards(&plan, &sharded), &sharded).unwrap();
+        Campaign::run_to_dir(&spec, &unsharded).unwrap();
+        for name in ["campaign.csv", CAMPAIGN_PARETO] {
+            let (a, b) = (std::fs::read(sharded.join(name)).unwrap(), std::fs::read(unsharded.join(name)).unwrap());
+            prop_assert!(a == b, "{name} differs between the 7-shard merge and the unsharded run");
+        }
+        std::fs::remove_dir_all(&sharded).ok();
+        std::fs::remove_dir_all(&unsharded).ok();
     }
 }
 
@@ -75,7 +167,7 @@ fn merged_artifacts_match_the_unsharded_run_file_for_file() {
     let sharded = temp_dir("files-sharded");
     let unsharded = temp_dir("files-unsharded");
     let spec = two_by_two();
-    let plan = CampaignPlan::new(&spec, 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&spec, 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &sharded);
     merge_shards(&shard_dirs, &sharded).unwrap();
     Campaign::run_to_dir(&spec, &unsharded).unwrap();
@@ -101,13 +193,14 @@ fn merged_artifacts_match_the_unsharded_run_file_for_file() {
 #[test]
 fn pareto_front_is_byte_identical_across_shard_counts() {
     // The merger and the in-process runner write the front through one
-    // code path; a 1-shard and a 3-shard merge — and the unsharded run —
-    // must all land on the same golden bytes.
+    // code path; a 1-, 3- and 7-shard merge (three shards of the last
+    // empty: the plan has four cohorts) — and the unsharded run — must
+    // all land on the same golden bytes.
     let golden = include_str!("golden/campaign_pareto_smoke.json");
     let spec = two_by_two();
-    for nshards in [1, 3] {
+    for nshards in [1, 3, 7] {
         let dir = temp_dir(&format!("pareto-{nshards}"));
-        let plan = CampaignPlan::new(&spec, nshards, ShardStrategy::RoundRobin);
+        let plan = CampaignPlan::new(&spec, nshards, ShardStrategy);
         let shard_dirs = run_shards(&plan, &dir);
         merge_shards(&shard_dirs, &dir).unwrap();
         let merged = std::fs::read_to_string(dir.join("campaign.pareto.json")).unwrap();
@@ -130,7 +223,7 @@ fn pareto_front_is_byte_identical_across_shard_counts() {
 #[test]
 fn shard_manifests_describe_their_slice_of_the_plan() {
     let dir = temp_dir("manifest");
-    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     for (shard, shard_dir) in shard_dirs.iter().enumerate() {
         let m = ShardManifest::read(shard_dir).unwrap();
@@ -154,7 +247,7 @@ fn shard_manifests_describe_their_slice_of_the_plan() {
 #[test]
 fn merge_rejects_a_missing_shard() {
     let dir = temp_dir("missing-shard");
-    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let err = merge_shards(&shard_dirs[..2], &dir).unwrap_err();
     match &err {
@@ -177,7 +270,7 @@ fn merge_rejects_a_missing_shard() {
 #[test]
 fn merge_rejects_a_foreign_plan_hash() {
     let dir = temp_dir("foreign-hash");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     // Tamper: shard 1 claims to belong to a different plan, as if it
     // were left over from an older campaign in the same directory.
@@ -199,48 +292,9 @@ fn merge_rejects_a_foreign_plan_hash() {
 }
 
 #[test]
-fn merge_rejects_mixed_shard_strategies_by_name() {
-    // Plan hashes are deliberately strategy-invariant, so a shard
-    // assigned under a different --shard-strategy must be rejected by
-    // name — not surface later as baffling scenario-ID corruption.
-    let dir = temp_dir("mixed-strategy");
-    let spec = two_by_two();
-    let round_robin = CampaignPlan::new(&spec, 2, ShardStrategy::RoundRobin);
-    let size_aware = CampaignPlan::new(&spec, 2, ShardStrategy::SizeAware);
-    assert_eq!(round_robin.plan_hash, size_aware.plan_hash);
-    let dir0 = ShardExecutor {
-        shard: 0,
-        resume: false,
-    }
-    .run_shard(&round_robin, &dir)
-    .unwrap()
-    .dir;
-    // The second shard overwrites shard-1-of-2 under the other strategy.
-    let dir1 = ShardExecutor {
-        shard: 1,
-        resume: false,
-    }
-    .run_shard(&size_aware, &dir)
-    .unwrap()
-    .dir;
-    let err = merge_shards(&[dir0, dir1], &dir).unwrap_err();
-    match &err {
-        MergeError::StrategyMismatch {
-            expected, found, ..
-        } => {
-            assert_eq!(*expected, ShardStrategy::RoundRobin);
-            assert_eq!(*found, ShardStrategy::SizeAware);
-        }
-        other => panic!("expected StrategyMismatch, got {other:?}"),
-    }
-    assert!(err.to_string().contains("--shard-strategy"), "{err}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn merge_rejects_duplicate_scenario_claims() {
     let dir = temp_dir("dup-scenario");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     // Tamper: shard 1 also claims shard 0's scenarios (a truncated or
     // corrupted rerun could produce this).
@@ -261,7 +315,7 @@ fn merge_rejects_forged_manifest_counts_without_sizing_by_them() {
     // ones must end in a typed error, not in an allocation the size of
     // the forged count.
     let dir = temp_dir("forged-counts");
-    let plan = CampaignPlan::new(&two_by_two(), 1, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 1, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let genuine = ShardManifest::read(&shard_dirs[0]).unwrap();
     let n = plan.len();
@@ -307,7 +361,7 @@ fn merge_rejects_forged_manifest_counts_without_sizing_by_them() {
 #[test]
 fn merge_rejects_duplicate_shards_and_empty_sets() {
     let dir = temp_dir("dup-shard");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let doubled = vec![
         shard_dirs[0].clone(),
@@ -328,7 +382,7 @@ fn merge_rejects_duplicate_shards_and_empty_sets() {
 #[test]
 fn merge_rejects_a_directory_without_a_manifest() {
     let dir = temp_dir("no-manifest");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let mut shard_dirs = run_shards(&plan, &dir);
     // A directory that is not even named like a shard: not a shard
     // directory at all.
@@ -369,7 +423,7 @@ fn merge_flags_deleted_artifacts_as_resumable_incompleteness() {
     // must name the missing scenario and hand the operator the exact
     // `--resume` invocation that fills it.
     let dir = temp_dir("missing-artifact");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let victim = &plan.shard_scenarios(0)[0].slug;
     std::fs::remove_file(shard_dirs[0].join(format!("{victim}.csv"))).unwrap();
@@ -400,7 +454,7 @@ fn merge_flags_torn_artifact_bytes_as_corruption() {
     // corruption and must be typed as such, not merged and not called
     // merely incomplete.
     let dir = temp_dir("torn-artifact");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let victim = &plan.shard_scenarios(1)[0].slug;
     let path = shard_dirs[1].join(format!("{victim}.csv"));
@@ -423,7 +477,7 @@ fn merge_flags_a_manifestless_executed_shard_as_resumable() {
     // last artifact) has records and CSVs but no manifest: incomplete,
     // not "not a shard directory".
     let dir = temp_dir("killed-shard");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     std::fs::remove_file(shard_dirs[1].join("shard.manifest.json")).unwrap();
     let err = merge_shards(&shard_dirs, &dir).unwrap_err();
@@ -438,32 +492,13 @@ fn merge_flags_a_manifestless_executed_shard_as_resumable() {
 }
 
 #[test]
-fn killed_shard_rerun_command_recovers_the_strategy_from_a_sibling() {
-    // A manifestless shard cannot declare its own --shard-strategy; the
-    // rerun command must recover it from a surviving sibling, or a
-    // size-aware shard would be re-executed over the round-robin slice.
-    let dir = temp_dir("killed-strategy");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::SizeAware);
-    let shard_dirs = run_shards(&plan, &dir);
-    std::fs::remove_file(shard_dirs[0].join("shard.manifest.json")).unwrap();
-    match merge_shards(&shard_dirs, &dir).unwrap_err() {
-        MergeError::ShardIncomplete { rerun, .. } => {
-            assert!(rerun.contains("--shard-strategy size-aware"), "{rerun}");
-            assert!(rerun.contains("--shard 0/2"), "{rerun}");
-        }
-        other => panic!("expected ShardIncomplete, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn resumed_shard_skips_complete_scenarios_and_merges_to_golden() {
     // Simulate a shard killed mid-run: one scenario finished (stamped),
     // the other's artifacts and the manifest are gone. --resume must
     // re-execute exactly the remainder and the merge must match the
     // golden bytes.
     let dir = temp_dir("resume-shard");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let scenarios = plan.shard_scenarios(0);
     assert_eq!(scenarios.len(), 2);
@@ -501,7 +536,7 @@ fn resumed_shard_skips_complete_scenarios_and_merges_to_golden() {
 #[test]
 fn resume_reruns_torn_artifacts_instead_of_trusting_them() {
     let dir = temp_dir("resume-torn");
-    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 2, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let victim = &plan.shard_scenarios(0)[0].slug;
     // Truncate the CSV but leave its completion record: resume must
@@ -530,7 +565,7 @@ fn shard_discovery_rejects_mixed_shard_families_by_name() {
     // rejected by name at discovery, not surface as duplicate-index
     // corruption during validation.
     let dir = temp_dir("mixed-family");
-    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 3, ShardStrategy);
     run_shards(&plan, &dir);
     std::fs::create_dir_all(dir.join("shard-0-of-2")).unwrap();
     match find_shard_dirs(&dir).unwrap_err() {
@@ -551,7 +586,7 @@ fn single_shard_plan_executes_and_merges_too() {
     // The degenerate 1-shard case: shard 0 is the whole campaign and the
     // merge is a plain reassembly.
     let dir = temp_dir("one-shard");
-    let plan = CampaignPlan::new(&two_by_two(), 1, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&two_by_two(), 1, ShardStrategy);
     let shard_dirs = run_shards(&plan, &dir);
     let report = merge_shards(&shard_dirs, &dir).unwrap();
     assert_eq!(report.scenario_count, plan.len());

@@ -11,7 +11,6 @@
 //!               [--policies static,adaptive:balance,…]
 //!               [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]
 //!               [--spec FILE] [--threads N] [--shard I/N | --workers N]
-//!               [--shard-strategy round-robin|size-aware]
 //!               [--resume] [--retries N]
 //! samr campaign-merge DIR… [--out DIR]
 //! samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]
@@ -33,7 +32,8 @@
 //! `samr-engine` — in-process rayon by default (optionally capped with
 //! `--threads`), one shard of the plan with `--shard I/N` (per-shard
 //! artifact directory plus JSON manifest), or `--workers N` child
-//! processes that each run one shard and are merged automatically;
+//! processes that each run one shard and are merged automatically; a
+//! shard holds whole cohorts, the scenarios that share one simulation;
 //! `campaign-merge` validates independently produced shard directories
 //! (same plan hash, every scenario exactly once, every artifact stamped
 //! by a matching completion record) and reassembles the canonical
@@ -42,6 +42,9 @@
 //! finished campaign directory and, with `--predict`, scores the same
 //! scenarios through the paper's model to report predicted-vs-observed
 //! front agreement.
+//!
+//! Every command refuses a flag it does not define, naming it, so a
+//! misspelled flag cannot silently run with a default instead.
 //!
 //! Campaign execution is crash-consistent: every artifact is written
 //! tmp-then-rename and every finished scenario is stamped with a
@@ -69,7 +72,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N] [--shard-strategy round-robin|size-aware]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr apps\n  samr partitioners"
+        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr apps\n  samr partitioners"
     );
     ExitCode::from(2)
 }
@@ -83,6 +86,37 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The positional arguments of a command, after refusing every `--flag`
+/// it does not define: `values` take the next argument, `switches` none.
+fn positionals<'a>(
+    args: &'a [String],
+    values: &[&str],
+    switches: &[&str],
+) -> Result<Vec<&'a str>, String> {
+    let mut out = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if values.contains(&a.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{a} expects a value"));
+            }
+        } else if !a.starts_with("--") {
+            out.push(a.as_str());
+        } else if !switches.contains(&a.as_str()) {
+            return Err(format!("unknown flag '{a}'"));
+        }
+    }
+    Ok(out)
+}
+
+/// The one trace-file argument of `analyze`, `simulate` and `compare`.
+fn trace_arg<'a>(args: &'a [String], values: &[&str]) -> Result<&'a str, String> {
+    match positionals(args, values, &[])?[..] {
+        [path] => Ok(path),
+        _ => Err("expected a trace file".into()),
+    }
 }
 
 fn parse_config(args: &[String]) -> Result<TraceGenConfig, String> {
@@ -138,10 +172,11 @@ fn stream_out<const D: usize>(
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let app = args
-        .first()
-        .and_then(|a| AppKind::parse(a))
-        .ok_or("expected an application: TP2D | BL2D | SC2D | RM2D | PC2D | SP3D")?;
+    let app = match positionals(args, &["--config", "--seed", "--out"], &["--binary"])?[..] {
+        [app] => AppKind::parse(app),
+        _ => None,
+    }
+    .ok_or("expected an application: TP2D | BL2D | SC2D | RM2D | PC2D | SP3D")?;
     let mut cfg = parse_config(args)?;
     if let Some(seed) = flag_value(args, "--seed") {
         cfg.seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
@@ -197,7 +232,7 @@ fn analyze_source<const D: usize>(
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("expected a trace file")?;
+    let path = trace_arg(args, &[])?;
     let mut source = load_source(path)?;
     println!("step,beta_l,beta_c,beta_m,d1,d2,d3,request,offer,points,workload");
     match &mut source {
@@ -220,7 +255,7 @@ fn parse_nprocs(args: &[String]) -> Result<usize, String> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("expected a trace file")?;
+    let path = trace_arg(args, &["--partitioner", "--nprocs"])?;
     let nprocs = parse_nprocs(args)?;
     let mut source = load_source(path)?;
     let spec = match flag_value(args, "--partitioner") {
@@ -258,7 +293,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("expected a trace file")?;
+    let path = trace_arg(args, &["--nprocs"])?;
     let nprocs = parse_nprocs(args)?;
     let cfg = SimConfig {
         nprocs,
@@ -292,6 +327,29 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags of `samr campaign` that set an axis of the campaign.
+const AXIS_FLAGS: [&str; 9] = [
+    "--apps",
+    "--dims",
+    "--partitioners",
+    "--policies",
+    "--nprocs",
+    "--ghost-widths",
+    "--config",
+    "--machines",
+    "--machine",
+];
+
+/// The other flags of `samr campaign` that take a value.
+const RUN_FLAGS: [&str; 6] = [
+    "--spec",
+    "--out",
+    "--threads",
+    "--shard",
+    "--workers",
+    "--retries",
+];
+
 /// The campaign spec from CLI arguments: loaded whole from `--spec
 /// FILE` (the form worker processes are handed, so every worker plans
 /// the exact same campaign), or assembled from the axis flags.
@@ -300,17 +358,6 @@ fn parse_campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
         // The spec file defines every campaign axis; silently ignoring
         // an axis flag next to it would run a different campaign than
         // the command line reads.
-        const AXIS_FLAGS: [&str; 9] = [
-            "--apps",
-            "--dims",
-            "--partitioners",
-            "--policies",
-            "--nprocs",
-            "--ghost-widths",
-            "--config",
-            "--machines",
-            "--machine",
-        ];
         if let Some(conflict) = AXIS_FLAGS.iter().find(|f| has_flag(args, f)) {
             return Err(format!(
                 "{conflict} conflicts with --spec: the spec file defines every campaign axis"
@@ -398,14 +445,14 @@ fn parse_shard(args: &[String]) -> Result<Option<(usize, usize)>, String> {
 }
 
 fn cmd_campaign(args: &[String]) -> Result<(), String> {
+    let flags = [&AXIS_FLAGS[..], &RUN_FLAGS[..]].concat();
+    if let [extra, ..] = positionals(args, &flags, &["--resume"])?[..] {
+        return Err(format!("unexpected argument '{extra}'"));
+    }
     let spec = parse_campaign_spec(args)?;
     if spec.is_empty() {
         return Err("campaign expands to zero scenarios".into());
     }
-    let strategy = match flag_value(args, "--shard-strategy") {
-        None => ShardStrategy::default(),
-        Some(name) => ShardStrategy::parse(&name)?,
-    };
     let threads: Option<usize> = flag_value(args, "--threads")
         .map(|v| v.parse().map_err(|e| format!("bad --threads '{v}': {e}")))
         .transpose()?;
@@ -456,16 +503,15 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         // process, merge the shard directories back into the canonical
         // artifacts. Each worker gets an explicit thread cap so the
         // workers together do not oversubscribe the host.
-        let plan = CampaignPlan::new(&spec, nworkers, strategy);
+        let plan = CampaignPlan::new(&spec, nworkers, ShardStrategy);
         let worker_threads = threads.or_else(|| {
             std::thread::available_parallelism()
                 .ok()
                 .map(|n| (n.get() / nworkers).max(1))
         });
         eprintln!(
-            "spawning {nworkers} workers ({} threads each, strategy {}, {} retries{})",
+            "spawning {nworkers} workers ({} threads each, {} retries{})",
             worker_threads.map_or("auto".into(), |t| t.to_string()),
-            strategy.name(),
             retries,
             if resume { ", resuming" } else { "" },
         );
@@ -491,7 +537,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         if let Some((shard, nshards)) = shard {
             // One shard of the plan: per-shard artifact directory plus
             // manifest; a later `samr campaign-merge` reassembles.
-            let plan = CampaignPlan::new(&spec, nshards, strategy);
+            let plan = CampaignPlan::new(&spec, nshards, ShardStrategy);
             let executor = ShardExecutor { shard, resume };
             let run = executor
                 .run_shard(&plan, &out_dir)
@@ -539,20 +585,10 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 fn cmd_campaign_merge(args: &[String]) -> Result<(), String> {
     // Positional arguments are shard directories — or one campaign
     // directory whose `shard-*-of-*` children are the shards.
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "--out" {
-            i += 2;
-            continue;
-        }
-        if a.starts_with("--") {
-            return Err(format!("unknown flag '{a}'"));
-        }
-        dirs.push(PathBuf::from(a));
-        i += 1;
-    }
+    let dirs: Vec<PathBuf> = positionals(args, &["--out"], &[])?
+        .into_iter()
+        .map(PathBuf::from)
+        .collect();
     if dirs.is_empty() {
         return Err("expected shard directories (or one campaign directory) to merge".into());
     }

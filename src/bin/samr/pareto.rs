@@ -18,7 +18,7 @@
 //! precision/recall/Jaccard — the predicted-where-the-front-bends
 //! result the 2004 paper could not compute.
 
-use crate::{flag_value, has_flag};
+use crate::{flag_value, has_flag, positionals};
 use samr::engine::pareto::{
     compute_front, load_entries, parse_objectives, Objective, ParetoEntry, ParetoFront,
 };
@@ -204,11 +204,14 @@ fn predict(entries: &[ParetoEntry], objectives: &[Objective]) -> Result<(), Stri
 }
 
 pub fn cmd_pareto(args: &[String]) -> Result<(), String> {
-    let dir = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .ok_or("expected a campaign directory (run `samr campaign --out DIR` first)")?;
-    let dir = Path::new(dir);
+    let dir = match positionals(args, &["--objectives"], &["--predict"])?[..] {
+        [dir] => Path::new(dir),
+        _ => {
+            return Err(
+                "expected a campaign directory (run `samr campaign --out DIR` first)".into(),
+            )
+        }
+    };
     let objectives = match flag_value(args, "--objectives") {
         None => Objective::ALL.to_vec(),
         Some(list) => parse_objectives(&list).map_err(|e| e.to_string())?,

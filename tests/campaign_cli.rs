@@ -358,6 +358,65 @@ fn shard_flag_validation_rejects_malformed_values() {
 }
 
 #[test]
+fn flags_a_command_does_not_define_are_refused_by_name() {
+    // A misspelled flag must not run with the default it was meant to
+    // replace, and the deleted shard-strategy knob must not be accepted
+    // as a no-op.
+    let dir = temp_dir("unknown-flags");
+    let out = dir.to_str().unwrap();
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "campaign", "--apps", "tp2d", "--config", "smoke", "--nproc", "8", "--out", out,
+            ],
+            "--nproc",
+        ),
+        (
+            &[
+                "campaign",
+                "--apps",
+                "tp2d",
+                "--config",
+                "smoke",
+                "--partitoners",
+                "meta",
+                "--out",
+                out,
+            ],
+            "--partitoners",
+        ),
+        (
+            &[
+                "campaign",
+                "--apps",
+                "tp2d",
+                "--config",
+                "smoke",
+                "--shard-strategy",
+                "size-aware",
+                "--out",
+                out,
+            ],
+            "--shard-strategy",
+        ),
+        (
+            &["simulate", "missing.trace", "--partitoner", "meta"],
+            "--partitoner",
+        ),
+    ];
+    for (args, flag) in cases {
+        let run = samr(args);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{args:?}: {stderr}"
+        );
+        assert!(!dir.exists(), "{args:?} wrote output");
+    }
+}
+
+#[test]
 fn spec_file_reproduces_the_axis_flags_campaign() {
     // A spec written by one process and executed from the file by
     // another (what --workers does internally) plans the same campaign.

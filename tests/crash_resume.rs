@@ -86,7 +86,7 @@ fn killed_worker_is_relaunched_with_resume_and_the_merge_stays_golden() {
     let out = temp_dir("retry-out");
     let aux = temp_dir("retry-aux");
     let bin = write_crashy_worker(&aux, &aux);
-    let plan = CampaignPlan::new(&smoke_spec(), 3, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&smoke_spec(), 3, ShardStrategy);
     let exec = WorkerExecutor {
         bin,
         threads: Some(1),
@@ -187,7 +187,7 @@ fn without_retries_a_killed_worker_fails_the_sweep_but_stays_salvageable() {
     let out = temp_dir("noretry-out");
     let aux = temp_dir("noretry-aux");
     let bin = write_crashy_worker(&aux, &aux);
-    let plan = CampaignPlan::new(&smoke_spec(), 3, ShardStrategy::RoundRobin);
+    let plan = CampaignPlan::new(&smoke_spec(), 3, ShardStrategy);
     let exec = WorkerExecutor {
         bin,
         threads: Some(1),
