@@ -464,7 +464,7 @@ mod tests {
         let ind = k.indicator_field();
         assert!(ind.max_abs() > 0.99);
         // Indicator at the far corner (undisturbed oil) is ~0.
-        assert!(k.indicator(0.95, 0.95) < 0.05);
+        assert!(k.sampler()([0.95, 0.95]) < 0.05);
     }
 
     #[test]

@@ -4,6 +4,11 @@ use samr_geom::Grid2;
 
 use crate::numerics;
 
+/// A feature indicator over unit coordinates that borrows nothing from
+/// the application it came from: the trace generator regrids a step from
+/// it on any pool worker while the application has moved on.
+pub type Sampler<const D: usize> = Box<dyn Fn([f64; D]) -> f64 + Send + Sync>;
+
 /// A reference PDE solver driving SAMR adaptation.
 ///
 /// A kernel advances its own uniform reference solution (at a resolution
@@ -30,10 +35,12 @@ pub trait Kernel {
     /// The indicator field over the reference grid, normalized to `[0,1]`.
     fn indicator_field(&self) -> &Grid2<f64>;
 
-    /// Feature indicator at unit-square coordinates (bilinear sample of
-    /// [`Kernel::indicator_field`]).
-    fn indicator(&self, u: f64, v: f64) -> f64 {
-        numerics::sample_unit(self.indicator_field(), u, v)
+    /// The current step's feature indicator at unit-square coordinates
+    /// `[u, v]`, owned: by default a bilinear sample of a copy of
+    /// [`Kernel::indicator_field`].
+    fn sampler(&self) -> Sampler<2> {
+        let field = self.indicator_field().clone();
+        Box::new(move |[u, v]| numerics::sample_unit(&field, u, v))
     }
 
     /// Flagging threshold for refinement level `level` (flag a level-

@@ -41,7 +41,8 @@
 //! pressure, which saves a division per cell. The per-cell stencils
 //! the sweeps replaced stay in the tests as bit-identity oracles, and
 //! RM2D's runs against both entries. Kernels start no threads: trace
-//! generation parallelizes across applications on the caller's rayon
+//! generation parallelizes across applications, and an application's
+//! regrids across its segments ([`tracegen`]), on the caller's rayon
 //! pool, so `--threads` caps it like everything else.
 //!
 //! Each kernel advances a uniform *reference* solution and exposes a

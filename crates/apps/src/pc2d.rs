@@ -29,7 +29,7 @@
 //! function of the step counter, evaluated exactly at every sample point
 //! so the regime boundary never blurs through bilinear resampling.
 
-use crate::kernel::{geometric_threshold, Kernel};
+use crate::kernel::{geometric_threshold, Kernel, Sampler};
 use crate::numerics;
 use samr_geom::Grid2;
 
@@ -77,12 +77,6 @@ impl Pc2d {
     /// The step at which the workload flips from spread to singular.
     fn flip_step(&self) -> u32 {
         self.steps / 2
-    }
-
-    /// The exact analytic indicator at unit coordinates for the current
-    /// step — the regrid pipeline samples this directly.
-    fn indicator_at(&self, u: f64, v: f64) -> f64 {
-        indicator_for(self.step, self.flip_step(), self.phase, u, v)
     }
 
     fn refresh_indicator(&mut self) {
@@ -144,10 +138,11 @@ impl Kernel for Pc2d {
         &self.indicator
     }
 
-    fn indicator(&self, u: f64, v: f64) -> f64 {
+    fn sampler(&self) -> Sampler<2> {
         // Exact analytic sampling: a bilinear blend across the regime
         // edge would smear the singularity over neighbouring cells.
-        self.indicator_at(u, v)
+        let (step, flip, phase) = (self.step, self.flip_step(), self.phase);
+        Box::new(move |[u, v]| indicator_for(step, flip, phase, u, v))
     }
 
     fn threshold(&self, level: usize) -> f64 {
@@ -163,15 +158,19 @@ mod tests {
     fn regimes_flip_at_half_run() {
         let mut k = Pc2d::new(48, 10, 0);
         // Spread: plateau on, corner at plateau value only.
-        assert_eq!(k.indicator(0.3, 0.3), SPREAD_VALUE);
-        assert_eq!(k.indicator(0.01, 0.01), SPREAD_VALUE);
-        assert_eq!(k.indicator(0.95, 0.95), 0.0);
+        let spread = k.sampler();
+        assert_eq!(spread([0.3, 0.3]), SPREAD_VALUE);
+        assert_eq!(spread([0.01, 0.01]), SPREAD_VALUE);
+        assert_eq!(spread([0.95, 0.95]), 0.0);
         for _ in 0..5 {
             k.advance_coarse_step();
         }
-        // Singular: plateau gone, corner saturated.
-        assert_eq!(k.indicator(0.3, 0.3), 0.0);
-        assert_eq!(k.indicator(0.01, 0.01), SINGULAR_VALUE);
+        // Singular: plateau gone, corner saturated. The earlier sampler
+        // still reads its own step.
+        let singular = k.sampler();
+        assert_eq!(singular([0.3, 0.3]), 0.0);
+        assert_eq!(singular([0.01, 0.01]), SINGULAR_VALUE);
+        assert_eq!(spread([0.3, 0.3]), SPREAD_VALUE);
     }
 
     #[test]
@@ -189,13 +188,14 @@ mod tests {
     #[test]
     fn field_matches_the_analytic_indicator_at_cell_centers() {
         let k = Pc2d::new(48, 10, 3);
+        let indicator = k.sampler();
         let dx = 1.0 / 48.0;
         for (x, y) in [(0i64, 0i64), (10, 10), (40, 40), (2, 45)] {
             let u = (x as f64 + 0.5) * dx;
             let v = (y as f64 + 0.5) * dx;
             assert_eq!(
                 *k.indicator_field().get(samr_geom::Point2::new(x, y)),
-                k.indicator(u, v)
+                indicator([u, v])
             );
         }
     }

@@ -812,7 +812,7 @@ pub(crate) mod tests {
         // After one step (t = 0.1) the incident shock is near x ≈ 0.58 and
         // nothing has disturbed the far-right heavy fluid yet: the
         // indicator must be quiescent there.
-        assert!(k.indicator(0.95, 0.5) < 0.05);
+        assert!(k.sampler()([0.95, 0.5]) < 0.05);
     }
 
     #[test]

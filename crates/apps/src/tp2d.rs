@@ -289,7 +289,7 @@ mod tests {
         let ind = k.indicator_field();
         assert!(ind.max_abs() <= 1.0 + 1e-12);
         assert!(ind.max_abs() > 0.99); // normalized to exactly 1 somewhere
-        assert!(k.indicator(0.5, 0.5) >= 0.0);
+        assert!(k.sampler()([0.5, 0.5]) >= 0.0);
     }
 
     #[test]

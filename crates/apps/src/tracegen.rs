@@ -2,10 +2,10 @@
 //! configuration and record the hierarchy at every coarse time step.
 //!
 //! Generation is expressed as a *step iterator* ([`AppSource`], a
-//! [`SnapshotSource`]): each pull advances the kernel one coarse step
-//! and yields that step's hierarchy, so a trace can be consumed — or
-//! written to disk — with one snapshot resident. The batch
-//! `generate_trace*` functions are collects over it.
+//! [`SnapshotSource`]): pulls yield the hierarchy of each coarse step in
+//! step order, so a trace can be consumed — or written to disk — with
+//! one batch of segments resident (below). The batch `generate_trace*`
+//! functions are collects over it.
 //!
 //! The §5.1.1 set-up is reproduced exactly: 5 levels of factor-2 refinement
 //! in space *and* time, regridding every 4 time steps **on each level**,
@@ -19,14 +19,33 @@
 //! nesting) is dimension-generic: the 2-D kernels feed it their sampled
 //! indicator fields, the 3-D advecting-sphere workload ([`crate::sp3d`])
 //! feeds it an analytic indicator, and both run the *same* code path.
+//!
+//! **Segments.** Step 0 and every step whose scheduled level is 1 (every
+//! second coarse step on the paper's schedule) are *full regrids*: they
+//! rebuild every level above the fixed base grid from the indicator
+//! alone. The steps from one full regrid to the next form a *segment*
+//! ([`TraceGenConfig::segments`]), whose hierarchies depend on nothing
+//! generated before it. [`AppSource`] works in batches of segments: it
+//! advances the application through the batch's steps on the caller's
+//! thread, capturing one owned frame per step (its time, and what its
+//! regrid samples: the thresholds and the indicator), then regrids the
+//! batch's segments on the caller's rayon pool, each from the base-only
+//! hierarchy, with workers claiming segments from a shared counter. A
+//! batch holds twice the pool width of segments. Inside a pool worker
+//! (where `vendor/rayon` runs nested work inline) or on a one-thread
+//! pool it holds one segment, and each step regrids as soon as its frame
+//! exists, so at most one frame is live. Every segment runs the same
+//! regrid on copies of the same inputs, so a trace is byte-identical at
+//! every pool width.
 
 use crate::bl2d::Bl2d;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, Sampler};
 use crate::pc2d::Pc2d;
 use crate::rm2d::Rm2d;
 use crate::sc2d::Sc2d;
 use crate::sp3d::Sp3d;
 use crate::tp2d::Tp2d;
+use rayon::prelude::*;
 use samr_geom::{AABox, Box3, Rect2};
 use samr_grid::nesting::{clip_to_nesting, shrink_within};
 use samr_grid::{cluster_flags, ClusterOptions, FlagField, GridHierarchy, Level};
@@ -35,6 +54,9 @@ use samr_trace::{
     AnySnapshotSource, AnyTrace, HierarchyTrace, Snapshot, SnapshotSource, TraceMeta,
 };
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which application to run: the paper's four 2-D kernels, or the 3-D
 /// advecting-sphere workload.
@@ -224,6 +246,18 @@ impl TraceGenConfig {
     pub fn scheduled_level(&self, t: u32) -> Option<usize> {
         (1..self.max_levels).find(|&l| t.is_multiple_of(self.regrid_period(l)))
     }
+
+    /// The trace's segments, in step order: each runs from step 0 or a
+    /// full regrid (a step whose scheduled level is 1, which rebuilds
+    /// every level above the base grid) to the next. A segment's
+    /// hierarchies depend on nothing generated before it.
+    pub fn segments(&self) -> Vec<Range<u32>> {
+        let starts: Vec<u32> = (0..self.steps)
+            .filter(|&t| t == 0 || self.scheduled_level(t) == Some(1))
+            .collect();
+        let ends = starts.iter().skip(1).copied().chain([self.steps]);
+        starts.iter().zip(ends).map(|(&a, b)| a..b).collect()
+    }
 }
 
 /// The smallest reference grid (cells along the shorter axis) a 2-D
@@ -280,30 +314,34 @@ pub fn make_kernel(kind: AppKind, cfg: &TraceGenConfig) -> Box<dyn Kernel> {
     }
 }
 
-/// Rebuild levels `from_level ..` of `h` from a unit-coordinate
+/// What one regrid samples: the lowest level it rebuilds, the step's
+/// indicator and the flagging threshold of every parent level.
+struct RegridInput<const D: usize> {
+    from_level: usize,
+    indicator: Sampler<D>,
+    /// `thresholds[l]` flags level-`l` cells for level `l + 1`.
+    thresholds: Vec<f64>,
+}
+
+/// Rebuild levels `input.from_level ..` of `h` from a unit-coordinate
 /// indicator — the dimension-generic regrid step.
 ///
 /// For each level `l`, cells of level `l-1` (inside its patches) whose
-/// indicator exceeds `threshold(l-1)` are flagged, buffered, clustered
+/// indicator exceeds `thresholds[l-1]` are flagged, buffered, clustered
 /// with Berger–Rigoutsos, clipped to the proper-nesting region of the
 /// (new) level `l-1`, and refined into level-`l` patches.
-fn regrid<const D: usize>(
-    h: &mut GridHierarchy<D>,
-    indicator: &dyn Fn([f64; D]) -> f64,
-    threshold: &dyn Fn(usize) -> f64,
-    cfg: &TraceGenConfig,
-    from_level: usize,
-) {
-    debug_assert!(from_level >= 1);
-    h.levels.truncate(from_level);
-    for l in from_level..cfg.max_levels {
+fn regrid<const D: usize>(h: &mut GridHierarchy<D>, input: &RegridInput<D>, cfg: &TraceGenConfig) {
+    debug_assert!(input.from_level >= 1);
+    let indicator = &input.indicator;
+    h.levels.truncate(input.from_level);
+    for l in input.from_level..cfg.max_levels {
         let parent = l - 1;
         if h.levels.get(parent).is_none_or(|lev| lev.is_empty()) {
             break;
         }
         let parent_domain = h.domain_at_level(parent);
         let extent = parent_domain.extent();
-        let thr = threshold(parent);
+        let thr = input.thresholds[parent];
         let mut flags = FlagField::new(parent_domain);
         for patch in &h.levels[parent].patches {
             // Row-major single pass: the off-axis unit coordinates are
@@ -340,6 +378,42 @@ fn regrid<const D: usize>(
     }
 }
 
+/// What one step hands its segment: the step's time and, when a regrid
+/// is scheduled, what that regrid samples. It borrows nothing from the
+/// application, so its segment can regrid on any pool worker after the
+/// application has moved on.
+struct Frame<const D: usize> {
+    step: u32,
+    time: f64,
+    regrid: Option<RegridInput<D>>,
+}
+
+impl<const D: usize> Frame<D> {
+    /// Run the step's scheduled regrid on `h`, its segment's hierarchy
+    /// so far, and snapshot the result.
+    fn apply(&self, h: &mut GridHierarchy<D>, cfg: &TraceGenConfig) -> Snapshot<D> {
+        if let Some(input) = &self.regrid {
+            regrid(h, input, cfg);
+        }
+        Snapshot {
+            step: self.step,
+            time: self.time,
+            hierarchy: h.clone(),
+        }
+    }
+}
+
+/// Regrid one segment's frames, in step order, from the base-only
+/// hierarchy `base`.
+fn regrid_segment<const D: usize>(
+    base: &GridHierarchy<D>,
+    frames: &[Frame<D>],
+    cfg: &TraceGenConfig,
+) -> Vec<Snapshot<D>> {
+    let mut h = base.clone();
+    frames.iter().map(|f| f.apply(&mut h, cfg)).collect()
+}
+
 /// The per-step state an application exposes to the step iterator: how
 /// to advance one coarse step and how to read the current indicator /
 /// thresholds / time. The 2-D PDE kernels and the 3-D analytic workload
@@ -348,9 +422,8 @@ trait StepDriver<const D: usize> {
     /// Advance the reference solution by one coarse time step.
     fn advance(&mut self);
     /// The feature indicator at unit coordinates, for the current
-    /// time: a regrid builds it once and samples every flagged cell
-    /// through it.
-    fn sampler(&self) -> Box<dyn Fn([f64; D]) -> f64 + '_>;
+    /// time, owned: a regrid samples every flagged cell through it.
+    fn sampler(&self) -> Sampler<D>;
     /// Flagging threshold for refinement level `level`.
     fn threshold(&self, level: usize) -> f64;
     /// Current physical time.
@@ -362,8 +435,8 @@ impl StepDriver<2> for Box<dyn Kernel> {
         self.advance_coarse_step();
     }
 
-    fn sampler(&self) -> Box<dyn Fn([f64; 2]) -> f64 + '_> {
-        Box::new(|u| Kernel::indicator(self.as_ref(), u[0], u[1]))
+    fn sampler(&self) -> Sampler<2> {
+        Kernel::sampler(self.as_ref())
     }
 
     fn threshold(&self, level: usize) -> f64 {
@@ -380,9 +453,9 @@ impl StepDriver<3> for Sp3d {
         self.advance_coarse_step();
     }
 
-    fn sampler(&self) -> Box<dyn Fn([f64; 3]) -> f64 + '_> {
-        let c = self.center();
-        Box::new(move |u| self.indicator_around(c, u))
+    fn sampler(&self) -> Sampler<3> {
+        let (app, c) = (*self, self.center());
+        Box::new(move |u| app.indicator_around(c, u))
     }
 
     fn threshold(&self, level: usize) -> f64 {
@@ -394,26 +467,103 @@ impl StepDriver<3> for Sp3d {
     }
 }
 
-/// An application execution as a pull-based snapshot stream: each pull
-/// advances the kernel one coarse step (regridding on the paper's
-/// schedule) and yields the resulting hierarchy. Only the *current*
-/// hierarchy is resident, so traces can be consumed — or written to
-/// disk — without ever materializing. The batch generators
-/// ([`generate_trace`] and friends) are collects over this source.
+/// An application execution as a pull-based snapshot stream, generated
+/// a batch of segments at a time (see the [module docs](self)): the
+/// application advances through the batch's steps on the caller's
+/// thread, the batch's segments regrid on the caller's rayon pool, and
+/// pulls serve the snapshots in step order. Only one batch is resident,
+/// so traces can be consumed — or written to disk — without ever
+/// materializing. The batch generators ([`generate_trace`] and friends)
+/// are collects over this source.
 pub struct AppSource<const D: usize> {
     meta: TraceMeta<D>,
     cfg: TraceGenConfig,
-    h: GridHierarchy<D>,
-    next_step: u32,
+    /// The base-only hierarchy every segment regrids from.
+    base: GridHierarchy<D>,
     driver: Box<dyn StepDriver<D>>,
+    /// The segments not yet generated, in step order.
+    segments: std::vec::IntoIter<Range<u32>>,
+    /// The current batch's snapshots not yet served, in step order.
+    ready: VecDeque<Snapshot<D>>,
 }
 
 impl<const D: usize> AppSource<D> {
-    fn regrid_from(&mut self, from_level: usize) {
+    fn new(meta: TraceMeta<D>, cfg: &TraceGenConfig, driver: Box<dyn StepDriver<D>>) -> Self {
+        Self {
+            base: GridHierarchy::base_only(meta.base_domain, cfg.ratio),
+            meta,
+            cfg: cfg.clone(),
+            driver,
+            segments: cfg.segments().into_iter(),
+            ready: VecDeque::new(),
+        }
+    }
+
+    /// Advance the application to step `t` (the step after the last one
+    /// captured) and capture its frame.
+    fn capture(&mut self, t: u32) -> Frame<D> {
+        if t > 0 {
+            self.driver.advance();
+        }
         let driver = &self.driver;
-        let indicator = driver.sampler();
-        let threshold = |l: usize| driver.threshold(l);
-        regrid(&mut self.h, &*indicator, &threshold, &self.cfg, from_level);
+        Frame {
+            step: t,
+            time: driver.time(),
+            regrid: self.cfg.scheduled_level(t).map(|from_level| RegridInput {
+                from_level,
+                indicator: driver.sampler(),
+                thresholds: (0..self.cfg.max_levels - 1)
+                    .map(|l| driver.threshold(l))
+                    .collect(),
+            }),
+        }
+    }
+
+    /// Generate the next batch of segments into `ready`.
+    fn next_batch(&mut self) {
+        let width = rayon::current_num_threads();
+        if width == 1 {
+            // Inside a pool worker or on a one-thread pool: one segment,
+            // each step regridded as soon as its frame exists.
+            let Some(steps) = self.segments.next() else {
+                return;
+            };
+            let mut h = self.base.clone();
+            for t in steps {
+                let frame = self.capture(t);
+                self.ready.push_back(frame.apply(&mut h, &self.cfg));
+            }
+            return;
+        }
+        let batch: Vec<Range<u32>> = self.segments.by_ref().take(2 * width).collect();
+        let batch: Vec<Vec<Frame<D>>> = batch
+            .into_iter()
+            .map(|steps| steps.map(|t| self.capture(t)).collect())
+            .collect();
+        // The next segment to claim. It publishes nothing: the frames are
+        // read-only and the snapshots come back through the workers'
+        // joins, so `Relaxed` claims suffice.
+        let next = AtomicUsize::new(0);
+        let (base, cfg) = (&self.base, &self.cfg);
+        let mut done: Vec<(usize, Vec<Snapshot<D>>)> = (0..width.min(batch.len()))
+            .into_par_iter()
+            .map(|_| {
+                let mut done = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(frames) = batch.get(i) else {
+                        return done;
+                    };
+                    done.push((i, regrid_segment(base, frames, cfg)));
+                }
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
+        done.sort_unstable_by_key(|&(i, _)| i);
+        self.ready
+            .extend(done.into_iter().flat_map(|(_, snaps)| snaps));
     }
 }
 
@@ -423,25 +573,10 @@ impl<const D: usize> SnapshotSource<D> for AppSource<D> {
     }
 
     fn next_snapshot(&mut self) -> Result<Option<Snapshot<D>>, TraceIoError> {
-        let t = self.next_step;
-        if t >= self.cfg.steps {
-            return Ok(None);
+        if self.ready.is_empty() {
+            self.next_batch();
         }
-        if t == 0 {
-            // Initial adaptation of the starting condition.
-            self.regrid_from(1);
-        } else {
-            self.driver.advance();
-            if let Some(l) = self.cfg.scheduled_level(t) {
-                self.regrid_from(l);
-            }
-        }
-        self.next_step = t + 1;
-        Ok(Some(Snapshot {
-            step: t,
-            time: self.driver.time(),
-            hierarchy: self.h.clone(),
-        }))
+        Ok(self.ready.pop_front())
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -477,13 +612,7 @@ pub fn trace_source(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<2> {
         min_block: cfg.min_block,
         seed: cfg.seed,
     };
-    AppSource {
-        meta,
-        cfg: cfg.clone(),
-        h: GridHierarchy::base_only(base, cfg.ratio),
-        next_step: 0,
-        driver: Box::new(kernel),
-    }
+    AppSource::new(meta, cfg, Box::new(kernel))
 }
 
 /// Open the 3-D advecting-sphere workload as a snapshot stream — the
@@ -504,13 +633,7 @@ pub fn trace_source_3d(kind: AppKind, cfg: &TraceGenConfig) -> AppSource<3> {
         min_block: cfg.min_block,
         seed: cfg.seed,
     };
-    AppSource {
-        meta,
-        cfg: cfg.clone(),
-        h: GridHierarchy::base_only(base, cfg.ratio),
-        next_step: 0,
-        driver: Box::new(app),
-    }
+    AppSource::new(meta, cfg, Box::new(app))
 }
 
 /// Open the trace of any application, 2-D or 3-D, as a dimension-erased
@@ -574,6 +697,75 @@ mod tests {
         assert_eq!(cfg.scheduled_level(0), Some(1));
         assert_eq!(cfg.scheduled_level(1), Some(2));
         assert_eq!(cfg.scheduled_level(2), Some(1));
+    }
+
+    /// The first step of each of `cfg`'s segments.
+    fn segment_starts(cfg: &TraceGenConfig) -> Vec<u32> {
+        cfg.segments().iter().map(|s| s.start).collect()
+    }
+
+    #[test]
+    fn segments_start_at_every_full_regrid() {
+        // Level 1 regrids every 2 coarse steps in both configs.
+        let paper = TraceGenConfig::paper();
+        assert_eq!(
+            segment_starts(&paper),
+            (0..100).step_by(2).collect::<Vec<_>>()
+        );
+        assert_eq!(segment_starts(&TraceGenConfig::smoke()), [0, 2, 4, 6, 8]);
+        // The segments tile the trace: 5 steps end on a one-step segment.
+        let cfg = TraceGenConfig {
+            steps: 5,
+            ..TraceGenConfig::smoke()
+        };
+        assert_eq!(cfg.segments(), [0..2, 2..4, 4..5]);
+        // Level 1 every 4 coarse steps: segments of 4.
+        let cfg = TraceGenConfig {
+            regrid_interval: 8,
+            ..TraceGenConfig::paper()
+        };
+        assert_eq!(cfg.segments()[..3], [0..4, 4..8, 8..12]);
+    }
+
+    #[test]
+    fn one_segment_when_nothing_regrids_level_one_again() {
+        // No level above the base: nothing is ever scheduled.
+        let flat = TraceGenConfig {
+            max_levels: 1,
+            ..TraceGenConfig::smoke()
+        };
+        assert_eq!(segment_starts(&flat), [0]);
+        // Level 1's period (32 coarse steps) outlasts the trace.
+        let slow = TraceGenConfig {
+            regrid_interval: 64,
+            ..TraceGenConfig::smoke()
+        };
+        assert_eq!(slow.regrid_period(1), 32);
+        assert_eq!(segment_starts(&slow), [0]);
+    }
+
+    #[test]
+    fn every_pool_width_generates_the_same_trace() {
+        // Segments of 4 steps whose inner steps regrid from levels 2 and
+        // 3, and a partial last segment, at one- and multi-segment
+        // batches.
+        let cfg = TraceGenConfig {
+            steps: 11,
+            max_levels: 4,
+            regrid_interval: 8,
+            ..TraceGenConfig::smoke()
+        };
+        let at = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| generate_trace(AppKind::Bl2d, &cfg))
+        };
+        let one = at(1);
+        assert_eq!(one.len(), 11);
+        assert_eq!(at(2), one);
+        assert_eq!(at(3), one);
     }
 
     #[test]

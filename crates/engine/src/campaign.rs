@@ -132,7 +132,8 @@ impl CampaignSpec {
 
     /// Check every value the planner cannot run and name the first one
     /// out of range: a trace-config field ([`TraceGenConfig::validate`]),
-    /// a processor count below 1 or a negative ghost width.
+    /// a processor count below 1, a negative ghost width, or axes whose
+    /// scenario count overflows `usize`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.trace.validate()?;
         if let Some(&n) = self.nprocs.iter().find(|&&n| n < 1) {
@@ -140,6 +141,14 @@ impl CampaignSpec {
         }
         if let Some(&g) = self.ghost_widths.iter().find(|&&g| g < 0) {
             return Err(ConfigError::new("ghost_widths", ">= 0".into(), g));
+        }
+        if self.checked_len().is_none() {
+            let product = self.axis_lengths().map(|n| n.to_string()).join(" x ");
+            return Err(ConfigError::new(
+                "scenarios",
+                format!("<= {}", usize::MAX),
+                product,
+            ));
         }
         Ok(())
     }
@@ -209,14 +218,31 @@ impl CampaignSpec {
             .collect()
     }
 
-    /// Number of scenarios the spec expands to.
+    /// The length of each axis the expansion multiplies, in expansion
+    /// order (the application axis counts the active applications).
+    fn axis_lengths(&self) -> [usize; 6] {
+        [
+            self.active_apps().len(),
+            self.partitioners.len(),
+            self.policies.len(),
+            self.nprocs.len(),
+            self.ghost_widths.len(),
+            self.machines.len(),
+        ]
+    }
+
+    /// Number of scenarios the spec expands to, or `None` when the
+    /// product of its axis lengths overflows `usize`.
+    pub fn checked_len(&self) -> Option<usize> {
+        self.axis_lengths()
+            .into_iter()
+            .try_fold(1usize, usize::checked_mul)
+    }
+
+    /// Number of scenarios the spec expands to (`usize::MAX` for a
+    /// product that overflows, which [`CampaignSpec::validate`] refuses).
     pub fn len(&self) -> usize {
-        self.active_apps().len()
-            * self.partitioners.len()
-            * self.policies.len()
-            * self.nprocs.len()
-            * self.ghost_widths.len()
-            * self.machines.len()
+        self.checked_len().unwrap_or(usize::MAX)
     }
 
     /// `true` when at least one axis is empty.

@@ -5,7 +5,8 @@
 //! Every shard directory carries a [`ShardManifest`] recording which
 //! plan it belongs to (the plan hash), which slice of the ID space it
 //! covered, and the spec needed to reproduce the campaign.
-//! [`merge_shards`] validates the set — same plan hash everywhere, all
+//! [`merge_shards`] validates the set — same plan hash and spec
+//! everywhere, a spec that re-plans to that hash, all
 //! shard indices present exactly once, every scenario ID covered
 //! exactly once (which also refuses shards planned under a different
 //! assignment), every artifact pair stamped by a completion record
@@ -32,6 +33,7 @@ use crate::pareto::{
     compute_front, entry_from_json, write_front, Objective, ParetoEntry, ParetoError,
     CAMPAIGN_PARETO,
 };
+use crate::plan::{CampaignPlan, ShardStrategy};
 use crate::resume::{Completion, CompletionRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -180,6 +182,15 @@ pub enum MergeError {
         /// The offending shard directory.
         dir: PathBuf,
     },
+    /// A manifest's spec is not the campaign its plan hash names: it
+    /// differs from the first shard's, expands to another scenario
+    /// count, or re-plans to another hash (an edited manifest).
+    SpecMismatch {
+        /// The offending shard directory.
+        dir: PathBuf,
+        /// Which check failed.
+        detail: String,
+    },
     /// A manifest's shard index is not below its shard count.
     ShardOutOfRange {
         /// The declared shard index.
@@ -288,6 +299,12 @@ impl std::fmt::Display for MergeError {
             } => write!(
                 f,
                 "{} declares {found}, other shards {expected}",
+                dir.display()
+            ),
+            Self::SpecMismatch { dir, detail } => write!(
+                f,
+                "{} records a campaign spec that is not its plan's ({detail}): \
+                 the shard manifest was edited or comes from another campaign",
                 dir.display()
             ),
             Self::ShardOutOfRange {
@@ -509,8 +526,9 @@ fn absent(n: usize, present: impl Fn(usize) -> bool) -> Vec<usize> {
 }
 
 /// Read and cross-validate the manifests of a shard set: same plan
-/// hash, same shard/scenario counts, every shard index and every
-/// scenario ID exactly once, and every listed artifact pair stamped
+/// hash, spec and shard/scenario counts, every shard index and every
+/// scenario ID exactly once, a spec that expands to that many scenarios
+/// and re-plans to that hash, and every listed artifact pair stamped
 /// complete with bytes matching its record. Returns the reference
 /// manifest and the manifests with their directories, keyed by shard
 /// index.
@@ -522,10 +540,10 @@ fn validate_shards(
         return Err(MergeError::NoShards);
     }
     let mut manifests: BTreeMap<usize, (PathBuf, ShardManifest)> = BTreeMap::new();
-    let mut reference: Option<ShardManifest> = None;
+    let mut reference: Option<(PathBuf, ShardManifest)> = None;
     for dir in shard_dirs {
         let m = ShardManifest::read(dir)?;
-        if let Some(r) = &reference {
+        if let Some((first, r)) = &reference {
             if m.plan_hash != r.plan_hash {
                 return Err(MergeError::PlanHashMismatch {
                     expected: r.plan_hash.clone(),
@@ -540,8 +558,14 @@ fn validate_shards(
                     dir: dir.clone(),
                 });
             }
+            if m.spec != r.spec {
+                return Err(MergeError::SpecMismatch {
+                    dir: dir.clone(),
+                    detail: format!("it differs from the spec of {}", first.display()),
+                });
+            }
         } else {
-            reference = Some(m.clone());
+            reference = Some((dir.clone(), m.clone()));
         }
         if m.shard >= m.nshards {
             return Err(MergeError::ShardOutOfRange {
@@ -557,7 +581,7 @@ fn validate_shards(
     }
     // Unreachable (the empty set returned above), but a typed error beats
     // a panic on an operator-facing path.
-    let Some(reference) = reference else {
+    let Some((first, reference)) = reference else {
         return Err(MergeError::NoShards);
     };
     if manifests.len() < reference.nshards {
@@ -584,6 +608,29 @@ fn validate_shards(
             count: reference.total_scenarios - claimed.len(),
             total: reference.total_scenarios,
         });
+    }
+    // The spec must be the campaign the plan hash names. Its count (a
+    // checked product: the spec parsed, so it validated) is compared
+    // first, against a total the listed IDs now bound, so a forged axis
+    // cannot expand a huge plan; the plan hash does not depend on the
+    // shard count, so a one-shard plan recovers it.
+    let spec_mismatch = |detail: String| MergeError::SpecMismatch {
+        dir: first.clone(),
+        detail,
+    };
+    if reference.spec.len() != reference.total_scenarios {
+        return Err(spec_mismatch(format!(
+            "it expands to {} scenarios, the manifest declares {}",
+            reference.spec.len(),
+            reference.total_scenarios
+        )));
+    }
+    let replanned = CampaignPlan::new(&reference.spec, 1, ShardStrategy).plan_hash;
+    if replanned != reference.plan_hash {
+        return Err(spec_mismatch(format!(
+            "it plans to {replanned}, the manifest records plan {}",
+            reference.plan_hash
+        )));
     }
     // Every manifest-listed scenario must be stamped complete with
     // artifact bytes matching the stamp: missing pieces are a resumable

@@ -442,11 +442,11 @@ pub fn entry_from_json(
 }
 
 /// Load the scenario entries of a finished campaign directory: read its
-/// [`CampaignManifest`], re-plan the recorded spec to recover the
-/// plan-order (id, slug) list — verifying the recorded plan hash, so a
-/// directory mixing two campaigns' artifacts is rejected — then read
-/// each `<slug>.json` summary. Returns the plan hash and the entries in
-/// plan order.
+/// [`CampaignManifest`], check that its spec expands to its recorded
+/// scenario count, re-plan the spec to recover the plan-order (id,
+/// slug) list — verifying the recorded plan hash, so a directory mixing
+/// two campaigns' artifacts is rejected — then read each `<slug>.json`
+/// summary. Returns the plan hash and the entries in plan order.
 pub fn load_entries(dir: &Path) -> Result<(String, Vec<ParetoEntry>), ParetoError> {
     let manifest_path = dir.join(CAMPAIGN_MANIFEST);
     let json = std::fs::read_to_string(&manifest_path).map_err(|e| {
@@ -458,6 +458,28 @@ pub fn load_entries(dir: &Path) -> Result<(String, Vec<ParetoEntry>), ParetoErro
     })?;
     let manifest: CampaignManifest = serde_json::from_str(&json)
         .map_err(|e| ParetoError::BadArtifact(manifest_path.clone(), e.to_string()))?;
+    // Count before re-planning, so a forged axis cannot expand a huge
+    // plan: the spec (validated, so its count is a checked product) must
+    // expand to the recorded count, and a finished directory holds at
+    // least a CSV and a summary per scenario.
+    if manifest.spec.len() != manifest.scenario_count {
+        let detail = format!(
+            "its spec expands to {} scenarios, it records {}",
+            manifest.spec.len(),
+            manifest.scenario_count
+        );
+        return Err(ParetoError::BadArtifact(manifest_path, detail));
+    }
+    let files = std::fs::read_dir(dir)
+        .map_err(|e| ParetoError::Io(dir.to_path_buf(), e))?
+        .count();
+    if manifest.scenario_count > files {
+        let detail = format!(
+            "it records {} scenarios, but the directory holds {files} files",
+            manifest.scenario_count
+        );
+        return Err(ParetoError::BadArtifact(manifest_path, detail));
+    }
     // The plan hash is shard-count invariant, so re-planning
     // single-shard recovers the exact (id, slug) space of any run.
     let plan = CampaignPlan::new(&manifest.spec, 1, ShardStrategy);

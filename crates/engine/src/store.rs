@@ -9,9 +9,10 @@
 //!
 //! **Streaming path.** [`cached_source`] is the bounded-memory entry
 //! point scenarios run through: on a miss it generates the trace as a
-//! pull stream and writes it *straight to disk* (binary codec, one
-//! snapshot resident at a time), then either admits the decoded trace to
-//! the in-memory store — if the whole store stays under the byte budget
+//! pull stream and writes it *straight to disk* (binary codec, one batch
+//! of segments resident at a time: [`samr_apps::AppSource`]), then
+//! either admits the decoded trace to the in-memory store — if the
+//! whole store stays under the byte budget
 //! ([`trace_cache_budget`], default 256 MiB, env
 //! `SAMR_TRACE_CACHE_BYTES`) — or serves it as a streaming reader over
 //! the spill file. Either way a scenario's peak residency never includes
@@ -206,10 +207,11 @@ fn is_flat_spill(path: &Path) -> bool {
 }
 
 /// Generate the trace as a stream and spill it to `path` (binary
-/// codec), never holding more than one snapshot. The bytes go to a
-/// unique temporary sibling renamed into place whole; on any failure the
-/// temporary is removed, as [`crate::atomic_write`] does, so nothing is
-/// left behind in the shared spill directory.
+/// codec), never holding more than one batch of segments; called
+/// outside a pool worker, a batch's segments regrid across the pool.
+/// The bytes go to a unique temporary sibling renamed into place whole;
+/// on any failure the temporary is removed, as [`crate::atomic_write`]
+/// does, so nothing is left behind in the shared spill directory.
 fn generate_spill(kind: AppKind, cfg: &TraceGenConfig, path: &Path) -> Result<(), TraceIoError> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;

@@ -293,4 +293,15 @@ mod tests {
         let figures: Vec<u32> = runs.iter().map(ValidationRun::figure_number).collect();
         assert_eq!(figures, vec![4, 5, 6, 7]);
     }
+
+    #[test]
+    fn reduced_traces_start_a_segment_every_second_step() {
+        // Level 1 regrids every 2 of the 40 coarse steps.
+        let starts: Vec<u32> = configs::reduced()
+            .segments()
+            .iter()
+            .map(|s| s.start)
+            .collect();
+        assert_eq!(starts, (0..40).step_by(2).collect::<Vec<_>>());
+    }
 }

@@ -10,8 +10,9 @@
 //! - [`Snapshot`]: the hierarchy at one coarse time step;
 //! - [`HierarchyTrace`]: the full sequence plus run metadata;
 //! - [`SnapshotSource`]: the pull-based streaming form — one snapshot
-//!   resident at a time, so paper-scale sweeps stay in bounded memory
-//!   from the generator to the consumers;
+//!   resident at a time in the file readers, one batch of segments in
+//!   the generator, so paper-scale sweeps stay in bounded memory from
+//!   the generator to the consumers;
 //! - [`io`]: JSON-lines (human-inspectable) and compact binary
 //!   serialization, each with batch and streaming readers *and* writers.
 

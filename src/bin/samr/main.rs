@@ -192,8 +192,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     let out =
         flag_value(args, "--out").unwrap_or_else(|| format!("{}.trace", app.name().to_lowercase()));
     let binary = has_flag(args, "--binary");
-    // The generator streams straight to disk: one snapshot resident at a
-    // time, whatever the trace length.
+    // The generator streams straight to disk: one batch of segments
+    // resident at a time, whatever the trace length, regridded across
+    // the pool.
     let n = match trace_source_any(app, &cfg) {
         AnySnapshotSource::D2(mut s) => stream_out::<2>(&mut s, &out, binary),
         AnySnapshotSource::D3(mut s) => stream_out::<3>(&mut s, &out, binary),

@@ -171,6 +171,39 @@ fn merge_of_a_forged_scenario_total_fails_with_an_error() {
 }
 
 #[test]
+fn merge_refuses_manifests_whose_spec_is_not_their_plans() {
+    // Both manifests agree with each other, but their spec no longer
+    // plans to the hash they record.
+    let dir = temp_dir("forged-spec");
+    for shard in ["0/2", "1/2"] {
+        let mut args = vec!["campaign"];
+        args.extend(AXES);
+        args.extend(["--shard", shard, "--out", dir.to_str().unwrap()]);
+        assert_ok(&samr(&args), shard);
+    }
+    for shard in 0..2 {
+        let path = dir.join(format!("shard-{shard}-of-2/shard.manifest.json"));
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.contains("\"seed\": 2004"), "{json}");
+        std::fs::write(&path, json.replace("\"seed\": 2004", "\"seed\": 2005")).unwrap();
+    }
+    let merge = samr(&["campaign-merge", dir.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&merge.stderr);
+    assert_eq!(merge.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error:")
+            && stderr.contains("shard-0-of-2")
+            && stderr.contains("is not its plan's"),
+        "unhelpful merge error: {stderr}"
+    );
+    assert!(
+        !dir.join("campaign.csv").exists(),
+        "the merge wrote campaign.csv"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_stamped_summary_that_does_not_parse_is_rerun_by_resume() {
     let dir = temp_dir("unparsable-summary");
     let shard = ["--shard", "0/1", "--out", dir.to_str().unwrap()];

@@ -2,8 +2,8 @@
 //! 3-D — and the model is invariant under serialization (the §5.1
 //! methodology depends on traces being a faithful interchange format).
 
-use samr::apps::{AppKind, TraceGenConfig};
-use samr::engine::{cached_trace, CompletionRecord};
+use samr::apps::{generate_trace_any, AppKind, TraceGenConfig};
+use samr::engine::{build_thread_pool, cached_trace, CompletionRecord};
 use samr::model::ModelPipeline;
 use samr::trace::io::{
     decode_binary, decode_binary_any, encode_binary, encode_binary_any, read_jsonl, read_jsonl_any,
@@ -160,13 +160,28 @@ const TRACE_GOLDEN_DIGESTS: [(AppKind, &str); 6] = [
 
 #[test]
 fn every_app_trace_matches_its_golden_digest() {
+    let digest = |trace: &AnyTrace| CompletionRecord::digest(&encode_binary_any(trace));
     for (kind, want) in TRACE_GOLDEN_DIGESTS {
         let cfg = match kind.dim() {
             2 => TraceGenConfig::smoke(),
             _ => cfg_3d(),
         };
-        let bytes = encode_binary_any(&cached_trace(kind, &cfg));
-        let got = CompletionRecord::digest(&bytes);
-        assert_eq!(got, want, "{} trace bytes moved", kind.name());
+        let name = kind.name();
+        assert_eq!(
+            digest(&cached_trace(kind, &cfg)),
+            want,
+            "{name} trace bytes moved"
+        );
+        // Generated outside a worker, a trace regrids its segments
+        // across the pool; every width must write the same bytes.
+        for threads in 1..=3 {
+            let pool = build_thread_pool(threads).unwrap();
+            let trace = pool.install(|| generate_trace_any(kind, &cfg));
+            assert_eq!(
+                digest(&trace),
+                want,
+                "{name} trace bytes moved on a {threads}-thread pool"
+            );
+        }
     }
 }
