@@ -30,8 +30,9 @@
 //! thread, capturing one owned frame per step (its time, and what its
 //! regrid samples: the thresholds and the indicator), then regrids the
 //! batch's segments on the caller's rayon pool, each from the base-only
-//! hierarchy, with workers claiming segments from a shared counter. A
-//! batch holds twice the pool width of segments. Inside a pool worker
+//! hierarchy, as one parallel map that the pool balances (a worker whose
+//! share is empty takes unstarted segments from the back of another's).
+//! A batch holds twice the pool width of segments. Inside a pool worker
 //! (where `vendor/rayon` runs nested work inline) or on a one-thread
 //! pool it holds one segment, and each step regrids as soon as its frame
 //! exists, so at most one frame is live. Every segment runs the same
@@ -56,7 +57,6 @@ use samr_trace::{
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which application to run: the paper's four 2-D kernels, or the 3-D
 /// advecting-sphere workload.
@@ -519,7 +519,9 @@ impl<const D: usize> AppSource<D> {
         }
     }
 
-    /// Generate the next batch of segments into `ready`.
+    /// Generate the next batch of segments into `ready`: capture the
+    /// batch's frames in step order, then regrid its segments as one
+    /// parallel map, whose results come back in segment order.
     fn next_batch(&mut self) {
         let width = rayon::current_num_threads();
         if width == 1 {
@@ -540,30 +542,12 @@ impl<const D: usize> AppSource<D> {
             .into_iter()
             .map(|steps| steps.map(|t| self.capture(t)).collect())
             .collect();
-        // The next segment to claim. It publishes nothing: the frames are
-        // read-only and the snapshots come back through the workers'
-        // joins, so `Relaxed` claims suffice.
-        let next = AtomicUsize::new(0);
         let (base, cfg) = (&self.base, &self.cfg);
-        let mut done: Vec<(usize, Vec<Snapshot<D>>)> = (0..width.min(batch.len()))
-            .into_par_iter()
-            .map(|_| {
-                let mut done = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(frames) = batch.get(i) else {
-                        return done;
-                    };
-                    done.push((i, regrid_segment(base, frames, cfg)));
-                }
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
+        let done: Vec<Vec<Snapshot<D>>> = batch
+            .par_iter()
+            .map(|frames| regrid_segment(base, frames, cfg))
             .collect();
-        done.sort_unstable_by_key(|&(i, _)| i);
-        self.ready
-            .extend(done.into_iter().flat_map(|(_, snaps)| snaps));
+        self.ready.extend(done.into_iter().flatten());
     }
 }
 
@@ -764,8 +748,9 @@ mod tests {
         };
         let one = at(1);
         assert_eq!(one.len(), 11);
-        assert_eq!(at(2), one);
-        assert_eq!(at(3), one);
+        for threads in [2, 3, 7] {
+            assert_eq!(at(threads), one, "{threads} threads");
+        }
     }
 
     #[test]

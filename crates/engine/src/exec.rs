@@ -4,8 +4,11 @@
 //! [`cohorts`]: the scenarios the plan grouped to share a snapshot
 //! stream, a processor count and a static choice run as one simulation
 //! ([`Scenario::run_cohort`]), and each member's outcome is its own.
-//! The plan puts each cohort whole on one shard, so a sharded run
-//! simulates every cohort once.
+//! A slice's cohorts are one parallel map on the caller's rayon pool,
+//! which balances them: each worker starts on its contiguous share, in
+//! plan order, and takes unstarted cohorts from the back of another's
+//! when its own runs out. The plan puts each cohort whole on one shard,
+//! so a sharded run simulates every cohort once.
 //!
 //! - [`Campaign::run`](crate::Campaign::run) keeps the outcomes in
 //!   memory, in plan order;
@@ -40,7 +43,6 @@ use samr_apps::AppKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Execution failure: I/O trouble writing artifacts, or a worker
@@ -116,9 +118,10 @@ pub fn cohorts<'a>(scenarios: &[&'a PlannedScenario]) -> Vec<Vec<&'a PlannedScen
 /// each member's outcome to `finish` the moment its cohort completes.
 /// Returns what `finish` made of each scenario, in input order.
 ///
-/// The cohorts form a work queue: each of the pool's workers claims the
-/// next unclaimed cohort, in slice order, whenever it finishes one, so
-/// uneven cohorts do not leave a worker idle behind a fixed share. A
+/// The cohorts are one parallel map, so the pool balances them: each
+/// worker starts on its contiguous share of the cohorts, in slice
+/// order, and a worker that runs out takes the unstarted cohorts at the
+/// back of the longest share, so uneven cohorts do not leave it idle. A
 /// slice with one cohort runs on the calling thread, where the cohort's
 /// own partitions can still run in parallel.
 pub(crate) fn run_cohorts<'a, R: Send>(
@@ -126,23 +129,16 @@ pub(crate) fn run_cohorts<'a, R: Send>(
     finish: impl Fn(&'a PlannedScenario, ScenarioOutcome) -> R + Sync,
 ) -> Vec<R> {
     warm_store(scenarios);
-    let cohorts = cohorts(scenarios);
-    // The next cohort to claim. It publishes nothing: the cohorts are
-    // read-only and the workers' results come back through their joins,
-    // so `Relaxed` claims suffice.
-    let next = AtomicUsize::new(0);
-    let workers = rayon::current_num_threads().min(cohorts.len());
-    let done: Vec<Vec<(usize, R)>> = (0..workers)
-        .into_par_iter()
-        .map(|_| {
-            let mut done = Vec::new();
-            while let Some(cohort) = cohorts.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let members: Vec<&Scenario> = cohort.iter().map(|p| &p.scenario).collect();
-                for (p, outcome) in cohort.iter().zip(Scenario::run_cohort(&members)) {
-                    done.push((p.id, finish(p, outcome)));
-                }
-            }
-            done
+    let done: Vec<Vec<(usize, R)>> = cohorts(scenarios)
+        .par_iter()
+        .map(|cohort| {
+            let members: Vec<&Scenario> = cohort.iter().map(|p| &p.scenario).collect();
+            let outcomes = Scenario::run_cohort(&members);
+            cohort
+                .iter()
+                .zip(outcomes)
+                .map(|(p, outcome)| (p.id, finish(p, outcome)))
+                .collect()
         })
         .collect();
     let mut by_id: HashMap<usize, R> = done.into_iter().flatten().collect();

@@ -241,6 +241,17 @@ fn generate_spill(kind: AppKind, cfg: &TraceGenConfig, path: &Path) -> Result<()
     written
 }
 
+/// The spill file of a trace for this executable, generated first
+/// ([`generate_spill`]) if there is none.
+fn spill(kind: AppKind, cfg: &TraceGenConfig, key: &str) -> Result<PathBuf, TraceIoError> {
+    let path = spill_path(key);
+    if !path.exists() {
+        claim_spill_dir();
+        generate_spill(kind, cfg, &path)?;
+    }
+    Ok(path)
+}
+
 /// Admit a trace to the in-memory store, tracking its footprint.
 fn admit(key: String, trace: Arc<AnyTrace>) -> Arc<AnyTrace> {
     let mut cache = trace_cache().lock().unwrap();
@@ -268,11 +279,7 @@ pub fn cached_source(
     if let Some(t) = trace_cache().lock().unwrap().get(&key) {
         return Ok(shared_source(Arc::clone(t)));
     }
-    let path = spill_path(&key);
-    if !path.exists() {
-        claim_spill_dir();
-        generate_spill(kind, cfg, &path)?;
-    }
+    let path = spill(kind, cfg, &key)?;
     let file_bytes = std::fs::metadata(&path)?.len();
     // In-memory patches cost roughly 2–3× their 8-byte-per-coordinate
     // binary encoding; 3× keeps the admission decision conservative.
@@ -284,23 +291,29 @@ pub fn cached_source(
     open_trace_source(&path)
 }
 
-/// Generate (or fetch from the process-wide cache) the whole trace of an
-/// application under a configuration — the batch API. Materializes the
-/// trace regardless of the byte budget (callers that can stream should
-/// use [`cached_source`]).
+/// Fetch the whole trace of an application under a configuration from
+/// the process-wide cache, or decode it from its spill file — the batch
+/// API. Materializes the trace regardless of the byte budget (callers
+/// that can stream should use [`cached_source`]).
 ///
-/// Generation happens outside the cache lock, so concurrent campaign
-/// workers asking for *different* traces generate them in parallel;
-/// concurrent requests for the same key may race to generate, in which
-/// case the first inserted trace wins and the others are dropped (the
-/// generator is deterministic, so all candidates are identical anyway).
+/// A miss resolves as [`cached_source`] does: an existing spill file,
+/// else generate-to-spill, so a trace a campaign spilled is decoded
+/// instead of regenerated. A spill-file I/O failure degrades to
+/// generating the trace in memory (identical output). Resolution
+/// happens outside the cache lock, so concurrent campaign workers asking
+/// for *different* traces resolve them in parallel; concurrent requests
+/// for the same key may race, in which case the first inserted trace
+/// wins and the others are dropped (the generator is deterministic, so
+/// all candidates are identical anyway).
 pub fn cached_trace(kind: AppKind, cfg: &TraceGenConfig) -> Arc<AnyTrace> {
     let key = trace_key(kind, cfg);
     if let Some(t) = trace_cache().lock().unwrap().get(&key) {
         return Arc::clone(t);
     }
-    let trace = Arc::new(generate_trace_any(kind, cfg));
-    admit(key, trace)
+    let trace = spill(kind, cfg, &key)
+        .and_then(|path| open_trace_source(&path)?.collect())
+        .unwrap_or_else(|_| generate_trace_any(kind, cfg));
+    admit(key, Arc::new(trace))
 }
 
 /// The model series (per-step penalties and classification points) over
@@ -420,7 +433,7 @@ mod tests {
         let path = spill_path(&key);
         generate_spill(AppKind::Sc2d, &cfg, &path).unwrap();
         let from_disk = open_trace_source(&path).unwrap().collect().unwrap();
-        assert_eq!(from_disk, *cached_trace(AppKind::Sc2d, &cfg));
+        assert_eq!(from_disk, generate_trace_any(AppKind::Sc2d, &cfg));
         // A disk-backed source never enters the in-memory store under a
         // zero budget: the projected size always exceeds it.
         let file_bytes = std::fs::metadata(&path).unwrap().len();
@@ -463,6 +476,27 @@ mod tests {
         // The spill recorded this executable's path next to it.
         let recorded = std::fs::read(own.with_file_name(EXE_RECORD)).unwrap();
         assert_eq!(recorded, exe.as_os_str().as_encoded_bytes());
+    }
+
+    #[test]
+    fn a_memory_miss_decodes_the_spill_file() {
+        // A decoy at this executable's spill path of a key: a
+        // well-formed trace of another seed. The batch store decodes the
+        // spill instead of regenerating, so it returns the decoy.
+        let cfg = TraceGenConfig {
+            seed: 81,
+            ..TraceGenConfig::smoke()
+        };
+        let decoy_cfg = TraceGenConfig {
+            seed: 82,
+            ..TraceGenConfig::smoke()
+        };
+        let path = spill_path(&trace_key(AppKind::Bl2d, &cfg));
+        generate_spill(AppKind::Bl2d, &decoy_cfg, &path).unwrap();
+        let decoy = generate_trace_any(AppKind::Bl2d, &decoy_cfg);
+        assert_ne!(decoy, generate_trace_any(AppKind::Bl2d, &cfg));
+        assert_eq!(*cached_trace(AppKind::Bl2d, &cfg), decoy);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -116,10 +116,16 @@ fn cohort_campaign_is_identical_across_threads_and_a_sharded_merge() {
             .unwrap();
         dir
     };
-    let (one, two) = (run(1), run(2));
+    let one = run(1);
     let mut names = scenario_artifacts(&one);
     names.extend(["campaign.csv".to_string(), CAMPAIGN_PARETO.to_string()]);
-    assert_same_bytes(&one, &two, &names, "1 and 2 threads");
+    // At 7 threads the shares are short, and a worker whose share is
+    // empty starts by taking another's cohorts.
+    for threads in [2, 7] {
+        let wide = run(threads);
+        assert_same_bytes(&one, &wide, &names, &format!("1 and {threads} threads"));
+        std::fs::remove_dir_all(&wide).ok();
+    }
     // Three shards of whole cohorts merge to the unsharded bytes.
     let sharded = temp_dir("sharded");
     let plan = CampaignPlan::new(&spec, 3, ShardStrategy);
@@ -141,7 +147,7 @@ fn cohort_campaign_is_identical_across_threads_and_a_sharded_merge() {
         &names,
         "the unsharded run and the 3-shard merge",
     );
-    for dir in [one, two, sharded] {
+    for dir in [one, sharded] {
         std::fs::remove_dir_all(&dir).ok();
     }
 }

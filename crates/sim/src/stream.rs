@@ -1075,8 +1075,7 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        let in_workers =
-            || -> Vec<usize> { (0..2).into_par_iter().map(|_| default_window()).collect() };
+        let in_workers = || -> Vec<usize> { [0, 1].par_iter().map(|_| default_window()).collect() };
         pool.install(|| {
             assert_eq!(in_workers(), [2, 2], "worker first");
             assert_eq!(default_window(), 8);

@@ -43,8 +43,9 @@
 //! scenarios through the paper's model to report predicted-vs-observed
 //! front agreement.
 //!
-//! Every command refuses a flag it does not define, naming it, so a
-//! misspelled flag cannot silently run with a default instead.
+//! Every command refuses a flag it does not define and a positional it
+//! does not take, naming it, so a misspelled flag or a stray argument
+//! cannot silently run with a default instead.
 //!
 //! Campaign execution is crash-consistent: every artifact is written
 //! tmp-then-rename and every finished scenario is stamped with a
@@ -329,7 +330,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 /// The flags of `samr campaign` that set an axis of the campaign.
-const AXIS_FLAGS: [&str; 9] = [
+const AXIS_FLAGS: [&str; 8] = [
     "--apps",
     "--dims",
     "--partitioners",
@@ -338,7 +339,6 @@ const AXIS_FLAGS: [&str; 9] = [
     "--ghost-widths",
     "--config",
     "--machines",
-    "--machine",
 ];
 
 /// The other flags of `samr campaign` that take a value.
@@ -405,16 +405,9 @@ fn parse_campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
         Some("smoke") => TraceGenConfig::smoke(),
         Some(other) => return Err(format!("unknown config '{other}'")),
     };
-    // `--machines` sweeps the machine axis; `--machine` (singular) is
-    // kept as an alias for a one-machine campaign.
-    let machine_flag = if has_flag(args, "--machines") {
-        "--machines"
-    } else {
-        "--machine"
-    };
     let machines = parse_list(
         args,
-        machine_flag,
+        "--machines",
         vec![MachineModel::default()],
         MachineModel::parse,
     )?;
@@ -445,11 +438,21 @@ fn parse_shard(args: &[String]) -> Result<Option<(usize, usize)>, String> {
     Ok(Some((shard, nshards)))
 }
 
-fn cmd_campaign(args: &[String]) -> Result<(), String> {
-    let flags = [&AXIS_FLAGS[..], &RUN_FLAGS[..]].concat();
-    if let [extra, ..] = positionals(args, &flags, &["--resume"])?[..] {
-        return Err(format!("unexpected argument '{extra}'"));
+/// Refuse every argument of a command that takes no positional: an
+/// undefined flag by [`positionals`], a stray positional here.
+fn no_positionals(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    match positionals(args, values, switches)?[..] {
+        [extra, ..] => Err(format!("unexpected argument '{extra}'")),
+        [] => Ok(()),
     }
+}
+
+fn cmd_campaign(args: &[String]) -> Result<(), String> {
+    no_positionals(
+        args,
+        &[&AXIS_FLAGS[..], &RUN_FLAGS[..]].concat(),
+        &["--resume"],
+    )?;
     let spec = parse_campaign_spec(args)?;
     if spec.is_empty() {
         return Err("campaign expands to zero scenarios".into());
@@ -625,7 +628,8 @@ fn cmd_campaign_merge(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_apps() -> Result<(), String> {
+fn cmd_apps(args: &[String]) -> Result<(), String> {
+    no_positionals(args, &[], &[])?;
     let cfg = configs::paper();
     println!("app,dim,description");
     for kind in AppKind::EVERY {
@@ -634,7 +638,8 @@ fn cmd_apps() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_partitioners() -> Result<(), String> {
+fn cmd_partitioners(args: &[String]) -> Result<(), String> {
+    no_positionals(args, &[], &[])?;
     let machine = MachineModel::default();
     println!("name,stateful,configured_name");
     for (name, spec) in PartitionerSpec::registry() {
@@ -675,8 +680,8 @@ fn main() -> ExitCode {
         "campaign" => cmd_campaign(rest),
         "campaign-merge" => cmd_campaign_merge(rest),
         "pareto" => pareto::cmd_pareto(rest),
-        "apps" => cmd_apps(),
-        "partitioners" => cmd_partitioners(),
+        "apps" => cmd_apps(rest),
+        "partitioners" => cmd_partitioners(rest),
         _ => return usage(),
     };
     match result {

@@ -393,58 +393,38 @@ fn shard_flag_validation_rejects_malformed_values() {
 #[test]
 fn flags_a_command_does_not_define_are_refused_by_name() {
     // A misspelled flag must not run with the default it was meant to
-    // replace, and the deleted shard-strategy knob must not be accepted
-    // as a no-op.
+    // replace, the deleted shard-strategy knob and `--machine` alias must
+    // not be accepted, and a command that takes no arguments refuses
+    // them.
     let dir = temp_dir("unknown-flags");
     let out = dir.to_str().unwrap();
-    let cases: [(&[&str], &str); 4] = [
+    let campaign = |flag: &'static str, value: &'static str| {
+        let args = ["campaign", "--apps", "tp2d", "--config", "smoke"];
+        let mut args: Vec<&str> = args.to_vec();
+        args.extend([flag, value, "--out", out]);
+        (args, format!("unknown flag '{flag}'"))
+    };
+    let cases = [
+        campaign("--nproc", "8"),
+        campaign("--partitoners", "meta"),
+        campaign("--shard-strategy", "size-aware"),
+        campaign("--machine", "uniform"),
         (
-            &[
-                "campaign", "--apps", "tp2d", "--config", "smoke", "--nproc", "8", "--out", out,
-            ],
-            "--nproc",
+            vec!["simulate", "missing.trace", "--partitoner", "meta"],
+            "unknown flag '--partitoner'".to_string(),
         ),
+        (vec!["apps", "--x"], "unknown flag '--x'".to_string()),
         (
-            &[
-                "campaign",
-                "--apps",
-                "tp2d",
-                "--config",
-                "smoke",
-                "--partitoners",
-                "meta",
-                "--out",
-                out,
-            ],
-            "--partitoners",
-        ),
-        (
-            &[
-                "campaign",
-                "--apps",
-                "tp2d",
-                "--config",
-                "smoke",
-                "--shard-strategy",
-                "size-aware",
-                "--out",
-                out,
-            ],
-            "--shard-strategy",
-        ),
-        (
-            &["simulate", "missing.trace", "--partitoner", "meta"],
-            "--partitoner",
+            vec!["partitioners", "extra"],
+            "unexpected argument 'extra'".to_string(),
         ),
     ];
-    for (args, flag) in cases {
-        let run = samr(args);
+    for (args, refusal) in cases {
+        let run = samr(&args);
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("unknown flag '{flag}'")),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+        assert!(run.stdout.is_empty(), "{args:?} printed output");
         assert!(!dir.exists(), "{args:?} wrote output");
     }
 }

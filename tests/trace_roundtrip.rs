@@ -1,6 +1,10 @@
 //! Trace serialization round-trips on real application traces — 2-D and
 //! 3-D — and the model is invariant under serialization (the §5.1
 //! methodology depends on traces being a faithful interchange format).
+//!
+//! Every original is generated in memory: the engine's batch store
+//! ([`cached_trace`]) decodes its traces from spill files, so a trace it
+//! returns has already been through the binary codec.
 
 use samr::apps::{generate_trace_any, AppKind, TraceGenConfig};
 use samr::engine::{build_thread_pool, cached_trace, CompletionRecord};
@@ -23,7 +27,7 @@ fn cfg_3d() -> TraceGenConfig {
 fn jsonl_roundtrip_on_real_traces() {
     let cfg = TraceGenConfig::smoke();
     for kind in AppKind::ALL {
-        let trace = cached_trace(kind, &cfg);
+        let trace = generate_trace_any(kind, &cfg);
         let trace = trace.as_2d().expect("paper app");
         let mut buf = Vec::new();
         write_jsonl(trace, &mut buf).unwrap();
@@ -36,7 +40,7 @@ fn jsonl_roundtrip_on_real_traces() {
 fn binary_roundtrip_on_real_traces() {
     let cfg = TraceGenConfig::smoke();
     for kind in AppKind::ALL {
-        let trace = cached_trace(kind, &cfg);
+        let trace = generate_trace_any(kind, &cfg);
         let trace = trace.as_2d().expect("paper app");
         let bytes = encode_binary(trace);
         let back = decode_binary::<2>(&bytes).unwrap();
@@ -50,7 +54,7 @@ fn streaming_writer_and_reader_roundtrip_real_traces_via_files() {
     use samr::trace::{AnyTrace, MemorySource, SnapshotSource};
 
     let cfg = TraceGenConfig::smoke();
-    let trace = cached_trace(AppKind::Bl2d, &cfg);
+    let trace = generate_trace_any(AppKind::Bl2d, &cfg);
     let t2 = trace.as_2d().expect("BL2D is 2-D");
     let dir = std::env::temp_dir().join(format!("samr-roundtrip-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -90,11 +94,11 @@ fn streaming_writer_and_reader_roundtrip_real_traces_via_files() {
 
 #[test]
 fn roundtrips_on_real_3d_traces() {
-    let trace = cached_trace(AppKind::Sp3d, &cfg_3d());
+    let trace = generate_trace_any(AppKind::Sp3d, &cfg_3d());
     // Binary, via the dimension-erased entry points the CLI uses.
     let bytes = encode_binary_any(&trace);
     let back = decode_binary_any(&bytes).unwrap();
-    assert_eq!(*trace, back);
+    assert_eq!(trace, back);
     // JSON-lines with dimension sniffing.
     let t3 = trace.as_3d().expect("SP3D is 3-D");
     let mut buf = Vec::new();
@@ -106,7 +110,7 @@ fn roundtrips_on_real_3d_traces() {
 #[test]
 fn model_is_invariant_under_serialization() {
     let cfg = TraceGenConfig::smoke();
-    let trace = cached_trace(AppKind::Bl2d, &cfg);
+    let trace = generate_trace_any(AppKind::Bl2d, &cfg);
     let trace = trace.as_2d().expect("BL2D is 2-D");
     let direct = ModelPipeline::new().run(trace);
     let roundtripped = decode_binary::<2>(&encode_binary(trace)).unwrap();
@@ -116,7 +120,7 @@ fn model_is_invariant_under_serialization() {
 
 #[test]
 fn model_is_invariant_under_serialization_3d() {
-    let trace = cached_trace(AppKind::Sp3d, &cfg_3d());
+    let trace = generate_trace_any(AppKind::Sp3d, &cfg_3d());
     let trace = trace.as_3d().expect("SP3D is 3-D");
     let direct = ModelPipeline::new().run(trace);
     let roundtripped = decode_binary::<3>(&encode_binary(trace)).unwrap();
@@ -127,7 +131,7 @@ fn model_is_invariant_under_serialization_3d() {
 #[test]
 fn binary_is_compact() {
     let cfg = TraceGenConfig::smoke();
-    let trace = cached_trace(AppKind::Sc2d, &cfg);
+    let trace = generate_trace_any(AppKind::Sc2d, &cfg);
     let trace = trace.as_2d().expect("SC2D is 2-D");
     let mut json = Vec::new();
     write_jsonl(trace, &mut json).unwrap();
@@ -167,10 +171,14 @@ fn every_app_trace_matches_its_golden_digest() {
             _ => cfg_3d(),
         };
         let name = kind.name();
+        let generated = generate_trace_any(kind, &cfg);
+        assert_eq!(digest(&generated), want, "{name} trace bytes moved");
+        // The batch store decodes the trace from its spill file, which
+        // must give back exactly what the generator produced.
         assert_eq!(
-            digest(&cached_trace(kind, &cfg)),
-            want,
-            "{name} trace bytes moved"
+            *cached_trace(kind, &cfg),
+            generated,
+            "{name} spill decodes to another trace"
         );
         // Generated outside a worker, a trace regrids its segments
         // across the pool; every width must write the same bytes.
