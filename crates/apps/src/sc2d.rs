@@ -114,11 +114,6 @@ impl Sc2d {
         e * dx * dx
     }
 
-    /// Displacement field (for tests and demos).
-    pub fn displacement(&self) -> &Grid2<f64> {
-        &self.u
-    }
-
     /// RMS radius of the energy distribution — tracks the ring's
     /// expansion/contraction cycle (for tests).
     pub fn energy_radius(&self) -> f64 {

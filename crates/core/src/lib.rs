@@ -23,6 +23,7 @@
 //! and an ArMADA-style relative classifier (§3) — the baselines the paper
 //! argues are inadequate — so the comparison is reproducible too.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod model;

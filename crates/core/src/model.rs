@@ -295,6 +295,20 @@ mod tests {
     }
 
     #[test]
+    fn run_source_fails_on_a_snapshot_count_the_bytes_do_not_back() {
+        use samr_trace::io::{encode_binary, BinarySnapshotReader, TraceIoError};
+        let mut bytes = encode_binary(&trace_moving());
+        // Magic (8 bytes), dimension byte, metadata length, metadata, count.
+        let meta_len = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
+        bytes[13 + meta_len..17 + meta_len].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = BinarySnapshotReader::<2, _>::new(&bytes[..]).expect("header parses");
+        let err = ModelPipeline::new()
+            .run_source::<2>(&mut reader)
+            .expect_err("the stream ends after 8 snapshots");
+        assert!(matches!(err, TraceIoError::Format(_)), "{err:?}");
+    }
+
+    #[test]
     fn state_curve_matches_run() {
         let trace = trace_moving();
         let p = ModelPipeline::new();

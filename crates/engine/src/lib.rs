@@ -65,6 +65,7 @@
 //! assert!(outcomes[0].to_csv().lines().count() > 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atomic;

@@ -113,18 +113,6 @@ impl<T, const D: usize> Grid<T, D> {
         })
     }
 
-    /// Visit every cell of `window` in row-major order via
-    /// [`Grid::runs_in`]. `window` must lie inside the domain.
-    pub fn for_each_in(&self, window: &AABox<D>, mut f: impl FnMut(Point<D>, &T)) {
-        for (row, run) in self.runs_in(window) {
-            for (i, v) in run.iter().enumerate() {
-                let mut p = row;
-                p[0] += i as i64;
-                f(p, v);
-            }
-        }
-    }
-
     /// Overwrite every cell of `window` (which must lie inside the
     /// domain) with `value`, one contiguous run at a time.
     pub fn fill_in(&mut self, window: &AABox<D>, value: T)

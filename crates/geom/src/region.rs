@@ -4,7 +4,6 @@
 use crate::boxops;
 use crate::point::Point;
 use crate::rect::AABox;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::fmt;
 
 /// A (possibly empty) set of grid cells stored as a list of pairwise
@@ -191,19 +190,6 @@ impl<const D: usize> FromIterator<AABox<D>> for Region<D> {
     fn from_iter<T: IntoIterator<Item = AABox<D>>>(iter: T) -> Self {
         let boxes: Vec<AABox<D>> = iter.into_iter().collect();
         Region::from_boxes(&boxes)
-    }
-}
-
-impl<const D: usize> Serialize for Region<D> {
-    fn serialize(&self) -> Value {
-        self.boxes.serialize()
-    }
-}
-
-impl<const D: usize> Deserialize for Region<D> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let boxes: Vec<AABox<D>> = Deserialize::deserialize(v)?;
-        Ok(Region::from_boxes(&boxes))
     }
 }
 

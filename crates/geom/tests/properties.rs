@@ -11,11 +11,9 @@
 
 use proptest::prelude::*;
 use samr_geom::boxops;
-use samr_geom::sfc::scalar::{hilbert_decode, hilbert_decode_3d, morton_decode, morton_decode_3d};
 use samr_geom::sfc::{
-    hilbert_key, hilbert_key_3d, morton_key, morton_key_3d, morton_keys, morton_keys_3d,
-    morton_keys_3d_with, morton_keys_with, scalar, sfc_key_nd, sfc_keys_nd, BatchIsa, SfcCurve,
-    MAX_ORDER, MAX_ORDER_3D,
+    hilbert_decode, hilbert_decode_3d, hilbert_key, hilbert_key_3d, morton_decode,
+    morton_decode_3d, morton_key, morton_key_3d,
 };
 use samr_geom::{AABox, Box3, Point2, Point3, Rect2, Region};
 
@@ -634,143 +632,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    // -----------------------------------------------------------------
-    // The optimized public SFC paths are bit-identical to the retained
-    // scalar reference implementations — across random u64 inputs and
-    // every supported order, in both dimensions. The optimizations
-    // (PDEP Morton, branchless Hilbert rotation, interleave-based
-    // transpose packing) are only admissible because of these.
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn optimized_morton_matches_scalar(x in any::<u64>(), y in any::<u64>()) {
-        // 2-D: both paths read exactly the low 32 bits of each axis, so
-        // the whole u64 range is in scope.
-        let (x2, y2) = (x & 0xffff_ffff, y & 0xffff_ffff);
-        prop_assert_eq!(morton_key(x2, y2), scalar::morton_key(x2, y2));
-        // 3-D over the documented 21-bit axis domain.
-        let m = (1u64 << MAX_ORDER_3D) - 1;
-        let (x3, y3, z3) = (x & m, y & m, (x ^ y) & m);
-        let key = morton_key_3d(x3, y3, z3);
-        prop_assert_eq!(key, scalar::morton_key_3d(x3, y3, z3));
-    }
-
-    #[test]
-    fn batch_morton_kernels_match_scalar_map(
-        tuples in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64),
-    ) {
-        // The BMI2 batch kernels are admissible only as an exact map of
-        // the scalar references over the slice — same domains as the
-        // per-key tests above.
-        let m3 = (1u64 << MAX_ORDER_3D) - 1;
-        let c2: Vec<[u64; 2]> = tuples
-            .iter()
-            .map(|&(x, y, _)| [x & 0xffff_ffff, y & 0xffff_ffff])
-            .collect();
-        let c3: Vec<[u64; 3]> = tuples.iter().map(|&(x, y, z)| [x & m3, y & m3, z & m3]).collect();
-
-        let mut keys = Vec::new();
-        morton_keys(&c2, &mut keys);
-        let want: Vec<u64> = c2.iter().map(|c| scalar::morton_key(c[0], c[1])).collect();
-        prop_assert_eq!(&keys, &want);
-
-        morton_keys_3d(&c3, &mut keys);
-        let want: Vec<u64> = c3.iter().map(|c| scalar::morton_key_3d(c[0], c[1], c[2])).collect();
-        prop_assert_eq!(&keys, &want);
-    }
-
-    #[test]
-    fn batch_kernels_bit_identical_on_every_tier(
-        tuples in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..64),
-    ) {
-        // Force every tier this CPU executes — BMI2, AVX2, and the
-        // always-available scalar fallback — through the same `*_with`
-        // entry points and hold each one to the scalar-map oracle. On a
-        // BMI2 machine `detect()` never picks AVX2 or Scalar, so this
-        // is the only wall standing between those tiers and silent rot.
-        let m3 = (1u64 << MAX_ORDER_3D) - 1;
-        let c2: Vec<[u64; 2]> = tuples
-            .iter()
-            .map(|&(x, y, _)| [x & 0xffff_ffff, y & 0xffff_ffff])
-            .collect();
-        let c3: Vec<[u64; 3]> = tuples.iter().map(|&(x, y, z)| [x & m3, y & m3, z & m3]).collect();
-        let want2: Vec<u64> = c2.iter().map(|c| scalar::morton_key(c[0], c[1])).collect();
-        let want3: Vec<u64> = c3.iter().map(|c| scalar::morton_key_3d(c[0], c[1], c[2])).collect();
-        for isa in BatchIsa::ALL.into_iter().filter(|i| i.is_available()) {
-            let mut keys = Vec::new();
-            morton_keys_with(isa, &c2, &mut keys);
-            prop_assert_eq!(&keys, &want2, "2-D encode diverged on {:?}", isa);
-            morton_keys_3d_with(isa, &c3, &mut keys);
-            prop_assert_eq!(&keys, &want3, "3-D encode diverged on {:?}", isa);
-        }
-    }
-
-    #[test]
-    fn sfc_keys_nd_matches_per_key_map(
-        tuples in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..48),
-        order2 in 1u32..=MAX_ORDER,
-        order3 in 1u32..=MAX_ORDER_3D,
-    ) {
-        // The batch entry the partitioner's unit-ordering pass feeds must
-        // be an exact map of the per-key dispatch — both curves, both
-        // dimensions, every order (Hilbert's batched transpose+Morton
-        // packing included).
-        for curve in [SfcCurve::Morton, SfcCurve::Hilbert] {
-            let mask2 = (1u64 << order2) - 1;
-            let c2: Vec<[u64; 2]> = tuples
-                .iter()
-                .map(|&(x, y, _)| [x & mask2, y & mask2])
-                .collect();
-            let mut keys = Vec::new();
-            sfc_keys_nd(curve, order2, &c2, &mut keys);
-            let want: Vec<u64> = c2.iter().map(|&c| sfc_key_nd(curve, order2, c)).collect();
-            prop_assert_eq!(&keys, &want, "2-D {:?} order {}", curve, order2);
-            let mask3 = (1u64 << order3) - 1;
-            let c3: Vec<[u64; 3]> = tuples
-                .iter()
-                .map(|&(x, y, z)| [x & mask3, y & mask3, z & mask3])
-                .collect();
-            sfc_keys_nd(curve, order3, &c3, &mut keys);
-            let want: Vec<u64> = c3.iter().map(|&c| sfc_key_nd(curve, order3, c)).collect();
-            prop_assert_eq!(&keys, &want, "3-D {:?} order {}", curve, order3);
-        }
-    }
-
-    #[test]
-    fn optimized_hilbert_2d_matches_scalar(
-        order in 1u32..=MAX_ORDER,
-        x in any::<u64>(),
-        y in any::<u64>(),
-    ) {
-        let mask = (1u64 << order) - 1;
-        let (x, y) = (x & mask, y & mask);
-        prop_assert_eq!(
-            hilbert_key(order, x, y),
-            scalar::hilbert_key(order, x, y),
-            "encode diverged at order {}", order
-        );
-    }
-
-    #[test]
-    fn optimized_hilbert_3d_matches_scalar(
-        order in 1u32..=MAX_ORDER_3D,
-        x in any::<u64>(),
-        y in any::<u64>(),
-        z in any::<u64>(),
-    ) {
-        let mask = (1u64 << order) - 1;
-        let (x, y, z) = (x & mask, y & mask, z & mask);
-        prop_assert_eq!(
-            hilbert_key_3d(order, x, y, z),
-            scalar::hilbert_key_3d(order, x, y, z),
-            "encode diverged at order {}", order
-        );
-    }
-}
-
 /// Pinned key values: the 2-D curves must produce the exact historical
 /// keys forever (partial-order bucketing and chunk boundaries depend on
 /// them), and the 3-D curves are pinned from their first release so any
@@ -792,4 +653,40 @@ fn sfc_key_values_are_pinned() {
         "order-1 curve visits all octants"
     );
     assert_eq!(hilbert_key_3d(1, 0, 0, 0), 0, "curve starts at the origin");
+
+    // Every key of a full grid, digested (FNV-1a over the little-endian
+    // key bytes, x fastest): the 2-D curves at order 6 and the 3-D
+    // curves at order 4, so a change to any one key of them fails here.
+    let grid2 = || (0..64u64).flat_map(|y| (0..64u64).map(move |x| (x, y)));
+    let grid3 = || {
+        (0..16u64).flat_map(|z| (0..16u64).flat_map(move |y| (0..16u64).map(move |x| (x, y, z))))
+    };
+    let digests = [
+        fnv1a(grid2().map(|(x, y)| morton_key(x, y))),
+        fnv1a(grid2().map(|(x, y)| hilbert_key(6, x, y))),
+        fnv1a(grid3().map(|(x, y, z)| morton_key_3d(x, y, z))),
+        fnv1a(grid3().map(|(x, y, z)| hilbert_key_3d(4, x, y, z))),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0xdf8d_f306_b698_e525,
+            0xa332_f28a_c5a5_ed45,
+            0xe55f_c4fb_34bc_0825,
+            0x4acf_c5f2_2140_6775,
+        ],
+        "full-grid key digests: Morton 2-D, Hilbert 2-D, Morton 3-D, Hilbert 3-D"
+    );
+}
+
+/// FNV-1a over the little-endian bytes of a key sequence.
+fn fnv1a(keys: impl Iterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for k in keys {
+        for b in k.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }

@@ -19,6 +19,7 @@
 //!   communication metric, surface/volume measures, and refinement-pattern
 //!   descriptors used by the octant-approach baseline classifier.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -22,6 +22,7 @@
 //!   the partitioner *mid-run* when observed imbalance or communication
 //!   crosses a hysteresis threshold, paying the switch's migration bill.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compare;

@@ -29,6 +29,7 @@
 //! tile the level's patches exactly (checked by
 //! [`validate_partition`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod choice;

@@ -4,7 +4,6 @@
 use crate::choice::PartitionerChoice;
 use samr_geom::{boxops, AABox};
 use samr_grid::GridHierarchy;
-use serde::{Deserialize, Serialize, Value};
 
 /// Processor rank.
 pub type ProcId = u32;
@@ -17,24 +16,6 @@ pub struct Fragment<const D: usize> {
     pub rect: AABox<D>,
     /// Owning processor.
     pub owner: ProcId,
-}
-
-impl<const D: usize> Serialize for Fragment<D> {
-    fn serialize(&self) -> Value {
-        Value::Map(vec![
-            ("rect".to_string(), self.rect.serialize()),
-            ("owner".to_string(), self.owner.serialize()),
-        ])
-    }
-}
-
-impl<const D: usize> Deserialize for Fragment<D> {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            rect: serde::field(v, "rect")?,
-            owner: serde::field(v, "owner")?,
-        })
-    }
 }
 
 /// The fragments of one refinement level.
@@ -57,30 +38,6 @@ impl<const D: usize> LevelPartition<D> {
     pub fn cells(&self) -> u64 {
         self.fragments.iter().map(|f| f.rect.cells()).sum()
     }
-
-    /// Fragments owned by `p`.
-    pub fn owned_by(&self, p: ProcId) -> impl Iterator<Item = &Fragment<D>> + '_ {
-        self.fragments.iter().filter(move |f| f.owner == p)
-    }
-
-    /// The boxes owned by `p` at this level.
-    pub fn rects_of(&self, p: ProcId) -> Vec<AABox<D>> {
-        self.owned_by(p).map(|f| f.rect).collect()
-    }
-}
-
-impl<const D: usize> Serialize for LevelPartition<D> {
-    fn serialize(&self) -> Value {
-        Value::Map(vec![("fragments".to_string(), self.fragments.serialize())])
-    }
-}
-
-impl<const D: usize> Deserialize for LevelPartition<D> {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            fragments: serde::field(v, "fragments")?,
-        })
-    }
 }
 
 /// A complete distribution of a hierarchy over `nprocs` processors.
@@ -90,24 +47,6 @@ pub struct Partition<const D: usize> {
     pub nprocs: usize,
     /// One entry per hierarchy level.
     pub levels: Vec<LevelPartition<D>>,
-}
-
-impl<const D: usize> Serialize for Partition<D> {
-    fn serialize(&self) -> Value {
-        Value::Map(vec![
-            ("nprocs".to_string(), self.nprocs.serialize()),
-            ("levels".to_string(), self.levels.serialize()),
-        ])
-    }
-}
-
-impl<const D: usize> Deserialize for Partition<D> {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            nprocs: serde::field(v, "nprocs")?,
-            levels: serde::field(v, "levels")?,
-        })
-    }
 }
 
 impl<const D: usize> Partition<D> {

@@ -8,7 +8,7 @@
 //! full composite workload of the column of cells above it:
 //! `Σ_l |level_l ∩ refine(unit)| · ratio^l`.
 
-use samr_geom::sfc::{order_for, sfc_keys_nd, SfcCurve};
+use samr_geom::sfc::{order_for, sfc_key_nd, SfcCurve};
 use samr_geom::{AABox, Point};
 use samr_grid::GridHierarchy;
 
@@ -104,31 +104,21 @@ pub fn sfc_order<const D: usize>(
     full_order: bool,
 ) -> Vec<[i64; D]> {
     let order = order_for(grid.dims.iter().copied().max().unwrap_or(1) as u64);
-    let coords: Vec<[u64; D]> = grid
+    // Partial ordering keeps only the top 4 levels of the curve (buckets
+    // of 2^(D*(order-4)) positions); ties resolve by the row-major push
+    // order (the sort is stable).
+    let shift = if full_order || order <= 4 {
+        0
+    } else {
+        D as u32 * (order - 4)
+    };
+    let mut keyed: Vec<(u64, [i64; D])> = grid
         .index_box()
         .iter_cells()
         .map(|u| {
             let c = u.coords();
-            std::array::from_fn(|i| c[i] as u64)
-        })
-        .collect();
-    // Batch-encode the whole unit grid (one SFC kernel dispatch per
-    // snapshot instead of one per cell).
-    let mut keys = Vec::new();
-    sfc_keys_nd::<D>(curve, order, &coords, &mut keys);
-    let mut keyed: Vec<(u64, [i64; D])> = keys
-        .iter()
-        .zip(&coords)
-        .map(|(&key, c)| {
-            // Partial ordering: keep only the top 4 levels of the curve
-            // (buckets of 2^(D*(order-4)) positions); ties resolved by
-            // the row-major push order (sort is stable).
-            let eff_key = if full_order || order <= 4 {
-                key
-            } else {
-                key >> (D as u32 * (order - 4))
-            };
-            (eff_key, std::array::from_fn(|i| c[i] as i64))
+            let key = sfc_key_nd::<D>(curve, order, std::array::from_fn(|i| c[i] as u64));
+            (key >> shift, c)
         })
         .collect();
     keyed.sort_by_key(|&(k, _)| k);

@@ -34,6 +34,7 @@
 //! - [`simulate`]: the simulation configuration and result, and the
 //!   per-step metrics the driver derives from one distribution.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod comm;

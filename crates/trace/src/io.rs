@@ -352,12 +352,13 @@ fn read_rect<const D: usize, R: Read>(r: &mut R) -> Result<AABox<D>, TraceIoErro
 /// Streaming binary reader: parses the header on construction and then
 /// one record per pull, validating each snapshot before yielding. Per-
 /// level allocations are grown incrementally, so a hostile patch count
-/// fails at end of input instead of reserving gigabytes.
+/// fails at end of input instead of reserving gigabytes. For the same
+/// reason it gives no [`SnapshotSource::len_hint`]: the header's
+/// snapshot count is a claim the bytes that follow may not back.
 pub struct BinarySnapshotReader<const D: usize, R: Read> {
     r: R,
     meta: TraceMeta<D>,
     remaining: u32,
-    total: u32,
     last_step: Option<u32>,
 }
 
@@ -398,12 +399,11 @@ impl<const D: usize, R: Read> BinarySnapshotReader<D, R> {
             read_exact_or_truncated(&mut r, &mut meta_json[start..])?;
         }
         let meta: TraceMeta<D> = serde_json::from_slice(&meta_json)?;
-        let total = read_u32_le(&mut r)?;
+        let remaining = read_u32_le(&mut r)?;
         Ok(Self {
             r,
             meta,
-            remaining: total,
-            total,
+            remaining,
             last_step: None,
         })
     }
@@ -454,10 +454,6 @@ impl<const D: usize, R: Read> SnapshotSource<D> for BinarySnapshotReader<D, R> {
         validate_snapshot(&self.meta, &mut self.last_step, &snap)?;
         self.remaining -= 1;
         Ok(Some(snap))
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.total as usize)
     }
 }
 
@@ -747,7 +743,7 @@ mod tests {
         let bytes = encode_binary(&t);
         let mut slice: &[u8] = &bytes;
         let mut r = BinarySnapshotReader::<3, _>::new(&mut slice).unwrap();
-        assert_eq!(r.len_hint(), Some(t.len()));
+        assert_eq!(r.len_hint(), None, "the header's count is not trusted");
         assert_eq!(r.meta(), &t.meta);
         for want in &t.snapshots {
             assert_eq!(r.next_snapshot().unwrap().as_ref(), Some(want));

@@ -16,6 +16,7 @@
 //! - [`io`]: JSON-lines (human-inspectable) and compact binary
 //!   serialization, each with batch and streaming readers *and* writers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod io;

@@ -38,6 +38,9 @@ pub trait SnapshotSource<const D: usize> {
     fn next_snapshot(&mut self) -> Result<Option<Snapshot<D>>, TraceIoError>;
 
     /// Total number of snapshots, when the source knows it up front.
+    /// Consumers reserve by it, so only a source that holds or generates
+    /// that many snapshots gives one; the codec readers, whose counts
+    /// come from untrusted bytes, do not.
     fn len_hint(&self) -> Option<usize> {
         None
     }

@@ -106,24 +106,6 @@ pub struct HierarchyTrace<const D: usize> {
     pub snapshots: Vec<Snapshot<D>>,
 }
 
-impl<const D: usize> Serialize for HierarchyTrace<D> {
-    fn serialize(&self) -> Value {
-        Value::Map(vec![
-            ("meta".to_string(), self.meta.serialize()),
-            ("snapshots".to_string(), self.snapshots.serialize()),
-        ])
-    }
-}
-
-impl<const D: usize> Deserialize for HierarchyTrace<D> {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            meta: serde::field(v, "meta")?,
-            snapshots: serde::field(v, "snapshots")?,
-        })
-    }
-}
-
 impl<const D: usize> HierarchyTrace<D> {
     /// Create an empty trace with the given metadata.
     pub fn new(meta: TraceMeta<D>) -> Self {

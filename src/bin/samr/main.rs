@@ -54,6 +54,8 @@
 //! `--workers`) relaunches a dead worker with `--resume` instead of
 //! failing the sweep.
 
+#![forbid(unsafe_code)]
+
 use samr::apps::{trace_source_any, AppKind, ConfigError, TraceGenConfig};
 use samr::engine::{
     build_thread_pool, configs, find_shard_dirs, merge_shards, Campaign, CampaignPlan,

@@ -36,6 +36,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use samr_apps as apps;
 pub use samr_core as model;
 pub use samr_engine as engine;

@@ -496,6 +496,50 @@ fn simulate_and_compare_reject_a_trace_with_no_snapshots() {
 }
 
 #[test]
+fn a_forged_snapshot_count_is_a_truncated_trace_not_an_abort() {
+    // The binary header's snapshot count is input the program does not
+    // control: a count the file does not back must end every reading
+    // command with a format error, not a reservation the allocator
+    // refuses.
+    let dir = temp_dir("forged-count");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tp2d.trace");
+    let trace = path.to_str().unwrap();
+    assert_ok(
+        &samr(&[
+            "generate", "tp2d", "--config", "smoke", "--binary", "--out", trace,
+        ]),
+        "generate",
+    );
+    // Magic (8 bytes), dimension byte, metadata length, metadata, count.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let meta_len = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
+    let count = 13 + meta_len..17 + meta_len;
+    assert_eq!(
+        bytes[count.clone()],
+        10u32.to_le_bytes(),
+        "smoke traces hold 10 snapshots"
+    );
+    bytes[count].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    for args in [
+        vec!["simulate", trace, "--nprocs", "8"],
+        vec!["analyze", trace],
+        vec!["compare", trace, "--nprocs", "8"],
+    ] {
+        let out = samr(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "samr {}: {stderr}", args[0]);
+        assert!(
+            stderr.contains("truncated trace"),
+            "samr {}: {stderr}",
+            args[0]
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unrunnable_trace_configs_are_refused_by_field_with_no_output() {
     // A spec file or an axis flag is input the program does not
     // control: a value the planner cannot run must exit 1 with an

@@ -4,11 +4,10 @@
 //!
 //! End-to-end timing belongs to `samr-benchmark/`. What an end-to-end
 //! run cannot show is how much faster each optimized path is than its
-//! retained twin: the scalar SFC references, the all-pairs `naive_*`
+//! retained twin: the per-cell flag marking, the all-pairs `naive_*`
 //! accounting, the restart-scan `naive_coalesce`. Each test times one
-//! pair and asserts
-//! that the median of its per-round `twin / optimized` time ratios is
-//! at least the pair's floor.
+//! pair and asserts that the median of its per-round `twin / optimized`
+//! time ratios is at least the pair's floor.
 //!
 //! A floor keeps half of the gain measured when it was set,
 //! `1 + (median - 1) / 2`. A pair whose optimized path measured below
@@ -29,7 +28,6 @@
 
 use samr::apps::AppKind;
 use samr::engine::{cached_trace, configs};
-use samr::geom::sfc::{self, scalar, BatchIsa, SfcCurve};
 use samr::geom::{boxops, Rect2};
 use samr::grid::{FlagField, GridHierarchy};
 use samr::partition::weights::{composite_unit_weights, sfc_order, split_contiguous};
@@ -123,155 +121,15 @@ fn assert_speedup<A, B>(
     );
 }
 
-/// 2-D SFC working set: a 256×256 tile, 64 Ki keys.
-const SIDE_2D: u64 = 256;
-/// 3-D SFC working set: a 32×32×32 tile, 32 Ki keys.
-const SIDE_3D: u64 = 32;
-
-fn coords_2d() -> Vec<[u64; 2]> {
-    (0..SIDE_2D)
-        .flat_map(|y| (0..SIDE_2D).map(move |x| [x, y]))
-        .collect()
-}
-
-fn coords_3d() -> Vec<[u64; 3]> {
-    (0..SIDE_3D)
-        .flat_map(|z| (0..SIDE_3D).flat_map(move |y| (0..SIDE_3D).map(move |x| [x, y, z])))
-        .collect()
-}
-
-/// A batch 2-D Morton kernel against the per-key scalar reference loop
-/// it replaced.
-fn morton_2d_pair(pair: &str, floor: f64, batch: fn(&[[u64; 2]], &mut Vec<u64>)) {
-    let coords2 = coords_2d();
-    let mut out_keys: Vec<u64> = Vec::new();
-    assert_speedup(
-        pair,
-        floor,
-        || {
-            batch(black_box(&coords2), &mut out_keys);
-            out_keys.last().copied()
-        },
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords2[..]) {
-                acc = acc.wrapping_add(scalar::morton_key(c[0], c[1]));
-            }
-            acc
-        },
-    );
-}
-
-/// A batch 3-D Morton kernel against the per-key scalar reference loop
-/// it replaced.
-fn morton_3d_pair(pair: &str, floor: f64, batch: fn(&[[u64; 3]], &mut Vec<u64>)) {
-    let coords3 = coords_3d();
-    let mut out_keys: Vec<u64> = Vec::new();
-    assert_speedup(
-        pair,
-        floor,
-        || {
-            batch(black_box(&coords3), &mut out_keys);
-            out_keys.last().copied()
-        },
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords3[..]) {
-                acc = acc.wrapping_add(scalar::morton_key_3d(c[0], c[1], c[2]));
-            }
-            acc
-        },
-    );
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn batch_morton_2d_beats_scalar() {
-    morton_2d_pair("morton_2d_batch", 1.38, sfc::morton_keys);
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn batch_morton_3d_beats_scalar() {
-    morton_3d_pair("morton_3d_batch", 2.57, sfc::morton_keys_3d);
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn avx2_morton_2d_beats_scalar() {
-    if !BatchIsa::Avx2.is_available() {
-        println!("morton_2d_avx2: skipped, this CPU has no AVX2");
-        return;
-    }
-    morton_2d_pair("morton_2d_avx2", 1.2, |c, out| {
-        sfc::morton_keys_with(BatchIsa::Avx2, c, out)
-    });
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn avx2_morton_3d_beats_scalar() {
-    if !BatchIsa::Avx2.is_available() {
-        println!("morton_3d_avx2: skipped, this CPU has no AVX2");
-        return;
-    }
-    morton_3d_pair("morton_3d_avx2", 1.77, |c, out| {
-        sfc::morton_keys_3d_with(BatchIsa::Avx2, c, out)
-    });
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn branchless_hilbert_2d_beats_scalar() {
-    let coords2 = coords_2d();
-    assert_speedup(
-        "hilbert_2d_encode",
-        1.24,
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords2[..]) {
-                acc = acc.wrapping_add(sfc::hilbert_key(8, c[0], c[1]));
-            }
-            acc
-        },
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords2[..]) {
-                acc = acc.wrapping_add(scalar::hilbert_key(8, c[0], c[1]));
-            }
-            acc
-        },
-    );
-}
-
-#[test]
-#[ignore = "times code: run in release with --ignored"]
-fn batch_hilbert_3d_beats_scalar() {
-    let coords3 = coords_3d();
-    let mut out_keys: Vec<u64> = Vec::new();
-    assert_speedup(
-        "hilbert_3d_batch",
-        1.08,
-        || {
-            sfc::sfc_keys_nd::<3>(SfcCurve::Hilbert, 5, black_box(&coords3), &mut out_keys);
-            out_keys.last().copied()
-        },
-        || {
-            let mut acc = 0u64;
-            for c in black_box(&coords3[..]) {
-                acc = acc.wrapping_add(scalar::hilbert_key_3d(5, c[0], c[1], c[2]));
-            }
-            acc
-        },
-    );
-}
+/// Side of the square domain the flag-marking pair marks.
+const SIDE_2D: i64 = 256;
 
 #[test]
 #[ignore = "times code: run in release with --ignored"]
 fn row_major_flag_marking_beats_per_cell_set() {
     // Both sides evaluate the same ring indicator on every cell of a
     // 256² domain, so the pair isolates the marking mechanics.
-    let dom = Rect2::from_extents(SIDE_2D as i64, SIDE_2D as i64);
+    let dom = Rect2::from_extents(SIDE_2D, SIDE_2D);
     let extent = dom.extent();
     let indicator = |u: [f64; 2]| {
         let dx = u[0] - 0.5;
