@@ -629,32 +629,19 @@ pub fn trace_source_any(kind: AppKind, cfg: &TraceGenConfig) -> AnySnapshotSourc
     }
 }
 
-/// Drain a generator stream into a whole in-memory trace (generator
-/// sources never fail, and every snapshot re-validates on push).
-fn collect_app_source<const D: usize>(mut src: AppSource<D>) -> HierarchyTrace<D> {
-    let mut trace = HierarchyTrace::new(src.meta().clone());
-    while let Some(snap) = src
-        .next_snapshot()
-        .expect("application generators never fail")
-    {
-        trace.push(snap);
-    }
-    trace
-}
-
 /// Run a 2-D application kernel for `cfg.steps` coarse steps and record
 /// the hierarchy after each step — the paper's application execution
 /// trace. Panics for 3-D kinds; [`generate_trace_any`] handles both. A
 /// collect over [`trace_source`]; use the source directly to keep memory
 /// bounded.
 pub fn generate_trace(kind: AppKind, cfg: &TraceGenConfig) -> HierarchyTrace<2> {
-    collect_app_source(trace_source(kind, cfg))
+    HierarchyTrace::from_source(trace_source(kind, cfg)).expect("generators never fail")
 }
 
 /// Run the 3-D advecting-sphere workload for `cfg.steps` coarse steps —
 /// a collect over [`trace_source_3d`].
 pub fn generate_trace_3d(kind: AppKind, cfg: &TraceGenConfig) -> HierarchyTrace<3> {
-    collect_app_source(trace_source_3d(kind, cfg))
+    HierarchyTrace::from_source(trace_source_3d(kind, cfg)).expect("generators never fail")
 }
 
 /// Generate the trace of any application, 2-D or 3-D, behind the

@@ -25,7 +25,7 @@ pub struct ModelConfig {
     pub p_ref: usize,
     /// β_m denominator (the paper's choice is `Current`; `Previous` is
     /// ablation ABL1 in `examples/ablations.rs`).
-    pub denominator: BetaMDenominatorConfig,
+    pub denominator: BetaMDenominator,
     /// Apply the §4.2 absolute-importance grid-size weighting inside
     /// Trade-off 2 (ablation ABL2 in `examples/ablations.rs` turns it
     /// off).
@@ -35,30 +35,12 @@ pub struct ModelConfig {
     pub interval_scale: f64,
 }
 
-/// Serializable mirror of [`BetaMDenominator`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum BetaMDenominatorConfig {
-    /// `|H_t|` (the paper's choice).
-    Current,
-    /// `|H_{t-1}|` (ablation).
-    Previous,
-}
-
-impl From<BetaMDenominatorConfig> for BetaMDenominator {
-    fn from(c: BetaMDenominatorConfig) -> Self {
-        match c {
-            BetaMDenominatorConfig::Current => BetaMDenominator::Current,
-            BetaMDenominatorConfig::Previous => BetaMDenominator::Previous,
-        }
-    }
-}
-
 impl Default for ModelConfig {
     fn default() -> Self {
         Self {
             unit: 2,
             p_ref: 16,
-            denominator: BetaMDenominatorConfig::Current,
+            denominator: BetaMDenominator::Current,
             weight_by_grid_size: true,
             interval_scale: 1.0,
         }
@@ -88,7 +70,9 @@ pub struct ModelState {
 /// never the trace. One [`ModelAccumulator::step`] call per snapshot
 /// emits that step's [`ModelState`]; [`ModelPipeline::run`] is a collect
 /// over it, and streaming consumers drive it directly to keep peak
-/// residency at two snapshots.
+/// residency at two snapshots. The meta-partitioner drives
+/// [`ModelAccumulator::observe`] with its own step clock and each call's
+/// processor count.
 #[derive(Clone, Debug)]
 pub struct ModelAccumulator {
     config: ModelConfig,
@@ -105,28 +89,43 @@ impl ModelAccumulator {
     }
 
     /// Consume one `(previous hierarchy, current snapshot)` pair and emit
-    /// the step's model state. `prev` is `None` exactly at the first
-    /// step, where β_m is 0 by definition (no previous hierarchy).
+    /// the step's model state: [`observe`](Self::observe) at the
+    /// snapshot's step and time and the configured `p_ref`.
     pub fn step<const D: usize>(
         &mut self,
         prev: Option<&GridHierarchy<D>>,
         snap: &Snapshot<D>,
     ) -> ModelState {
-        let h = &snap.hierarchy;
-        let bl = beta_l(h, self.config.unit, self.config.p_ref);
-        let bc = beta_c(h, self.config.p_ref);
+        let p_ref = self.config.p_ref;
+        self.observe(prev, &snap.hierarchy, snap.step, snap.time, p_ref)
+    }
+
+    /// Classify hierarchy `h` at `step` and `time` against `prev` for a
+    /// reference processor count `p_ref`, advancing the Trade-off 2
+    /// recurrence. `prev` is `None` exactly at the first step, where β_m
+    /// is 0 by definition (no previous hierarchy).
+    pub fn observe<const D: usize>(
+        &mut self,
+        prev: Option<&GridHierarchy<D>>,
+        h: &GridHierarchy<D>,
+        step: u32,
+        time: f64,
+        p_ref: usize,
+    ) -> ModelState {
+        let bl = beta_l(h, self.config.unit, p_ref);
+        let bc = beta_c(h, p_ref);
         let bm = match prev {
             None => 0.0,
-            Some(ph) => beta_m_with(ph, h, self.config.denominator.into()),
+            Some(ph) => beta_m_with(ph, h, self.config.denominator),
         };
         let t2q = self.t2.observe(
-            snap.time,
+            time,
             h.total_points(),
             &[bl, bc, bm],
             self.config.weight_by_grid_size,
         );
         ModelState {
-            step: snap.step,
+            step,
             beta_l: bl,
             beta_c: bc,
             beta_m: bm,
@@ -343,10 +342,22 @@ mod tests {
         }
         let paper = ModelPipeline::new().run(&t);
         let ablated = ModelPipeline::with_config(ModelConfig {
-            denominator: BetaMDenominatorConfig::Previous,
+            denominator: BetaMDenominator::Previous,
             ..ModelConfig::default()
         })
         .run(&t);
         assert!(paper[1].beta_m > ablated[1].beta_m);
+    }
+
+    #[test]
+    fn the_denominator_serializes_by_variant_name() {
+        use serde::Value;
+        let cfg = ModelConfig::default().serialize();
+        assert_eq!(cfg.get("denominator"), Some(&Value::Str("Current".into())));
+        let previous = Value::Str("Previous".into());
+        assert_eq!(
+            BetaMDenominator::deserialize(&previous).unwrap(),
+            BetaMDenominator::Previous
+        );
     }
 }

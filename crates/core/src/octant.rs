@@ -83,14 +83,8 @@ impl Octant {
 /// component, exactly as ArMADA did.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ArmadaClassifier {
-    prev: Option<ArmadaSample>,
-}
-
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-struct ArmadaSample {
-    localization: f64,
-    surface_to_volume: f64,
-    points: u64,
+    /// The previous sample's localization.
+    prev_localization: Option<f64>,
 }
 
 impl ArmadaClassifier {
@@ -109,14 +103,9 @@ impl ArmadaClassifier {
         h: &GridHierarchy<D>,
     ) -> Octant {
         let stats = HierarchyStats::compute(h);
-        let s2v = (1..stats.depth())
+        let surface_to_volume = (1..stats.depth())
             .map(|l| stats.surface_to_volume(l))
             .fold(0.0f64, f64::max);
-        let sample = ArmadaSample {
-            localization: stats.localization,
-            surface_to_volume: s2v,
-            points: stats.total_points,
-        };
         let dynamics = match prev_h {
             Some(p) => {
                 let d = ActivityDynamics::between(p, h);
@@ -128,30 +117,23 @@ impl ArmadaClassifier {
             }
             None => Axis3::LowDynamics,
         };
-        let pattern = match self.prev {
-            Some(ref q) => {
-                if sample.localization >= q.localization {
-                    Axis1::Localized
-                } else {
-                    Axis1::Scattered
-                }
-            }
-            None => {
-                if sample.localization > 0.5 {
-                    Axis1::Localized
-                } else {
-                    Axis1::Scattered
-                }
-            }
+        let localized = match self.prev_localization {
+            Some(prev) => stats.localization >= prev,
+            None => stats.localization > 0.5,
+        };
+        let pattern = if localized {
+            Axis1::Localized
+        } else {
+            Axis1::Scattered
         };
         // The (flawed) time-domination axis: ArMADA proxied it with the
         // volume-to-surface ratio of the refined levels.
-        let domination = if sample.surface_to_volume > 0.5 {
+        let domination = if surface_to_volume > 0.5 {
             Axis2::CommunicationDominated
         } else {
             Axis2::ComputationDominated
         };
-        self.prev = Some(sample);
+        self.prev_localization = Some(stats.localization);
         Octant {
             pattern,
             domination,

@@ -16,9 +16,10 @@
 //! metric of §4.1 by construction.
 
 use samr_grid::GridHierarchy;
+use serde::{Deserialize, Serialize};
 
 /// Which hierarchy size normalizes the overlap sum.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum BetaMDenominator {
     /// `|H_t|`, the paper's choice: when the grid grows
     /// (`|H_{t-1}| < |H_t|`) most of the small grid is expected to move,

@@ -324,13 +324,14 @@ impl Campaign {
     /// the plan's unique slugs, each pair stamped with a completion
     /// record), the canonical concatenated `campaign.csv`, the audit
     /// `campaign.manifest.json` and the trade-off front
-    /// `campaign.pareto.json`. Returns the outcomes and every path
-    /// written.
+    /// `campaign.pareto.json`. Returns each scenario's
+    /// [`ScenarioOutcome::digest`] line, kept when its artifacts were
+    /// written, and every path written.
     pub fn run_to_dir(
         spec: &CampaignSpec,
         dir: &Path,
-    ) -> std::io::Result<(Vec<ScenarioOutcome>, Vec<PathBuf>)> {
-        Self::run_to_dir_resume(spec, dir, false).map(|run| (run.outcomes, run.paths))
+    ) -> std::io::Result<(Vec<String>, Vec<PathBuf>)> {
+        Self::run_to_dir_resume(spec, dir, false).map(|run| (run.digests, run.paths))
     }
 
     /// [`Campaign::run_to_dir`] with resumption: when `resume` is set,
@@ -349,7 +350,7 @@ impl Campaign {
         let plan = CampaignPlan::new(spec, 1, ShardStrategy);
         std::fs::create_dir_all(dir)?;
         let scenarios: Vec<&PlannedScenario> = plan.scenarios.iter().collect();
-        let (outcomes, skipped) = run_slice(dir, &plan.plan_hash, &scenarios, resume)?;
+        let (digests, skipped) = run_slice(dir, &plan.plan_hash, &scenarios, resume)?;
         let manifest = CampaignManifest {
             plan_hash: plan.plan_hash.clone(),
             scenario_count: plan.len(),
@@ -364,7 +365,7 @@ impl Campaign {
             .collect();
         paths.extend(finish_campaign(dir, &manifest, &entries)?);
         Ok(CampaignRun {
-            outcomes,
+            digests,
             skipped,
             paths,
         })
@@ -374,9 +375,9 @@ impl Campaign {
 /// What one (possibly resumed) in-process campaign run did.
 #[derive(Debug)]
 pub struct CampaignRun {
-    /// Outcomes of the scenarios executed this invocation, in plan
-    /// order (a resumed run omits the skipped ones).
-    pub outcomes: Vec<ScenarioOutcome>,
+    /// [`ScenarioOutcome::digest`] of each scenario executed this
+    /// invocation, in plan order (a resumed run omits the skipped ones).
+    pub digests: Vec<String>,
     /// Scenarios skipped because their completion records validated.
     pub skipped: usize,
     /// Every artifact path of the campaign (executed and skipped).
@@ -494,8 +495,8 @@ mod tests {
             ])
             .nprocs([4]);
         let dir = std::env::temp_dir().join(format!("samr-engine-slugs-{}", std::process::id()));
-        let (outcomes, paths) = Campaign::run_to_dir(&spec, &dir).unwrap();
-        assert_eq!(outcomes.len(), 2);
+        let (digests, paths) = Campaign::run_to_dir(&spec, &dir).unwrap();
+        assert_eq!(digests.len(), 2);
         let names: Vec<String> = paths
             .iter()
             .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())

@@ -16,7 +16,8 @@
 //!   [`ShardExecutor`] run a slice into a directory — the whole plan, or
 //!   one `--shard i/n` slice into a self-describing `shard-<i>-of-<n>/`
 //!   directory with a [`ShardManifest`] that [`crate::merge`] validates
-//!   and reassembles;
+//!   and reassembles. They drop each outcome once its artifacts are
+//!   stamped and keep only its digest line;
 //! - [`WorkerExecutor`] spawns one `samr campaign --shard i/n` child per
 //!   shard and waits, so a single host (or a launcher script across
 //!   hosts) runs the shards as independent processes, each with its own
@@ -156,15 +157,16 @@ pub(crate) fn run_cohorts<'a, R: Send>(
 ///
 /// With `resume` set, a scenario whose completion record in `dir`
 /// validates against `plan_hash` is skipped; everything else — no
-/// record, no artifact, stale plan, torn bytes — (re-)runs. Returns the
-/// outcomes of the scenarios that ran, in slice order, and how many
-/// were skipped.
+/// record, no artifact, stale plan, torn bytes — (re-)runs. Each outcome
+/// is dropped once its artifacts are stamped, keeping only its
+/// [`ScenarioOutcome::digest`] line. Returns those lines for the
+/// scenarios that ran, in slice order, and how many were skipped.
 pub(crate) fn run_slice(
     dir: &Path,
     plan_hash: &str,
     scenarios: &[&PlannedScenario],
     resume: bool,
-) -> std::io::Result<(Vec<ScenarioOutcome>, usize)> {
+) -> std::io::Result<(Vec<String>, usize)> {
     let todo: Vec<&PlannedScenario> = scenarios
         .iter()
         .copied()
@@ -172,13 +174,13 @@ pub(crate) fn run_slice(
             !resume || !CompletionRecord::status(dir, p.id, &p.slug, plan_hash).is_complete()
         })
         .collect();
-    let outcomes = run_cohorts(&todo, |p, outcome| {
+    let digests = run_cohorts(&todo, |p, outcome| {
         write_scenario_artifacts(dir, p, plan_hash, &outcome)?;
-        Ok(outcome)
+        Ok(outcome.digest())
     })
     .into_iter()
     .collect::<std::io::Result<_>>()?;
-    Ok((outcomes, scenarios.len() - todo.len()))
+    Ok((digests, scenarios.len() - todo.len()))
 }
 
 /// Write one scenario's CSV and JSON artifacts under `dir`, named by
@@ -225,14 +227,14 @@ pub fn shard_dir_name(shard: usize, nshards: usize) -> String {
     format!("shard-{shard}-of-{nshards}")
 }
 
-/// What one shard execution did: the outcomes of the scenarios it
+/// What one shard execution did: the digest lines of the scenarios it
 /// actually executed this run, how many it skipped as already complete
 /// (always `0` without resume), and the shard artifact directory.
 #[derive(Debug)]
 pub struct ShardRun {
-    /// Outcomes of the scenarios executed in this invocation, in the
-    /// shard's plan order.
-    pub outcomes: Vec<ScenarioOutcome>,
+    /// [`ScenarioOutcome::digest`] of each scenario executed in this
+    /// invocation, in the shard's plan order.
+    pub digests: Vec<String>,
     /// Scenarios skipped because their completion records validated
     /// against the current plan.
     pub skipped: usize,
@@ -256,8 +258,8 @@ impl ShardExecutor {
     /// Execute this executor's shard of the plan, writing per-scenario
     /// artifacts, completion records and the shard manifest under
     /// `dir/shard-<i>-of-<n>/` (the manifest last — its presence means
-    /// the shard finished). Returns the [`ShardRun`] with the outcomes
-    /// of the scenarios executed this invocation.
+    /// the shard finished). Returns the [`ShardRun`] with the digest
+    /// lines of the scenarios executed this invocation.
     pub fn run_shard(&self, plan: &CampaignPlan, dir: &Path) -> Result<ShardRun, ExecError> {
         assert!(
             self.shard < plan.nshards,
@@ -269,7 +271,7 @@ impl ShardExecutor {
         let scenarios = plan.shard_scenarios(self.shard);
         let shard_dir = dir.join(shard_dir_name(self.shard, plan.nshards));
         std::fs::create_dir_all(&shard_dir)?;
-        let (outcomes, skipped) = run_slice(&shard_dir, &plan.plan_hash, &scenarios, self.resume)?;
+        let (digests, skipped) = run_slice(&shard_dir, &plan.plan_hash, &scenarios, self.resume)?;
         let manifest = ShardManifest {
             plan_hash: plan.plan_hash.clone(),
             shard: self.shard,
@@ -281,7 +283,7 @@ impl ShardExecutor {
         };
         manifest.write(&shard_dir)?;
         Ok(ShardRun {
-            outcomes,
+            digests,
             skipped,
             dir: shard_dir,
         })

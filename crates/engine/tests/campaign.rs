@@ -74,12 +74,16 @@ fn run_to_dir_writes_one_csv_and_one_json_per_scenario() {
         "artifacts"
     ));
     let spec = two_by_two();
-    let (outcomes, paths) = Campaign::run_to_dir(&spec, &dir).expect("write artifacts");
+    let (digests, paths) = Campaign::run_to_dir(&spec, &dir).expect("write artifacts");
+    let outcomes = Campaign::run(&spec);
     assert_eq!(outcomes.len(), spec.len());
     // Two artifacts per scenario plus the campaign CSV, the manifest
     // and the Pareto front.
     assert_eq!(paths.len(), 2 * outcomes.len() + 3);
-    for outcome in &outcomes {
+    // One digest line per scenario, kept when its artifacts were written.
+    assert_eq!(digests.len(), outcomes.len());
+    for (outcome, digest) in outcomes.iter().zip(&digests) {
+        assert_eq!(*digest, outcome.digest());
         let slug = outcome.scenario.slug();
         let csv = std::fs::read_to_string(dir.join(format!("{slug}.csv"))).unwrap();
         assert_eq!(csv, outcome.to_csv());
@@ -136,8 +140,9 @@ fn mixed_dimension_campaign_runs_end_to_end_with_artifacts() {
     .nprocs([4]);
     assert_eq!(spec.dims, vec![2, 3]);
     let dir = std::env::temp_dir().join(format!("samr-engine-test-{}-mixed", std::process::id()));
-    let (outcomes, paths) = Campaign::run_to_dir(&spec, &dir).expect("write artifacts");
-    assert_eq!(outcomes.len(), 4);
+    let (digests, paths) = Campaign::run_to_dir(&spec, &dir).expect("write artifacts");
+    assert_eq!(digests.len(), 4);
+    let outcomes = Campaign::run(&spec);
     let dims: Vec<usize> = outcomes.iter().map(|o| o.scenario.dim).collect();
     assert_eq!(dims, vec![2, 2, 3, 3]);
     let names: Vec<String> = paths
@@ -153,10 +158,12 @@ fn mixed_dimension_campaign_runs_end_to_end_with_artifacts() {
         assert!(o.sim.total_time > 0.0);
         assert_eq!(o.to_csv().lines().count(), o.model.len() + 1);
     }
-    // 3-D campaigns are deterministic too.
-    let again = Campaign::run(&spec);
-    for (a, b) in outcomes.iter().zip(&again) {
-        assert_eq!(a.to_csv(), b.to_csv());
+    // 3-D campaigns are deterministic too: the in-memory run writes
+    // the bytes the on-disk run wrote.
+    for o in &outcomes {
+        let slug = o.scenario.slug();
+        let csv = std::fs::read_to_string(dir.join(format!("{slug}.csv"))).unwrap();
+        assert_eq!(csv, o.to_csv());
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -79,8 +79,8 @@ fn assert_same_bytes(a: &Path, b: &Path, names: &[String], what: &str) {
 fn cohort_campaign_writes_the_bytes_of_one_campaign_per_scenario() {
     let spec = registry_spec();
     let together = temp_dir("together");
-    let (outcomes, _) = Campaign::run_to_dir(&spec, &together).unwrap();
-    assert_eq!(outcomes.len(), spec.len());
+    let (digests, _) = Campaign::run_to_dir(&spec, &together).unwrap();
+    assert_eq!(digests.len(), spec.len());
     let alone = temp_dir("alone");
     for scenario in spec.scenarios() {
         let one = CampaignSpec::new(trace_config())
@@ -220,8 +220,11 @@ fn resume_reruns_only_the_deleted_cohort_member() {
     }
     let run = Campaign::run_to_dir_resume(&spec, &dir, true).unwrap();
     assert_eq!(run.skipped, plan.len() - 1);
-    assert_eq!(run.outcomes.len(), 1);
-    assert_eq!(run.outcomes[0].scenario, victim.scenario);
+    assert_eq!(run.digests.len(), 1);
+    assert_eq!(
+        run.digests[0].split_whitespace().next(),
+        Some(victim.slug.as_str())
+    );
     assert_eq!(std::fs::read(dir.join("campaign.csv")).unwrap(), golden_csv);
     assert_eq!(
         std::fs::read(dir.join(CAMPAIGN_PARETO)).unwrap(),

@@ -518,7 +518,7 @@ fn resumed_shard_skips_complete_scenarios_and_merges_to_golden() {
     .run_shard(&plan, &dir)
     .unwrap();
     assert_eq!(rerun.skipped, 1, "the stamped scenario must be skipped");
-    assert_eq!(rerun.outcomes.len(), 1, "only the victim re-executes");
+    assert_eq!(rerun.digests.len(), 1, "only the victim re-executes");
     let report = merge_shards(&shard_dirs, &dir).unwrap();
     let merged = std::fs::read_to_string(&report.csv_path).unwrap();
     assert!(
@@ -551,7 +551,7 @@ fn resume_reruns_torn_artifacts_instead_of_trusting_them() {
     .run_shard(&plan, &dir)
     .unwrap();
     assert_eq!(rerun.skipped, 1, "the intact scenario is skipped");
-    assert_eq!(rerun.outcomes.len(), 1, "the torn scenario re-executes");
+    assert_eq!(rerun.digests.len(), 1, "the torn scenario re-executes");
     assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
     let report = merge_shards(&shard_dirs, &dir).unwrap();
     let merged = std::fs::read_to_string(&report.csv_path).unwrap();

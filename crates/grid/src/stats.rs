@@ -1,11 +1,9 @@
 //! Hierarchy statistics and refinement-pattern descriptors, generic over
 //! the dimension.
 //!
-//! Two consumers:
-//! - the paper's model (`samr-core`) needs `|H|`, the workload `W`, and
-//!   per-level surface measures;
-//! - the octant-approach baseline classifier (§3) needs *refinement
-//!   pattern* (localized ↔ scattered) and *activity dynamics* descriptors.
+//! The octant-approach baseline classifier (§3) needs per-level surface
+//! measures, the *refinement pattern* (localized ↔ scattered) and
+//! *activity dynamics* descriptors.
 
 use crate::hierarchy::GridHierarchy;
 use samr_geom::{boxops, AABox};
@@ -16,39 +14,24 @@ use serde::{Deserialize, Serialize};
 pub struct HierarchyStats {
     /// Grid points per level.
     pub cells_per_level: Vec<u64>,
-    /// Patch count per level.
-    pub patches_per_level: Vec<usize>,
     /// Boundary-ring cells per level (worst-case ghost surface).
     pub boundary_per_level: Vec<u64>,
-    /// Total grid points `|H|`.
-    pub total_points: u64,
-    /// Workload `W = Σ_l N_l·r^l` (cell updates per coarse step).
-    pub workload: u64,
-    /// Fraction of the base domain covered by refinement.
-    pub refined_fraction: f64,
     /// Localization of the refinement pattern in `[0, 1]`:
     /// 1 = all refinement concentrated in one compact blob, 0 = refinement
     /// spread evenly over the whole domain. Defined as
     /// `1 − (refined bounding-box volume / domain volume)` blended with the
     /// blob compactness (refined cells / refined bounding-box volume).
     pub localization: f64,
-    /// Number of disconnected refined clusters at level 1 (patch adjacency
-    /// components) — the "scattered" count of the octant approach.
-    pub cluster_count: usize,
 }
 
 impl HierarchyStats {
     /// Compute all statistics for a hierarchy.
     pub fn compute<const D: usize>(h: &GridHierarchy<D>) -> Self {
         let cells_per_level: Vec<u64> = h.levels.iter().map(|l| l.cells()).collect();
-        let patches_per_level: Vec<usize> = h.levels.iter().map(|l| l.patch_count()).collect();
         let boundary_per_level: Vec<u64> = h.levels.iter().map(|l| l.boundary_cells()).collect();
-        let total_points = cells_per_level.iter().sum();
-        let workload = h.workload();
-        let refined_fraction = h.refined_fraction();
 
-        let (localization, cluster_count) = if h.levels.len() < 2 {
-            (1.0, 0)
+        let localization = if h.levels.len() < 2 {
+            1.0
         } else {
             let rects = h.levels[1].rects();
             let refined_cells = boxops::total_cells(&rects);
@@ -61,19 +44,13 @@ impl HierarchyStats {
             let compact = refined_cells as f64 / bbox.cells() as f64;
             // Compact blob in a small part of the domain → localized (≈1);
             // sparse patches spanning the domain → scattered (≈0).
-            let localization = (1.0 - spread) * compact.sqrt() + compact * spread;
-            (localization.clamp(0.0, 1.0), connected_components(&rects))
+            ((1.0 - spread) * compact.sqrt() + compact * spread).clamp(0.0, 1.0)
         };
 
         Self {
             cells_per_level,
-            patches_per_level,
             boundary_per_level,
-            total_points,
-            workload,
-            refined_fraction,
             localization,
-            cluster_count,
         }
     }
 
@@ -227,37 +204,38 @@ mod tests {
 
     #[test]
     fn base_only_stats() {
-        let s = HierarchyStats::compute(&h(&[vec![]]));
-        assert_eq!(s.total_points, 1024);
-        assert_eq!(s.workload, 1024);
+        let base = h(&[vec![]]);
+        let s = HierarchyStats::compute(&base);
+        assert_eq!(s.cells_per_level, vec![1024]);
+        assert_eq!(base.workload(), 1024);
         assert_eq!(s.depth(), 1);
-        assert_eq!(s.refined_fraction, 0.0);
-        assert_eq!(s.cluster_count, 0);
+        assert_eq!(base.refined_fraction(), 0.0);
+        assert_eq!(s.localization, 1.0);
     }
 
     #[test]
     fn workload_weights_levels() {
-        let s = HierarchyStats::compute(&h(&[vec![], vec![r(0, 0, 15, 15)]]));
+        let two = h(&[vec![], vec![r(0, 0, 15, 15)]]);
+        let s = HierarchyStats::compute(&two);
         assert_eq!(s.cells_per_level, vec![1024, 256]);
-        assert_eq!(s.workload, 1024 + 256 * 2);
+        assert_eq!(two.workload(), 1024 + 256 * 2);
     }
 
     #[test]
     fn localized_beats_scattered() {
         // One compact blob vs four spread-out blobs of the same total area.
-        let local = HierarchyStats::compute(&h(&[vec![], vec![r(10, 10, 17, 17)]]));
-        let scattered = HierarchyStats::compute(&h(&[
-            vec![],
-            vec![
-                r(0, 0, 3, 3),
-                r(56, 0, 59, 3),
-                r(0, 56, 3, 59),
-                r(56, 56, 59, 59),
-            ],
-        ]));
+        let blob = vec![r(10, 10, 17, 17)];
+        let tiles = vec![
+            r(0, 0, 3, 3),
+            r(56, 0, 59, 3),
+            r(0, 56, 3, 59),
+            r(56, 56, 59, 59),
+        ];
+        let local = HierarchyStats::compute(&h(&[vec![], blob.clone()]));
+        let scattered = HierarchyStats::compute(&h(&[vec![], tiles.clone()]));
         assert!(local.localization > scattered.localization);
-        assert_eq!(local.cluster_count, 1);
-        assert_eq!(scattered.cluster_count, 4);
+        assert_eq!(connected_components(&blob), 1);
+        assert_eq!(connected_components(&tiles), 4);
     }
 
     #[test]

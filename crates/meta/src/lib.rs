@@ -10,9 +10,14 @@
 //! - [`selector`]: the mapping from classification point to partitioner
 //!   selection *and configuration* — coarse-grained family choice plus
 //!   fine-grained parameter steering, with hysteresis against thrashing;
-//! - [`meta`]: [`meta::MetaPartitioner`], a stateful
-//!   [`samr_partition::Partitioner`] that re-classifies at every
-//!   invocation and delegates to the selected technique;
+//! - [`meta`]: [`SelectingPartitioner`], the one stateful
+//!   [`samr_partition::Partitioner`] behind both selectors: it
+//!   re-classifies at every invocation and delegates to the selected
+//!   technique. [`MetaPartitioner`] classifies through the model fold
+//!   ([`meta::ModelClassifier`]);
+//! - [`octant_meta`]: [`OctantMetaPartitioner`], the same mechanism
+//!   with the §3 octant/ArMADA classifier — the baseline the continuous
+//!   selector is compared against;
 //! - [`compare`]: the experiment driver comparing every *static*
 //!   partitioner choice against the dynamic meta-partitioner on a trace —
 //!   the proof-of-concept claim (§1/§3: even simple dynamic selection
@@ -32,7 +37,7 @@ pub mod policy;
 pub mod selector;
 
 pub use compare::{compare_on_trace, ComparisonResult};
-pub use meta::MetaPartitioner;
+pub use meta::{MetaPartitioner, SelectingPartitioner};
 pub use octant_meta::OctantMetaPartitioner;
 pub use policy::{adaptive_presets, AdaptiveConfig, AdaptivePolicy};
-pub use selector::{PartitionerChoice, PatienceGate, Selector, SelectorConfig};
+pub use selector::{PatienceGate, Selector, SelectorConfig};

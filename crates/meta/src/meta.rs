@@ -1,48 +1,190 @@
-//! The meta-partitioner: a stateful [`Partitioner`] that re-classifies
-//! the hierarchy at every invocation and delegates to the selected,
-//! configured technique — Figure 2 of the paper as running code. This
-//! enables fully dynamic `P(A(t), C(t))` triples: the partitioning
-//! technique is a function of the current application state.
+//! The selecting partitioner: a stateful [`Partitioner`] that classifies
+//! the hierarchy at every invocation against the previous one and
+//! delegates to the configured technique the classification selects —
+//! Figure 2 of the paper as running code. This enables fully dynamic
+//! `P(A(t), C(t))` triples: the partitioning technique is a function of
+//! the current application state. Both selectors are this mechanism with
+//! different [`Classifier`]s: [`MetaPartitioner`] folds samr-core's
+//! model, [`OctantMetaPartitioner`](crate::OctantMetaPartitioner) runs
+//! the §3 octant baseline.
 
-use samr_core::tradeoff1::{beta_c, beta_l, dimension1};
-use samr_core::tradeoff2::Tradeoff2State;
-use samr_core::tradeoff3::beta_m;
-use samr_core::ClassificationPoint;
+use samr_core::{ClassificationPoint, ModelAccumulator, ModelConfig};
 use samr_grid::GridHierarchy;
-use samr_partition::{Partition, Partitioner};
+use samr_partition::{Partition, Partitioner, PartitionerChoice};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::selector::{PartitionerChoice, Selector, SelectorConfig};
+use crate::selector::{Selector, SelectorConfig};
 
-/// Dynamic partitioner selection state.
-struct MetaState<const D: usize> {
-    prev_hierarchy: Option<GridHierarchy<D>>,
-    selector: Selector,
-    tradeoff2: Tradeoff2State,
-    clock: f64,
-    history: Vec<(ClassificationPoint, PartitionerChoice)>,
+/// How a [`SelectingPartitioner`] classifies a hierarchy, and which
+/// configured family each classification selects.
+pub trait Classifier {
+    /// What one classification records.
+    type Decision: Copy;
+    /// The partitioner's name in results.
+    const NAME: &'static str;
+    /// Patches classified per unit of [`Partitioner::cost_estimate`].
+    const PATCHES_PER_COST_UNIT: f64;
+
+    /// Classify `h` against the previously classified hierarchy `prev`
+    /// (`None` at the first call) for `nprocs` processors, and return the
+    /// decision with the choice it selects.
+    fn classify<const D: usize>(
+        &mut self,
+        prev: Option<&GridHierarchy<D>>,
+        h: &GridHierarchy<D>,
+        nprocs: usize,
+    ) -> (Self::Decision, PartitionerChoice);
 }
 
-/// The adaptive meta-partitioner.
-///
-/// Implements [`Partitioner`], so it can be dropped in anywhere a static
-/// partitioner is used; internally it runs the `samr-core` model against
-/// the previously seen hierarchy, maps the classification point through
-/// the [`Selector`], and invokes the chosen configured technique.
+/// The classifier, the last classified hierarchy and the decision
+/// record.
+struct Selection<C: Classifier, const D: usize> {
+    classifier: C,
+    prev: Option<GridHierarchy<D>>,
+    decisions: Vec<(C::Decision, PartitionerChoice)>,
+}
+
+/// A selector as a [`Partitioner`], so it can be dropped in anywhere a
+/// static partitioner is used: each invocation classifies the hierarchy
+/// against the previous one and runs the selected configured technique.
 ///
 /// Invocations are assumed to arrive in trace order (the partitioner is
 /// stateful by design — that is the whole point); interior mutability
 /// keeps the [`Partitioner`] interface intact.
-pub struct MetaPartitioner<const D: usize> {
-    state: Mutex<MetaState<D>>,
-    unit: i64,
+pub struct SelectingPartitioner<C: Classifier, const D: usize> {
+    state: Mutex<Selection<C, D>>,
 }
+
+impl<C: Classifier, const D: usize> SelectingPartitioner<C, D> {
+    /// A selector that has classified nothing yet.
+    fn with_classifier(classifier: C) -> Self {
+        Self {
+            state: Mutex::new(Selection {
+                classifier,
+                prev: None,
+                decisions: Vec::new(),
+            }),
+        }
+    }
+
+    /// The selection state. A panic in another holder does not poison
+    /// it: each field stays a valid value after a partial update, and the
+    /// worst such a panic leaves is one half-recorded classification.
+    fn state(&self) -> MutexGuard<'_, Selection<C, D>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The `(decision, choice)` pairs made so far, one per invocation
+    /// (for the experiment reports).
+    pub fn decisions(&self) -> Vec<(C::Decision, PartitionerChoice)> {
+        self.state().decisions.clone()
+    }
+
+    /// Classify `h` against the last classified hierarchy, record the
+    /// decision, and return the choice.
+    fn classify(&self, h: &GridHierarchy<D>, nprocs: usize) -> PartitionerChoice {
+        let mut guard = self.state();
+        let Selection {
+            classifier,
+            prev,
+            decisions,
+        } = &mut *guard;
+        let (decision, choice) = classifier.classify(prev.as_ref(), h, nprocs);
+        decisions.push((decision, choice));
+        *prev = Some(h.clone());
+        choice
+    }
+}
+
+impl<C: Classifier + Default, const D: usize> Default for SelectingPartitioner<C, D> {
+    fn default() -> Self {
+        Self::with_classifier(C::default())
+    }
+}
+
+impl<C: Classifier, const D: usize> Partitioner<D> for SelectingPartitioner<C, D> {
+    fn name(&self) -> String {
+        C::NAME.to_string()
+    }
+
+    fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
+        self.classify(h, nprocs).partition(h, nprocs)
+    }
+
+    fn select(&self, h: &GridHierarchy<D>, nprocs: usize) -> Option<PartitionerChoice> {
+        Some(self.classify(h, nprocs))
+    }
+
+    fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
+        // Classification cost (one pass over the patches) plus the cost
+        // of whatever was selected last.
+        let patches: usize = h.levels.iter().map(|l| l.patch_count()).sum();
+        let classify = patches as f64 / C::PATCHES_PER_COST_UNIT;
+        let delegated = self
+            .state()
+            .decisions
+            .last()
+            .map_or(0.0, |(_, c)| c.cost_estimate(h));
+        classify + delegated
+    }
+}
+
+/// The continuous classifier: samr-core's model fold, at each call's
+/// processor count and with the classification count as step and time,
+/// mapped through the [`Selector`].
+pub struct ModelClassifier {
+    model: ModelAccumulator,
+    selector: Selector,
+    classified: u32,
+}
+
+impl ModelClassifier {
+    /// The paper's model configuration feeding a selector with the given
+    /// thresholds.
+    fn new(config: SelectorConfig) -> Self {
+        Self {
+            model: ModelAccumulator::new(ModelConfig::default()),
+            selector: Selector::new(config),
+            classified: 0,
+        }
+    }
+}
+
+impl Default for ModelClassifier {
+    fn default() -> Self {
+        Self::new(SelectorConfig::default())
+    }
+}
+
+impl Classifier for ModelClassifier {
+    type Decision = ClassificationPoint;
+    const NAME: &'static str = "meta-partitioner";
+    // Box intersections over the patches.
+    const PATCHES_PER_COST_UNIT: f64 = 20.0;
+
+    fn classify<const D: usize>(
+        &mut self,
+        prev: Option<&GridHierarchy<D>>,
+        h: &GridHierarchy<D>,
+        nprocs: usize,
+    ) -> (ClassificationPoint, PartitionerChoice) {
+        let step = self.classified;
+        self.classified += 1;
+        let state = self.model.observe(prev, h, step, f64::from(step), nprocs);
+        (state.point, self.selector.select(&state))
+    }
+}
+
+/// The adaptive meta-partitioner: the samr-core model against the
+/// previously seen hierarchy, mapped through the [`Selector`] to a
+/// configured technique.
+pub type MetaPartitioner<const D: usize> = SelectingPartitioner<ModelClassifier, D>;
 
 impl<const D: usize> MetaPartitioner<D> {
     /// Meta-partitioner with default selector thresholds (the balanced
     /// default machine).
     pub fn new() -> Self {
-        Self::with_config(SelectorConfig::default())
+        Self::default()
     }
 
     /// Meta-partitioner configured for a concrete machine — the system
@@ -57,89 +199,7 @@ impl<const D: usize> MetaPartitioner<D> {
 
     /// Meta-partitioner with explicit selector thresholds.
     pub fn with_config(config: SelectorConfig) -> Self {
-        Self {
-            state: Mutex::new(MetaState {
-                prev_hierarchy: None,
-                selector: Selector::new(config),
-                tradeoff2: Tradeoff2State::new(1.0),
-                clock: 0.0,
-                history: Vec::new(),
-            }),
-            unit: 2,
-        }
-    }
-
-    /// The selection state. A panic in another holder does not poison
-    /// it: each field stays a valid value after a partial update, and the
-    /// worst such a panic leaves is one half-recorded classification.
-    fn state(&self) -> MutexGuard<'_, MetaState<D>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The sequence of `(classification point, choice)` decisions made so
-    /// far (for the experiment reports).
-    pub fn decisions(&self) -> Vec<(ClassificationPoint, PartitionerChoice)> {
-        self.state().history.clone()
-    }
-
-    /// Classify a hierarchy against the stored previous one and advance
-    /// the internal state. Exposed for the experiment driver.
-    pub fn classify_and_select(&self, h: &GridHierarchy<D>, nprocs: usize) -> PartitionerChoice {
-        let mut st = self.state();
-        let bl = beta_l(h, self.unit, nprocs);
-        let bc = beta_c(h, nprocs);
-        let bm = match &st.prev_hierarchy {
-            Some(prev) => beta_m(prev, h),
-            None => 0.0,
-        };
-        let now = st.clock;
-        st.clock += 1.0;
-        let t2 = st
-            .tradeoff2
-            .observe(now, h.total_points(), &[bl, bc, bm], true);
-        let point = ClassificationPoint::new(dimension1(bl, bc), t2.d2, bm);
-        let choice = st.selector.select(&crate::selector::SelectionInput {
-            point,
-            beta_l: bl,
-            beta_c: bc,
-            beta_m: bm,
-        });
-        st.history.push((point, choice));
-        st.prev_hierarchy = Some(h.clone());
-        choice
-    }
-}
-
-impl<const D: usize> Default for MetaPartitioner<D> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const D: usize> Partitioner<D> for MetaPartitioner<D> {
-    fn name(&self) -> String {
-        "meta-partitioner".to_string()
-    }
-
-    fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
-        self.classify_and_select(h, nprocs).partition(h, nprocs)
-    }
-
-    fn select(&self, h: &GridHierarchy<D>, nprocs: usize) -> Option<PartitionerChoice> {
-        Some(self.classify_and_select(h, nprocs))
-    }
-
-    fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
-        // Classification cost (box intersections, one pass over patches)
-        // plus the cost of whatever was selected last.
-        let classify = h.levels.iter().map(|l| l.patch_count()).sum::<usize>() as f64 / 20.0;
-        let st = self.state();
-        let delegated = st
-            .history
-            .last()
-            .map(|(_, c)| c.cost_estimate(h))
-            .unwrap_or(0.0);
-        classify + delegated
+        Self::with_classifier(ModelClassifier::new(config))
     }
 }
 

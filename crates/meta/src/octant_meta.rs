@@ -9,105 +9,52 @@
 //! proof of concept the meta-partitioner stands on.
 //!
 //! This module makes the baseline runnable so the continuous selector can
-//! be compared against it: an ArMADA-style classifier (box operations
+//! be compared against it: the ArMADA-style classifier (box operations
 //! only, relative to the previous state) feeding the published
-//! octant-to-family mapping.
+//! octant-to-family mapping, as the [`Classifier`] of a
+//! [`SelectingPartitioner`].
 
 use samr_core::octant::{ArmadaClassifier, Octant};
 use samr_grid::GridHierarchy;
-use samr_partition::{Partition, Partitioner, PartitionerChoice};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use samr_partition::PartitionerChoice;
+
+use crate::meta::{Classifier, SelectingPartitioner};
+
+/// ArMADA's octant, mapped onto its family with the default
+/// configuration.
+impl Classifier for ArmadaClassifier {
+    type Decision = Octant;
+    const NAME: &'static str = "octant-armada";
+    // Simple box operations (ArMADA).
+    const PATCHES_PER_COST_UNIT: f64 = 40.0;
+
+    fn classify<const D: usize>(
+        &mut self,
+        prev: Option<&GridHierarchy<D>>,
+        h: &GridHierarchy<D>,
+        _nprocs: usize,
+    ) -> (Octant, PartitionerChoice) {
+        let octant = ArmadaClassifier::classify(self, prev, h);
+        let choice = match octant.suggested_family() {
+            "domain-based" => PartitionerChoice::domain_sfc(),
+            "patch-based" => PartitionerChoice::patch(),
+            _ => PartitionerChoice::hybrid(),
+        };
+        (octant, choice)
+    }
+}
 
 /// Octant-approach baseline partitioner: classifies each hierarchy into a
 /// discrete octant (relative to the previous state, ArMADA-style) and
 /// delegates to the mapped family with its default configuration — no
 /// fine-grained configuration, exactly the limitation the paper calls
 /// out.
-pub struct OctantMetaPartitioner<const D: usize> {
-    state: Mutex<OctantState<D>>,
-}
-
-struct OctantState<const D: usize> {
-    classifier: ArmadaClassifier,
-    prev: Option<GridHierarchy<D>>,
-    history: Vec<Octant>,
-}
+pub type OctantMetaPartitioner<const D: usize> = SelectingPartitioner<ArmadaClassifier, D>;
 
 impl<const D: usize> OctantMetaPartitioner<D> {
     /// Fresh baseline.
     pub fn new() -> Self {
-        Self {
-            state: Mutex::new(OctantState {
-                classifier: ArmadaClassifier::new(),
-                prev: None,
-                history: Vec::new(),
-            }),
-        }
-    }
-
-    /// The classification state, recovered from poisoning as
-    /// [`MetaPartitioner`](crate::MetaPartitioner)'s is: each field stays
-    /// a valid value after a partial update.
-    fn state(&self) -> MutexGuard<'_, OctantState<D>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Octants chosen so far.
-    pub fn history(&self) -> Vec<Octant> {
-        self.state().history.clone()
-    }
-
-    /// Classify `h` against the previously seen hierarchy, record the
-    /// octant, and return the family it maps onto.
-    fn classify(&self, h: &GridHierarchy<D>) -> PartitionerChoice {
-        let mut st = self.state();
-        let prev = st.prev.take();
-        let octant = st.classifier.classify(prev.as_ref(), h);
-        st.history.push(octant);
-        st.prev = Some(h.clone());
-        Self::family_for(&octant)
-    }
-
-    /// The default-configured family the octant maps onto.
-    fn family_for(octant: &Octant) -> PartitionerChoice {
-        match octant.suggested_family() {
-            "domain-based" => PartitionerChoice::domain_sfc(),
-            "patch-based" => PartitionerChoice::patch(),
-            _ => PartitionerChoice::hybrid(),
-        }
-    }
-}
-
-impl<const D: usize> Default for OctantMetaPartitioner<D> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<const D: usize> Partitioner<D> for OctantMetaPartitioner<D> {
-    fn name(&self) -> String {
-        "octant-armada".to_string()
-    }
-
-    fn partition(&self, h: &GridHierarchy<D>, nprocs: usize) -> Partition<D> {
-        self.classify(h).partition(h, nprocs)
-    }
-
-    fn select(&self, h: &GridHierarchy<D>, _nprocs: usize) -> Option<PartitionerChoice> {
-        Some(self.classify(h))
-    }
-
-    fn cost_estimate(&self, h: &GridHierarchy<D>) -> f64 {
-        // Simple box operations (ArMADA) plus the delegated family.
-        let patches: usize = h.levels.iter().map(|l| l.patch_count()).sum();
-        let delegated = {
-            let st = self.state();
-            st.history
-                .last()
-                .map(|o| Self::family_for(o).cost_estimate(h))
-                .unwrap_or(0.0)
-        };
-        patches as f64 / 40.0 + delegated
+        Self::default()
     }
 }
 
@@ -115,7 +62,7 @@ impl<const D: usize> Partitioner<D> for OctantMetaPartitioner<D> {
 mod tests {
     use super::*;
     use samr_geom::Rect2;
-    use samr_partition::validate_partition;
+    use samr_partition::{validate_partition, Partitioner};
 
     fn r(x0: i64, y0: i64, x1: i64, y1: i64) -> Rect2 {
         Rect2::from_coords(x0, y0, x1, y1)
@@ -137,10 +84,13 @@ mod tests {
             let part = baseline.partition(hh, 4);
             assert_eq!(validate_partition(hh, &part), Ok(()));
         }
-        let hist = baseline.history();
-        assert_eq!(hist.len(), 3);
+        let decisions = baseline.decisions();
+        assert_eq!(decisions.len(), 3);
         // The jump at step 3 must read as high dynamics.
-        assert_eq!(hist[2].dynamics, samr_core::octant::Axis3::HighDynamics);
+        assert_eq!(
+            decisions[2].0.dynamics,
+            samr_core::octant::Axis3::HighDynamics
+        );
     }
 
     #[test]
@@ -159,7 +109,7 @@ mod tests {
             assert_eq!(choice.partition(hh, 4), by_partition.partition(hh, 4));
             assert_eq!(by_select.cost_estimate(hh), by_partition.cost_estimate(hh));
         }
-        assert_eq!(by_select.history(), by_partition.history());
+        assert_eq!(by_select.decisions(), by_partition.decisions());
     }
 
     #[test]
@@ -168,19 +118,12 @@ mod tests {
         // §3 limitation. Two different-but-same-octant states must yield
         // byte-identical partitioner choices.
         let baseline = OctantMetaPartitioner::<2>::new();
-        let a = h(&[vec![], vec![r(4, 4, 19, 19)]]);
-        let b = h(&[vec![], vec![r(4, 4, 21, 21)]]);
-        let pa = baseline.partition(&a, 4);
-        let _ = pa;
-        let hist1 = baseline.history()[0];
-        baseline.partition(&b, 4);
-        let hist2 = baseline.history()[1];
-        if hist1 == hist2 {
+        baseline.partition(&h(&[vec![], vec![r(4, 4, 19, 19)]]), 4);
+        baseline.partition(&h(&[vec![], vec![r(4, 4, 21, 21)]]), 4);
+        let d = baseline.decisions();
+        if d[0].0 == d[1].0 {
             // Same octant => same (default) configuration by construction.
-            assert_eq!(
-                OctantMetaPartitioner::<2>::family_for(&hist1),
-                OctantMetaPartitioner::<2>::family_for(&hist2)
-            );
+            assert_eq!(d[0].1, d[1].1);
         }
     }
 }

@@ -1,31 +1,9 @@
 //! Classification point → partitioner selection and configuration.
 
-use samr_core::ClassificationPoint;
+use samr_core::{ClassificationPoint, ModelState};
 use samr_geom::sfc::SfcCurve;
-use samr_partition::{DomainSfcParams, HybridParams, PatchParams};
+use samr_partition::{DomainSfcParams, HybridParams, PartitionerChoice, PatchParams};
 use serde::{Deserialize, Serialize};
-
-// The configured-choice registry lives with the partitioner families in
-// `samr-partition` (one enum shared by the selector, the campaign engine,
-// the benches and the CLI); re-exported here for compatibility.
-pub use samr_partition::PartitionerChoice;
-
-/// What the selector consumes: the classification point plus the raw
-/// penalty amplitudes. Dimension 1 is a *relative* weight (the paper,
-/// §4.3: "β_L = β_C = 0.1 would yield the same result as β_L = β_C =
-/// 0.4"), so family selection also needs the absolute amplitudes to know
-/// whether communication matters at all.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SelectionInput {
-    /// The classification point `(d1, d2, d3)`.
-    pub point: ClassificationPoint,
-    /// Absolute load-imbalance penalty.
-    pub beta_l: f64,
-    /// Absolute worst-case communication penalty.
-    pub beta_c: f64,
-    /// Absolute data-migration penalty.
-    pub beta_m: f64,
-}
 
 /// Selector thresholds. The classification space is continuous, so the
 /// selector both picks a family (coarse) and steers its parameters
@@ -136,20 +114,21 @@ impl Selector {
         }
     }
 
-    /// The raw (hysteresis-free) mapping from a classification to a
+    /// The raw (hysteresis-free) mapping from a model state to a
     /// configured choice.
     ///
     /// Family selection keys on the *absolute* penalties (§4.3's point:
-    /// the relative d1 cannot tell `β_L = β_C = 0.1` apart from `0.4`);
+    /// the relative d1 cannot tell `β_L = β_C = 0.1` apart from `0.4`,
+    /// so it cannot say whether communication matters at all);
     /// the d2 coordinate steers the configuration (atomic-unit size,
     /// splitting aggressiveness). The meta never selects partially
     /// ordered SFC mappings: the ordering's marginal speed advantage is
     /// far outweighed by the data migration its unstable cuts cause (the
     /// paper's §5.2 suspicion, confirmed by `ablation_sfc` in
     /// `examples/ablations.rs`).
-    pub fn map(&self, input: &SelectionInput) -> PartitionerChoice {
+    pub fn map(&self, state: &ModelState) -> PartitionerChoice {
         let c = &self.config;
-        let p = &input.point;
+        let p = &state.point;
         let atomic_unit = if p.d2 >= 0.5 { 2 } else { 4 };
         if p.d3 >= c.migration_threshold {
             // Migration pressure: keep cuts stable and local — full-order
@@ -160,13 +139,13 @@ impl Selector {
                 full_order: true,
             });
         }
-        if input.beta_l >= c.balance_threshold {
+        if state.beta_l >= c.balance_threshold {
             // The workload distribution is so concentrated that a
             // domain-based cut quantizes badly. Whether abandoning the
             // communication-optimal family pays off depends on the
             // machine: weigh the worst-case communication against its
             // cost in compute units.
-            let comm_pain = input.beta_c * c.comm_cost_ratio;
+            let comm_pain = state.beta_c * c.comm_cost_ratio;
             if comm_pain <= 0.5 {
                 // Communication is nearly free: per-level patch-based
                 // balancing, with spatially coherent assignment (the LPT
@@ -208,10 +187,10 @@ impl Selector {
     /// the point at which the choice was made, and (b) until the raw
     /// mapping has disagreed with the current choice `switch_patience`
     /// times in a row.
-    pub fn select(&mut self, input: &SelectionInput) -> PartitionerChoice {
-        let p = &input.point;
+    pub fn select(&mut self, state: &ModelState) -> PartitionerChoice {
+        let p = &state.point;
         let Some((anchor, current)) = self.last else {
-            let choice = self.map(input);
+            let choice = self.map(state);
             self.last = Some((*p, choice));
             return choice;
         };
@@ -219,7 +198,7 @@ impl Selector {
             self.gate.reset();
             return current;
         }
-        let mapped = self.map(input);
+        let mapped = self.map(state);
         if mapped == current {
             self.gate.reset();
             self.last = Some((*p, current));
@@ -250,19 +229,24 @@ impl Default for Selector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samr_core::tradeoff1::dimension1;
+    use samr_core::tradeoff2::Tradeoff2;
 
-    /// Input with explicit absolute penalties; the point's d1 is derived.
-    fn input(beta_l: f64, beta_c: f64, d2: f64, d3: f64) -> SelectionInput {
-        let d1 = if beta_l + beta_c > 0.0 {
-            beta_l / (beta_l + beta_c)
-        } else {
-            0.5
-        };
-        SelectionInput {
-            point: ClassificationPoint::new(d1, d2, d3),
+    /// A model state with explicit absolute penalties; the point's d1 is
+    /// derived.
+    fn input(beta_l: f64, beta_c: f64, d2: f64, d3: f64) -> ModelState {
+        ModelState {
+            step: 0,
             beta_l,
             beta_c,
             beta_m: d3,
+            tradeoff2: Tradeoff2 {
+                request: 0.0,
+                offer: 0.0,
+                grid_size_norm: 0.0,
+                d2,
+            },
+            point: ClassificationPoint::new(dimension1(beta_l, beta_c), d2, d3),
         }
     }
 

@@ -184,7 +184,7 @@ pub fn write_jsonl<const D: usize, W: Write>(
 
 /// Read a JSON-lines trace written by [`write_jsonl`].
 pub fn read_jsonl<const D: usize, R: BufRead>(r: R) -> Result<HierarchyTrace<D>, TraceIoError> {
-    collect_source(JsonlSnapshotReader::new(r)?)
+    HierarchyTrace::from_source(JsonlSnapshotReader::new(r)?)
 }
 
 /// Read a JSON-lines trace of either dimension, dispatching on the
@@ -212,17 +212,6 @@ fn jsonl_meta_dim(line: &str) -> Result<usize, TraceIoError> {
         .ok()
         .and_then(|v| v.get("dim").and_then(|d| usize::deserialize(d).ok()))
         .ok_or_else(|| TraceIoError::Format("metadata line carries no dimension".into()))
-}
-
-/// Drain a snapshot source into a whole in-memory trace.
-fn collect_source<const D: usize, S: SnapshotSource<D>>(
-    mut src: S,
-) -> Result<HierarchyTrace<D>, TraceIoError> {
-    let mut trace = HierarchyTrace::new(src.meta().clone());
-    while let Some(snap) = src.next_snapshot()? {
-        trace.try_push(snap).map_err(TraceIoError::Format)?;
-    }
-    Ok(trace)
 }
 
 // ---------------------------------------------------------------------------
@@ -500,7 +489,7 @@ pub fn binary_dim(data: &[u8]) -> Result<usize, TraceIoError> {
 /// on it instead. A collect over [`BinarySnapshotReader`]; trailing bytes
 /// after the declared snapshot count are ignored, as before.
 pub fn decode_binary<const D: usize>(mut data: &[u8]) -> Result<HierarchyTrace<D>, TraceIoError> {
-    collect_source(BinarySnapshotReader::<D, _>::new(&mut data)?)
+    HierarchyTrace::from_source(BinarySnapshotReader::<D, _>::new(&mut data)?)
 }
 
 /// Decode a binary trace of either dimension, dispatching on the header's

@@ -175,18 +175,9 @@ impl AnySnapshotSource {
     /// Drain the stream into a whole in-memory trace (the batch bridge;
     /// validates every snapshot on push).
     pub fn collect(self) -> Result<AnyTrace, TraceIoError> {
-        fn drain<const D: usize>(
-            mut s: Box<dyn SnapshotSource<D>>,
-        ) -> Result<HierarchyTrace<D>, TraceIoError> {
-            let mut trace = HierarchyTrace::new(s.meta().clone());
-            while let Some(snap) = s.next_snapshot()? {
-                trace.try_push(snap).map_err(TraceIoError::Format)?;
-            }
-            Ok(trace)
-        }
         match self {
-            Self::D2(s) => drain(s).map(AnyTrace::D2),
-            Self::D3(s) => drain(s).map(AnyTrace::D3),
+            Self::D2(s) => HierarchyTrace::from_source(s).map(AnyTrace::D2),
+            Self::D3(s) => HierarchyTrace::from_source(s).map(AnyTrace::D3),
         }
     }
 }

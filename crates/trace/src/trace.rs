@@ -1,5 +1,7 @@
 //! Trace container types, generic over the dimension.
 
+use crate::io::TraceIoError;
+use crate::source::SnapshotSource;
 use samr_geom::AABox;
 use samr_grid::GridHierarchy;
 use serde::{Deserialize, Serialize, Value};
@@ -113,6 +115,16 @@ impl<const D: usize> HierarchyTrace<D> {
             meta,
             snapshots: Vec::new(),
         }
+    }
+
+    /// Drain a snapshot source into a whole in-memory trace, validating
+    /// every snapshot on push ([`HierarchyTrace::try_push`]).
+    pub fn from_source(mut src: impl SnapshotSource<D>) -> Result<Self, TraceIoError> {
+        let mut trace = Self::new(src.meta().clone());
+        while let Some(snap) = src.next_snapshot()? {
+            trace.try_push(snap).map_err(TraceIoError::Format)?;
+        }
+        Ok(trace)
     }
 
     /// Number of snapshots.

@@ -17,8 +17,7 @@
 use samr::apps::{generate_trace, AppKind};
 use samr::engine::{cached_trace, configs};
 use samr::grid::ClusterOptions;
-use samr::model::model::{BetaMDenominatorConfig, ModelConfig};
-use samr::model::ModelPipeline;
+use samr::model::{BetaMDenominator, ModelConfig, ModelPipeline};
 use samr::partition::{HybridParams, HybridPartitioner, Partitioner};
 use samr::sim::metrics::pearson;
 use samr::sim::{default_window, simulate_policy_source_stats, SimConfig, SimResult, StaticPolicy};
@@ -41,7 +40,7 @@ fn bm_denominator() {
     let measured: Vec<f64> = sim.steps.iter().skip(1).map(|s| s.rel_migration).collect();
     let paper = ModelPipeline::new().run(trace);
     let ablated = ModelPipeline::with_config(ModelConfig {
-        denominator: BetaMDenominatorConfig::Previous,
+        denominator: BetaMDenominator::Previous,
         ..ModelConfig::default()
     })
     .run(trace);

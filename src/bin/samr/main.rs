@@ -548,13 +548,13 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             let run = executor
                 .run_shard(&plan, &out_dir)
                 .map_err(|e| e.to_string())?;
-            for outcome in &run.outcomes {
-                println!("{}", outcome.digest());
+            for digest in &run.digests {
+                println!("{digest}");
             }
             eprintln!(
                 "shard {shard}/{nshards}: wrote {} of {} scenarios to {} ({} resumed as \
                  already complete, plan {})",
-                run.outcomes.len(),
+                run.digests.len(),
                 plan.len(),
                 run.dir.display(),
                 run.skipped,
@@ -564,13 +564,13 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         }
         let run = Campaign::run_to_dir_resume(&spec, &out_dir, resume)
             .map_err(|e| format!("write artifacts: {e}"))?;
-        for outcome in &run.outcomes {
-            println!("{}", outcome.digest());
+        for digest in &run.digests {
+            println!("{digest}");
         }
         eprintln!(
             "wrote {} artifacts ({} scenarios executed, {} resumed as already complete) to {}",
             run.paths.len(),
-            run.outcomes.len(),
+            run.digests.len(),
             run.skipped,
             out_dir.display()
         );
