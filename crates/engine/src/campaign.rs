@@ -84,10 +84,9 @@ impl Serialize for CampaignSpec {
     }
 }
 
-/// Every spec file, manifest and worker hand-off enters the program
-/// here, so a spec the planner cannot run is refused with the offending
-/// field ([`CampaignSpec::validate`]) before anything is planned or
-/// written.
+/// Every spec file and manifest enters the program here, so a spec
+/// the planner cannot run is refused with the offending field
+/// ([`CampaignSpec::validate`]) before anything is planned or written.
 impl Deserialize for CampaignSpec {
     fn deserialize(v: &Value) -> Result<Self, serde::Error> {
         let spec = Self {
@@ -301,9 +300,8 @@ fn dedup_axis<T: PartialEq>(values: impl IntoIterator<Item = T>) -> Vec<T> {
 }
 
 /// The campaign runner for one process: plan, run the whole plan as one
-/// slice, finish. Sharded and multi-process execution use the layers
-/// directly (see [`crate::exec::ShardExecutor`],
-/// [`crate::exec::WorkerExecutor`] and [`crate::merge::merge_shards`]).
+/// slice, finish. Sharded execution uses the layers directly (see
+/// [`crate::exec::ShardExecutor`] and [`crate::merge::merge_shards`]).
 pub struct Campaign;
 
 impl Campaign {

@@ -17,21 +17,19 @@
 //!   one `--shard i/n` slice into a self-describing `shard-<i>-of-<n>/`
 //!   directory with a [`ShardManifest`] that [`crate::merge`] validates
 //!   and reassembles. They drop each outcome once its artifacts are
-//!   stamped and keep only its digest line;
-//! - [`WorkerExecutor`] spawns one `samr campaign --shard i/n` child per
-//!   shard and waits, so a single host (or a launcher script across
-//!   hosts) runs the shards as independent processes, each with its own
-//!   bounded-memory trace store.
+//!   stamped and keep only its digest line.
+//!
+//! One host runs a campaign in one process, its pool capped by
+//! [`build_thread_pool`]; many hosts each run one shard and a merge
+//! reassembles them.
 //!
 //! A slice run into a directory is crash-consistent and resumable:
 //! every artifact goes through [`crate::atomic::atomic_write`]
 //! (tmp-then-rename, never a torn file), every finished scenario is
 //! stamped with a [`CompletionRecord`], and with `resume` set the run
 //! re-validates existing records against the current plan and executes
-//! only the scenarios that are not provably done. The worker executor
-//! additionally relaunches a dead child (nonzero exit, signal, spawn
-//! failure) with `--resume` up to [`WorkerExecutor::retries`] times, so
-//! one killed worker costs one shard remainder, not the whole sweep.
+//! only the scenarios that are not provably done, so a killed run costs
+//! its unfinished remainder, not the whole sweep.
 
 use crate::atomic::atomic_write;
 use crate::merge::ShardManifest;
@@ -43,42 +41,7 @@ use rayon::prelude::*;
 use samr_apps::AppKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::Instant;
-
-/// Execution failure: I/O trouble writing artifacts, or a worker
-/// process that could not be spawned or exited unsuccessfully.
-#[derive(Debug)]
-pub enum ExecError {
-    /// Artifact or manifest I/O failed.
-    Io(std::io::Error),
-    /// A shard worker process failed (after exhausting its retries).
-    Worker {
-        /// Which shard the worker was running.
-        shard: usize,
-        /// What went wrong (spawn error or exit status).
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "artifact I/O failed: {e}"),
-            Self::Worker { shard, detail } => {
-                write!(f, "shard {shard} worker failed: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ExecError {}
-
-impl From<std::io::Error> for ExecError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e)
-    }
-}
 
 /// Warm the process-wide store: one trace + model per distinct
 /// application, generated in parallel, so the scenario sweep itself is
@@ -212,8 +175,8 @@ fn write_scenario_artifacts(
 
 /// Build a scoped rayon pool of `threads` workers (`0` = automatic)
 /// for campaign execution — the engine behind the CLI's `--threads`,
-/// so shard workers sharing one host cap their parallelism instead of
-/// each assuming the whole machine.
+/// so a campaign can leave cores of its host to other work instead of
+/// assuming the whole machine.
 pub fn build_thread_pool(threads: usize) -> Result<rayon::ThreadPool, String> {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -260,7 +223,7 @@ impl ShardExecutor {
     /// `dir/shard-<i>-of-<n>/` (the manifest last — its presence means
     /// the shard finished). Returns the [`ShardRun`] with the digest
     /// lines of the scenarios executed this invocation.
-    pub fn run_shard(&self, plan: &CampaignPlan, dir: &Path) -> Result<ShardRun, ExecError> {
+    pub fn run_shard(&self, plan: &CampaignPlan, dir: &Path) -> std::io::Result<ShardRun> {
         assert!(
             self.shard < plan.nshards,
             "shard {} out of range for a {}-shard plan",
@@ -287,191 +250,5 @@ impl ShardExecutor {
             skipped,
             dir: shard_dir,
         })
-    }
-}
-
-/// The file the worker executor writes the campaign spec to, and that
-/// `samr campaign --spec` reads back, so every worker plans the exact
-/// same campaign.
-pub const SPEC_FILE: &str = "campaign.spec.json";
-
-/// Multi-process executor: spawns one `<bin> campaign --spec …
-/// --shard i/n` child per shard of the plan and waits for all of them.
-/// Each child is an independent process with its own trace store and
-/// rayon pool, so `--threads` caps per-worker parallelism instead of
-/// oversubscribing the host. A child that dies — nonzero exit, killed
-/// by a signal, or a failed spawn — is relaunched with `--resume` up to
-/// [`WorkerExecutor::retries`] times; relaunches skip the scenarios the
-/// dead worker already stamped complete.
-#[derive(Clone, Debug)]
-pub struct WorkerExecutor {
-    /// The `samr` binary to spawn (defaults to the current executable
-    /// via [`WorkerExecutor::current_exe`]).
-    pub bin: PathBuf,
-    /// Rayon thread cap passed to each worker (`--threads`); `None`
-    /// lets every worker size its own pool.
-    pub threads: Option<usize>,
-    /// How many times a dead worker is relaunched (with `--resume`)
-    /// before the campaign fails. `0` = the pre-retry behavior: any
-    /// worker death fails the sweep.
-    pub retries: usize,
-    /// Pass `--resume` to every worker's *first* launch too, so a
-    /// re-run of a previously killed `--workers` campaign picks up
-    /// where the shards left off.
-    pub resume: bool,
-}
-
-impl WorkerExecutor {
-    /// A worker executor spawning the currently running binary — the
-    /// right choice when the caller *is* the `samr` CLI. No retries,
-    /// no resume; set the fields for crash tolerance.
-    pub fn current_exe(threads: Option<usize>) -> std::io::Result<Self> {
-        Ok(Self {
-            bin: std::env::current_exe()?,
-            threads,
-            retries: 0,
-            resume: false,
-        })
-    }
-
-    /// Spawn one worker for `shard`. `resume` is forced on for
-    /// relaunches regardless of [`WorkerExecutor::resume`].
-    fn spawn_worker(
-        &self,
-        spec_path: &Path,
-        plan: &CampaignPlan,
-        shard: usize,
-        dir: &Path,
-        resume: bool,
-    ) -> std::io::Result<Child> {
-        let mut cmd = Command::new(&self.bin);
-        cmd.arg("campaign")
-            .arg("--spec")
-            .arg(spec_path)
-            .arg("--shard")
-            .arg(format!("{shard}/{}", plan.nshards))
-            .arg("--out")
-            .arg(dir)
-            // Workers' per-scenario digests would interleave across
-            // processes; the merged campaign reports instead.
-            .stdout(Stdio::null());
-        if resume {
-            cmd.arg("--resume");
-        }
-        if let Some(t) = self.threads {
-            cmd.arg("--threads").arg(t.to_string());
-        }
-        cmd.spawn()
-    }
-
-    /// Spawn one worker per shard of the plan, writing all shard
-    /// directories under `dir`; returns the shard directories in shard
-    /// order once every worker has exited successfully, relaunching
-    /// dead workers with `--resume` up to [`WorkerExecutor::retries`]
-    /// times each.
-    pub fn run_workers(&self, plan: &CampaignPlan, dir: &Path) -> Result<Vec<PathBuf>, ExecError> {
-        std::fs::create_dir_all(dir)?;
-        let spec_path = dir.join(SPEC_FILE);
-        let spec_json = serde_json::to_string_pretty(&plan.spec).expect("CampaignSpec serializes");
-        atomic_write(&spec_path, spec_json.as_bytes())?;
-        // Launch the fleet. A spawn failure consumes retry attempts like
-        // any other worker death; exhausting them kills and reaps the
-        // workers already started — a half-spawned fleet must not keep
-        // writing shard artifacts after the campaign has reported
-        // failure.
-        let mut active: Vec<(usize, usize, Child)> = Vec::with_capacity(plan.nshards);
-        for shard in 0..plan.nshards {
-            let mut attempt = 0usize;
-            let child = loop {
-                // First launches honor self.resume; retry launches always
-                // resume (safe on an empty shard dir: nothing to skip).
-                let resume = self.resume || attempt > 0;
-                match self.spawn_worker(&spec_path, plan, shard, dir, resume) {
-                    Ok(child) => break Ok(child),
-                    Err(e) if attempt < self.retries => {
-                        attempt += 1;
-                        eprintln!(
-                            "shard {shard} worker failed to spawn ({e}); \
-                             retrying ({attempt}/{})",
-                            self.retries
-                        );
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
-            match child {
-                Ok(child) => active.push((shard, attempt, child)),
-                Err(e) => {
-                    for (_, _, mut c) in active {
-                        c.kill().ok();
-                        c.wait().ok();
-                    }
-                    return Err(ExecError::Worker {
-                        shard,
-                        detail: format!("spawn {}: {e}", self.bin.display()),
-                    });
-                }
-            }
-        }
-        // Supervise the fleet with non-blocking polls: a dead worker is
-        // detected and relaunched with --resume *while the other shards
-        // keep running* (a blocking in-order wait would postpone the
-        // relaunch until every later-spawned shard finished, serializing
-        // the recovery behind the whole sweep), so it has attempts left
-        // to re-execute only the scenarios it had not stamped complete.
-        let mut failure: Option<ExecError> = None;
-        while !active.is_empty() {
-            let mut reaped = false;
-            let mut i = 0;
-            while i < active.len() {
-                let exited = match active[i].2.try_wait() {
-                    Ok(None) => {
-                        i += 1;
-                        continue;
-                    }
-                    Ok(Some(status)) if status.success() => None,
-                    Ok(Some(status)) => Some(format!("exited with {status}")),
-                    Err(e) => {
-                        // The child may still be alive after a failed
-                        // poll: kill and reap it before any relaunch, or
-                        // two workers would race on the same shard.
-                        active[i].2.kill().ok();
-                        active[i].2.wait().ok();
-                        Some(format!("wait failed: {e}"))
-                    }
-                };
-                let (shard, attempt, _) = active.swap_remove(i);
-                reaped = true;
-                let Some(detail) = exited else { continue };
-                if attempt < self.retries && failure.is_none() {
-                    let attempt = attempt + 1;
-                    eprintln!(
-                        "shard {shard} worker died ({detail}); relaunching with --resume \
-                         ({attempt}/{})",
-                        self.retries
-                    );
-                    match self.spawn_worker(&spec_path, plan, shard, dir, true) {
-                        Ok(next) => active.push((shard, attempt, next)),
-                        Err(e) => {
-                            failure = Some(ExecError::Worker {
-                                shard,
-                                detail: format!("relaunch spawn {}: {e}", self.bin.display()),
-                            });
-                        }
-                    }
-                } else if failure.is_none() {
-                    failure = Some(ExecError::Worker { shard, detail });
-                }
-            }
-            if !reaped && !active.is_empty() {
-                std::thread::sleep(std::time::Duration::from_millis(50));
-            }
-        }
-        match failure {
-            Some(e) => Err(e),
-            None => Ok((0..plan.nshards)
-                .map(|shard| dir.join(shard_dir_name(shard, plan.nshards)))
-                .collect()),
-        }
     }
 }

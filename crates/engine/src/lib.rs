@@ -26,9 +26,8 @@
 //!   deterministic, serializable [`CampaignPlan`] (stable scenario IDs,
 //!   globally unique artifact slugs, the cohorts of scenarios that share
 //!   one simulation, and a shard assignment that keeps each cohort
-//!   whole); the [`exec`] layer runs a slice of it — the whole plan
-//!   in-process, one shard ([`ShardExecutor`]), or one child process
-//!   per shard ([`WorkerExecutor`]); the [`merge`] layer
+//!   whole); the [`exec`] layer runs a slice of it in one process — the
+//!   whole plan, or one shard ([`ShardExecutor`]); the [`merge`] layer
 //!   validates shard manifests and copies their artifacts. A run is
 //!   plan → run slice → finish, a merge is validate → copy → finish,
 //!   and both finish through [`finish_campaign`], which writes
@@ -46,9 +45,9 @@
 //!   ([`store::trace_cache_budget`]) would be exceeded.
 //!
 //! *What to run* (the plan) is fixed and serializable, *where it runs*
-//! (one process, one shard, a worker fleet) is the caller's choice, and
-//! the merger proves the pieces reassemble the exact campaign that was
-//! planned.
+//! (the whole plan in one process, or one shard per host) is the
+//! caller's choice, and the merger proves the pieces reassemble the
+//! exact campaign that was planned.
 //!
 //! ## Example
 //!
@@ -83,9 +82,7 @@ pub mod validation;
 
 pub use atomic::atomic_write;
 pub use campaign::{Campaign, CampaignRun, CampaignSpec};
-pub use exec::{
-    build_thread_pool, cohorts, shard_dir_name, ExecError, ShardExecutor, ShardRun, WorkerExecutor,
-};
+pub use exec::{build_thread_pool, cohorts, shard_dir_name, ShardExecutor, ShardRun};
 pub use merge::{
     find_shard_dirs, finish_campaign, merge_shards, CampaignManifest, MergeError, MergeReport,
     ShardManifest,

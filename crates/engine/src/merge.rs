@@ -475,22 +475,14 @@ fn parse_shard_dir_name(dir: &Path) -> Option<(usize, usize)> {
 }
 
 /// The exact invocation that finishes an incomplete shard: resumes the
-/// shard in place, using the campaign's spec file when one exists next
-/// to the shard directory (the `--workers` layout) and the original
-/// axis flags otherwise.
+/// shard in place, with the campaign's original axis flags.
 fn rerun_command(shard_dir: &Path, shard: usize, nshards: usize) -> String {
     let parent = shard_dir
         .parent()
         .map(Path::to_path_buf)
         .unwrap_or_default();
-    let spec_file = parent.join(crate::exec::SPEC_FILE);
-    let spec_part = if spec_file.exists() {
-        format!("--spec {}", spec_file.display())
-    } else {
-        "<original axis flags>".to_string()
-    };
     format!(
-        "samr campaign {spec_part} --shard {shard}/{nshards} --resume --out {}",
+        "samr campaign <original axis flags> --shard {shard}/{nshards} --resume --out {}",
         parent.display()
     )
 }

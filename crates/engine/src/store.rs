@@ -129,8 +129,8 @@ fn spill_root() -> &'static PathBuf {
 const EXE_RECORD: &str = "executable";
 
 /// The running executable's path, length and modification time, read
-/// once. Every rebuild changes it, while `--workers` children, which run
-/// the same binary, share it and with it their spill files.
+/// once. Every rebuild changes it, while shard processes that run the
+/// same binary on one host share it and with it their spill files.
 fn exe_identity() -> &'static str {
     static IDENTITY: OnceLock<String> = OnceLock::new();
     IDENTITY.get_or_init(|| {

@@ -1,8 +1,7 @@
 //! Failure injection on the two campaign files a later command trusts:
 //! `campaign.manifest.json`, which `samr pareto` reads back through
-//! `front_for_dir` (and `pareto::load_entries`), and
-//! `campaign.spec.json`, which `samr campaign --spec` decodes as a
-//! `CampaignSpec`. Each case truncates, flips a byte in or forges an
+//! `front_for_dir` (and `pareto::load_entries`), and a spec file,
+//! which `samr campaign --spec` decodes as a `CampaignSpec`. Each case truncates, flips a byte in or forges an
 //! axis or count of one file. Nothing may panic.
 //!
 //! - A manifest case ends in a `ParetoError` or in the golden front: a

@@ -159,8 +159,8 @@ impl<const D: usize> FlagField<D> {
     /// Signature along `axis` within `window`: flagged-cell count for
     /// each coordinate slice perpendicular to `axis`. Clipped to the
     /// domain; `window` must intersect the domain. `signature(Axis::X, w)`
-    /// is the historical column signature, `signature(Axis::Y, w)` the
-    /// row signature.
+    /// is the column signature (one count per `x`), `signature(Axis::Y,
+    /// w)` the row signature.
     pub fn signature(&self, axis: Axis, window: &AABox<D>) -> Vec<u32> {
         let mut sig = Vec::new();
         self.signature_into(axis, window, &mut sig);
@@ -193,18 +193,6 @@ impl<const D: usize> FlagField<D> {
                 sig[(row[a] - w.lo()[a]) as usize] += count_set(run) as u32;
             }
         }
-    }
-}
-
-impl FlagField<2> {
-    /// Column signature within `window`: flagged-cell count for each `x`.
-    pub fn signature_x(&self, window: &AABox<2>) -> Vec<u32> {
-        self.signature(Axis::X, window)
-    }
-
-    /// Row signature within `window`: flagged-cell count for each `y`.
-    pub fn signature_y(&self, window: &AABox<2>) -> Vec<u32> {
-        self.signature(Axis::Y, window)
     }
 }
 
@@ -276,8 +264,8 @@ mod tests {
     fn signatures_count_rows_and_columns() {
         let f = FlagField::from_fn(d(), |p| p.x >= 2 && p.x <= 3 && p.y >= 1 && p.y <= 4);
         let w = Rect2::from_coords(0, 0, 7, 7);
-        let sx = f.signature_x(&w);
-        let sy = f.signature_y(&w);
+        let sx = f.signature(Axis::X, &w);
+        let sy = f.signature(Axis::Y, &w);
         assert_eq!(sx, vec![0, 0, 4, 4, 0, 0, 0, 0]);
         assert_eq!(sy, vec![0, 2, 2, 2, 2, 0, 0, 0]);
         assert_eq!(sx.iter().map(|&v| v as u64).sum::<u64>(), f.count());
@@ -287,8 +275,8 @@ mod tests {
     fn signatures_respect_window() {
         let f = FlagField::from_fn(d(), |_| true);
         let w = Rect2::from_coords(2, 3, 4, 5);
-        assert_eq!(f.signature_x(&w), vec![3, 3, 3]);
-        assert_eq!(f.signature_y(&w), vec![3, 3, 3]);
+        assert_eq!(f.signature(Axis::X, &w), vec![3, 3, 3]);
+        assert_eq!(f.signature(Axis::Y, &w), vec![3, 3, 3]);
     }
 
     #[test]

@@ -300,16 +300,6 @@ impl<const D: usize> GridHierarchy<D> {
         self.levels[l].region().refine(self.ratio)
     }
 
-    /// Fraction of the base domain covered by refinement (level 1 patches
-    /// projected down), in `[0, 1]`.
-    pub fn refined_fraction(&self) -> f64 {
-        if self.levels.len() < 2 {
-            return 0.0;
-        }
-        let projected = self.levels[1].region().coarsen(self.ratio);
-        projected.cells() as f64 / self.base_domain.cells() as f64
-    }
-
     /// Check all structural invariants. `min_block` is the granularity of
     /// the paper's set-up (2); pass 1 to disable the block-size check.
     pub fn validate(&self, min_block: i64) -> Result<(), HierarchyError> {
@@ -380,7 +370,6 @@ mod tests {
         assert_eq!(h.depth(), 1);
         assert_eq!(h.total_points(), 64);
         assert_eq!(h.workload(), 64);
-        assert_eq!(h.refined_fraction(), 0.0);
         assert!(h.validate(2).is_ok());
     }
 
@@ -397,13 +386,6 @@ mod tests {
         let h = two_level();
         assert_eq!(h.domain_at_level(0), r(0, 0, 15, 15));
         assert_eq!(h.domain_at_level(1), r(0, 0, 31, 31));
-    }
-
-    #[test]
-    fn refined_fraction_projects_down() {
-        let h = two_level();
-        // Fine box [4..11]^2 coarsens to [2..5]^2 = 16 cells of 256.
-        assert!((h.refined_fraction() - 16.0 / 256.0).abs() < 1e-12);
     }
 
     #[test]
@@ -495,7 +477,6 @@ mod tests {
         assert_eq!(h.depth(), 2);
         assert_eq!(h.total_points(), 4096 + 512);
         assert_eq!(h.workload(), 4096 + 512 * 2);
-        assert!((h.refined_fraction() - 64.0 / 4096.0).abs() < 1e-12);
         assert_eq!(h.validate(2), Ok(()));
         // A badly nested level-2 patch is caught in 3-D too.
         let bad = GridHierarchy::from_level_rects(

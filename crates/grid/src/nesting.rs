@@ -7,7 +7,6 @@
 //! level. The paper's hierarchies obey this; the trace generators enforce
 //! it here after clustering.
 
-use crate::hierarchy::GridHierarchy;
 use samr_geom::{boxops, AABox, Region};
 
 /// Shrink `region` by `buffer` cells away from its *internal* boundaries:
@@ -26,16 +25,6 @@ pub fn shrink_within<const D: usize>(
     let complement = Region::from_rect(*domain).subtract(region);
     let grown: Vec<AABox<D>> = complement.boxes().iter().map(|b| b.grow(buffer)).collect();
     region.subtract_boxes(&grown)
-}
-
-/// The region of level-`(l+1)` index space where new fine patches may live:
-/// the refined image of level `l` shrunk by `buffer` fine cells away from
-/// internal coarse-fine boundaries. Physical domain boundaries are *not*
-/// shrunk (features touching the wall may stay refined to the wall).
-pub fn nesting_region<const D: usize>(h: &GridHierarchy<D>, l: usize, buffer: i64) -> Region<D> {
-    assert!(l < h.levels.len());
-    let refined = h.refined_region(l);
-    shrink_within(&refined, &h.domain_at_level(l + 1), buffer)
 }
 
 /// Clip candidate patch boxes to a nesting region, keeping only pieces that
@@ -66,6 +55,7 @@ pub fn clip_to_nesting<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::GridHierarchy;
     use samr_geom::{Box3, Point2, Point3, Rect2};
 
     fn r(x0: i64, y0: i64, x1: i64, y1: i64) -> Rect2 {
@@ -81,9 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn nesting_region_without_buffer_is_refined_region() {
+    fn nesting_without_buffer_is_the_refined_region() {
         let h = h_two_level();
-        let n = nesting_region(&h, 1, 0);
+        let n = shrink_within(&h.refined_region(1), &h.domain_at_level(2), 0);
         assert!(n.same_cells(&h.refined_region(1)));
         assert_eq!(n.cells(), 16 * 16);
     }
@@ -94,7 +84,7 @@ mod tests {
         // Level-1 patch refined: [8..23]^2 in level-2 index space; its
         // boundary is interior (patch does not touch the domain wall), so a
         // buffer of 2 shrinks all four sides.
-        let n = nesting_region(&h, 1, 2);
+        let n = shrink_within(&h.refined_region(1), &h.domain_at_level(2), 2);
         assert_eq!(n.cells(), 12 * 12);
         assert!(n.contains_point(Point2::new(10, 10)));
         assert!(!n.contains_point(Point2::new(8, 8)));
@@ -109,7 +99,7 @@ mod tests {
             2,
             &[vec![], vec![r(0, 4, 7, 11)]],
         );
-        let n = nesting_region(&h, 1, 2);
+        let n = shrink_within(&h.refined_region(1), &h.domain_at_level(2), 2);
         // Refined: [0..15]x[8..23]. Buffered on the three interior sides
         // only: x keeps 0 (physical wall), loses 2 at x=15; y loses 2 both
         // sides.
@@ -177,7 +167,7 @@ mod tests {
             2,
             &[vec![], vec![Box3::from_coords(4, 4, 0, 11, 11, 7)]],
         );
-        let n = nesting_region(&h, 1, 2);
+        let n = shrink_within(&h.refined_region(1), &h.domain_at_level(2), 2);
         // Refined image: [8..23]x[8..23]x[0..15]; z=0 is a physical wall
         // so only five faces shrink: 12 x 12 x 14 cells remain.
         assert_eq!(n.cells(), 12 * 12 * 14);

@@ -136,15 +136,6 @@ pub fn component_labels<const D: usize>(rects: &[AABox<D>]) -> Vec<usize> {
         .collect()
 }
 
-/// Connected components of a box set under face adjacency (boxes touching
-/// along a face are connected).
-pub fn connected_components<const D: usize>(rects: &[AABox<D>]) -> usize {
-    if rects.is_empty() {
-        return 0;
-    }
-    component_labels(rects).iter().max().map_or(0, |m| m + 1)
-}
-
 /// Activity-dynamics descriptor between two consecutive snapshots (octant
 /// dimension "activity dynamics", §3.3): relative change in grid size and
 /// in refined structure.
@@ -209,7 +200,6 @@ mod tests {
         assert_eq!(s.cells_per_level, vec![1024]);
         assert_eq!(base.workload(), 1024);
         assert_eq!(s.depth(), 1);
-        assert_eq!(base.refined_fraction(), 0.0);
         assert_eq!(s.localization, 1.0);
     }
 
@@ -234,8 +224,8 @@ mod tests {
         let local = HierarchyStats::compute(&h(&[vec![], blob.clone()]));
         let scattered = HierarchyStats::compute(&h(&[vec![], tiles.clone()]));
         assert!(local.localization > scattered.localization);
-        assert_eq!(connected_components(&blob), 1);
-        assert_eq!(connected_components(&tiles), 4);
+        assert_eq!(component_labels(&blob), [0]);
+        assert_eq!(component_labels(&tiles), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -248,18 +238,18 @@ mod tests {
 
     #[test]
     fn components_faces_connect_corners_do_not() {
-        assert_eq!(connected_components::<2>(&[]), 0);
-        assert_eq!(connected_components(&[r(0, 0, 1, 1)]), 1);
+        assert!(component_labels::<2>(&[]).is_empty());
+        assert_eq!(component_labels(&[r(0, 0, 1, 1)]), [0]);
         // Face-adjacent.
-        assert_eq!(connected_components(&[r(0, 0, 1, 1), r(2, 0, 3, 1)]), 1);
+        assert_eq!(component_labels(&[r(0, 0, 1, 1), r(2, 0, 3, 1)]), [0, 0]);
         // Corner contact only.
-        assert_eq!(connected_components(&[r(0, 0, 1, 1), r(2, 2, 3, 3)]), 2);
+        assert_eq!(component_labels(&[r(0, 0, 1, 1), r(2, 2, 3, 3)]), [0, 1]);
         // Separated.
-        assert_eq!(connected_components(&[r(0, 0, 1, 1), r(5, 0, 6, 1)]), 2);
-        // Chain a-b-c counts once.
+        assert_eq!(component_labels(&[r(0, 0, 1, 1), r(5, 0, 6, 1)]), [0, 1]);
+        // Chain a-b-c is one component.
         assert_eq!(
-            connected_components(&[r(0, 0, 1, 1), r(2, 0, 3, 1), r(4, 0, 5, 1)]),
-            1
+            component_labels(&[r(0, 0, 1, 1), r(2, 0, 3, 1), r(4, 0, 5, 1)]),
+            [0, 0, 0]
         );
     }
 
@@ -269,9 +259,9 @@ mod tests {
         let face = Box3::from_coords(2, 0, 0, 3, 1, 1);
         let edge = Box3::from_coords(2, 2, 0, 3, 3, 1);
         let corner = Box3::from_coords(2, 2, 2, 3, 3, 3);
-        assert_eq!(connected_components(&[a, face]), 1);
-        assert_eq!(connected_components(&[a, edge]), 2); // edge contact only
-        assert_eq!(connected_components(&[a, corner]), 2);
+        assert_eq!(component_labels(&[a, face]), [0, 0]);
+        assert_eq!(component_labels(&[a, edge]), [0, 1]); // edge contact only
+        assert_eq!(component_labels(&[a, corner]), [0, 1]);
     }
 
     #[test]

@@ -24,8 +24,9 @@
 //! 5. Hue blocks are distributed greedily to top up processor loads.
 
 use crate::choice::PartitionerChoice;
-use crate::types::{Fragment, Partition, Partitioner, ProcId};
-use samr_geom::sfc::{order_for, sfc_key_nd, SfcCurve};
+use crate::types::{drain_buckets, Fragment, Partition, Partitioner, ProcId};
+use crate::weights::{split_contiguous, unit_key};
+use samr_geom::sfc::SfcCurve;
 use samr_geom::{boxops, AABox, Point, Region};
 use samr_grid::stats::component_labels;
 use samr_grid::GridHierarchy;
@@ -207,7 +208,7 @@ impl HybridPartitioner {
         let unit = self.params.atomic_unit;
         let domain = h.base_domain;
         let dims: [i64; D] = std::array::from_fn(|i| (domain.extent()[i] + unit - 1) / unit);
-        let order = order_for(dims.iter().copied().max().unwrap_or(1) as u64);
+        let key = unit_key(dims, self.params.curve, self.params.full_order);
         for u in AABox::<D>::from_extent_array(dims).iter_cells() {
             let lo = Point::<D>::from_fn(|i| domain.lo()[i] + u[i] * unit);
             let hi = Point::<D>::from_fn(|i| (lo[i] + unit - 1).min(domain.hi()[i]));
@@ -233,36 +234,9 @@ impl HybridPartitioner {
                     }
                 }
             }
-            let coords: [u64; D] = std::array::from_fn(|i| u[i] as u64);
-            let key = sfc_key_nd::<D>(self.params.curve, order, coords);
-            let eff_key = if self.params.full_order || order <= 4 {
-                key
-            } else {
-                key >> (D as u32 * (order - 4))
-            };
-            units.push((eff_key, start, count, weight));
+            units.push((key(u), start, count, weight));
         }
         units.sort_by_key(|&(k, ..)| k);
-    }
-
-    /// Split SFC-ordered units into `group.len()` contiguous chunks by
-    /// weight; fills `owners` with the owner of each unit.
-    fn split_units(units: &[(u64, u32, u32, u64)], group: &[ProcId], owners: &mut Vec<ProcId>) {
-        owners.clear();
-        owners.reserve(units.len());
-        let total: u64 = units.iter().map(|&(.., w)| w).sum();
-        let total = total.max(1) as f64;
-        let n = group.len().max(1);
-        let mut acc = 0.0;
-        let mut g = 0usize;
-        for &(.., w) in units {
-            let w = w as f64;
-            while g + 1 < n && acc + 0.5 * w > total * (g + 1) as f64 / n as f64 {
-                g += 1;
-            }
-            owners.push(group[g]);
-            acc += w;
-        }
     }
 
     /// Expert blocking of the Hue: split each Hue box into roughly cubic
@@ -342,34 +316,6 @@ impl HybridPartitioner {
     }
 }
 
-/// Coalesce one level's fragments per owner, bucketing by owner in a
-/// single pass over the list (`buckets` holds one list per processor,
-/// reused across levels) — the same output, in the same order, as the
-/// historical `nprocs` x filter-scan compaction.
-fn compact_level<const D: usize>(
-    frags: &[Fragment<D>],
-    buckets: &mut [Vec<AABox<D>>],
-) -> Vec<Fragment<D>> {
-    buckets.iter_mut().for_each(Vec::clear);
-    for f in frags {
-        buckets[f.owner as usize].push(f.rect);
-    }
-    let mut merged = Vec::with_capacity(frags.len());
-    for (proc, bucket) in buckets.iter_mut().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        boxops::coalesce_in_place(bucket);
-        for &rect in bucket.iter() {
-            merged.push(Fragment {
-                rect,
-                owner: proc as ProcId,
-            });
-        }
-    }
-    merged
-}
-
 impl<const D: usize> Partitioner<D> for HybridPartitioner {
     fn name(&self) -> String {
         let hue = self.params.hue_blocks_per_proc;
@@ -415,7 +361,11 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
                     b += 1;
                     continue;
                 }
-                Self::split_units(&units, &core.group, &mut owners);
+                owners.clear();
+                owners.extend(
+                    split_contiguous(units.iter().map(|&(.., w)| w), core.group.len())
+                        .map(|g| core.group[g]),
+                );
                 for l in bounds.0..bounds.1 {
                     let scale = h.ratio.pow(l as u32);
                     let w = (h.ratio as u64).pow(l as u32);
@@ -444,10 +394,13 @@ impl<const D: usize> Partitioner<D> for HybridPartitioner {
         let ideal = total_work as f64 / nprocs as f64;
         self.top_up(blocks, loads, ideal, &mut part.levels[0].fragments);
 
-        // Compact per-owner fragment lists.
+        // Coalesce each level's fragments per owner.
         let mut buckets = vec![Vec::new(); nprocs];
         for lp in &mut part.levels {
-            lp.fragments = compact_level(&lp.fragments, &mut buckets);
+            for f in &lp.fragments {
+                buckets[f.owner as usize].push(f.rect);
+            }
+            lp.fragments = drain_buckets(&mut buckets);
         }
         part
     }

@@ -2,7 +2,7 @@
 //! generic over the dimension.
 
 use crate::choice::PartitionerChoice;
-use crate::types::{Fragment, Partition, Partitioner, ProcId};
+use crate::types::{drain_buckets, Fragment, Partition, Partitioner};
 use crate::weights::{composite_unit_weights, sfc_order, split_contiguous};
 use samr_geom::sfc::SfcCurve;
 use samr_geom::{boxops, AABox};
@@ -58,10 +58,10 @@ impl DomainSfcPartitioner {
     ) -> Vec<Vec<AABox<D>>> {
         let grid = composite_unit_weights(h, self.params.atomic_unit);
         let order = sfc_order(&grid, self.params.curve, self.params.full_order);
-        let owners = split_contiguous(&grid, &order, nprocs);
+        let owners = split_contiguous(order.iter().map(|&u| grid.weight(u)), nprocs);
         let mut regions = vec![Vec::new(); nprocs];
-        for (&u, &owner) in order.iter().zip(&owners) {
-            regions[owner as usize].push(grid.unit_rect(&h.base_domain, u));
+        for (&u, owner) in order.iter().zip(owners) {
+            regions[owner].push(grid.unit_rect(&h.base_domain, u));
         }
         for r in &mut regions {
             boxops::coalesce_in_place(r);
@@ -70,18 +70,15 @@ impl DomainSfcPartitioner {
     }
 }
 
-/// Build one level's fragment list from the processor regions, bucketing
-/// pieces by owner in a single pass (`buckets` holds one list per
-/// processor, reused across levels) and coalescing each bucket — the
-/// same output, in the same order, as the historical
-/// push-all-then-filter-per-proc loop.
+/// Build one level's fragment list from the processor regions: each
+/// processor's pieces of the level's patches, coalesced per processor
+/// (`buckets` holds one list per processor, reused across levels).
 fn build_level<const D: usize>(
     h: &GridHierarchy<D>,
     l: usize,
     regions: &[Vec<AABox<D>>],
     buckets: &mut [Vec<AABox<D>>],
 ) -> Vec<Fragment<D>> {
-    buckets.iter_mut().for_each(Vec::clear);
     let level = &h.levels[l];
     let scale = h.ratio.pow(l as u32);
     for (proc, region) in regions.iter().enumerate() {
@@ -94,17 +91,7 @@ fn build_level<const D: usize>(
             }
         }
     }
-    let mut frags = Vec::new();
-    for (proc, bucket) in buckets.iter_mut().enumerate() {
-        boxops::coalesce_in_place(bucket);
-        for &rect in bucket.iter() {
-            frags.push(Fragment {
-                rect,
-                owner: proc as ProcId,
-            });
-        }
-    }
-    frags
+    drain_buckets(buckets)
 }
 
 impl<const D: usize> Partitioner<D> for DomainSfcPartitioner {

@@ -18,6 +18,21 @@ pub struct Fragment<const D: usize> {
     pub owner: ProcId,
 }
 
+/// One level's fragments from per-owner buckets of boxes (`buckets[p]`
+/// holds processor `p`'s pieces): each bucket is coalesced and drained,
+/// owner by owner, so the buckets come back empty for the next level.
+pub(crate) fn drain_buckets<const D: usize>(buckets: &mut [Vec<AABox<D>>]) -> Vec<Fragment<D>> {
+    let mut frags = Vec::new();
+    for (owner, bucket) in buckets.iter_mut().enumerate() {
+        boxops::coalesce_in_place(bucket);
+        frags.extend(bucket.drain(..).map(|rect| Fragment {
+            rect,
+            owner: owner as ProcId,
+        }));
+    }
+    frags
+}
+
 /// The fragments of one refinement level.
 #[derive(Clone, PartialEq, Debug)]
 pub struct LevelPartition<const D: usize> {

@@ -41,11 +41,6 @@ impl<const D: usize> UnitGrid<D> {
             .expect("unit inside domain")
     }
 
-    /// Total weight over all units (equals the hierarchy workload).
-    pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
-    }
-
     /// Weight of unit `u`.
     pub fn weight(&self, u: [i64; D]) -> u64 {
         self.weights[self.index_box().linear_index(Point::from_array(u))]
@@ -90,67 +85,69 @@ pub fn composite_unit_weights<const D: usize>(h: &GridHierarchy<D>, unit: i64) -
     }
 }
 
-/// Linearize the units of `grid` along a space-filling curve.
+/// The curve key of each unit of a grid `dims` units wide, as a function
+/// of the unit's coordinates.
 ///
-/// With `full_order = true` the exact curve ordering is used. With
-/// `full_order = false` the *partially ordered* variant the paper
-/// attributes to Nature+Fable is used: units are bucketed by the top bits
-/// of their SFC key (buckets of `2^(D·partial_level)` curve positions) and
-/// kept in row-major order inside each bucket — cheaper to compute
-/// incrementally, at some locality cost.
-pub fn sfc_order<const D: usize>(
-    grid: &UnitGrid<D>,
+/// With `full_order = true` the key is the exact curve position. With
+/// `full_order = false` it is the *partially ordered* variant the paper
+/// attributes to Nature+Fable: only the top 4 levels of the curve are
+/// kept (buckets of `2^(D·(order−4))` curve positions), and a stable sort
+/// keeps the units of one bucket in the order they were pushed — cheaper
+/// to compute incrementally, at some locality cost.
+pub(crate) fn unit_key<const D: usize>(
+    dims: [i64; D],
     curve: SfcCurve,
     full_order: bool,
-) -> Vec<[i64; D]> {
-    let order = order_for(grid.dims.iter().copied().max().unwrap_or(1) as u64);
-    // Partial ordering keeps only the top 4 levels of the curve (buckets
-    // of 2^(D*(order-4)) positions); ties resolve by the row-major push
-    // order (the sort is stable).
+) -> impl Fn(Point<D>) -> u64 {
+    let order = order_for(dims.iter().copied().max().unwrap_or(1) as u64);
     let shift = if full_order || order <= 4 {
         0
     } else {
         D as u32 * (order - 4)
     };
+    move |u| sfc_key_nd::<D>(curve, order, std::array::from_fn(|i| u[i] as u64)) >> shift
+}
+
+/// Linearize the units of `grid` along a space-filling curve, ordered by
+/// [`unit_key`]; ties keep row-major order.
+pub fn sfc_order<const D: usize>(
+    grid: &UnitGrid<D>,
+    curve: SfcCurve,
+    full_order: bool,
+) -> Vec<[i64; D]> {
+    let key = unit_key(grid.dims, curve, full_order);
     let mut keyed: Vec<(u64, [i64; D])> = grid
         .index_box()
         .iter_cells()
-        .map(|u| {
-            let c = u.coords();
-            let key = sfc_key_nd::<D>(curve, order, std::array::from_fn(|i| c[i] as u64));
-            (key >> shift, c)
-        })
+        .map(|u| (key(u), u.coords()))
         .collect();
     keyed.sort_by_key(|&(k, _)| k);
     keyed.into_iter().map(|(_, u)| u).collect()
 }
 
-/// Split an SFC-ordered unit sequence into `nprocs` contiguous chunks of
+/// Split a sequence of unit weights into `nparts` contiguous chunks of
 /// near-equal weight (greedy prefix walk against the ideal running
-/// quota). Returns the owner of every unit in sequence order.
-pub fn split_contiguous<const D: usize>(
-    grid: &UnitGrid<D>,
-    order: &[[i64; D]],
-    nprocs: usize,
-) -> Vec<u32> {
-    assert!(nprocs >= 1);
-    let total = grid.total_weight() as f64;
-    let mut owners = Vec::with_capacity(order.len());
+/// quota). Yields the part, `0..nparts`, of every weight in sequence
+/// order.
+pub fn split_contiguous<I>(weights: I, nparts: usize) -> impl Iterator<Item = usize>
+where
+    I: Iterator<Item = u64> + Clone,
+{
+    assert!(nparts >= 1);
+    let total = weights.clone().sum::<u64>() as f64;
     let mut acc = 0.0f64;
-    let mut proc = 0u32;
-    for &u in order {
-        let w = grid.weight(u) as f64;
-        // Advance to the next processor when the running total has passed
-        // this processor's quota boundary (midpoint rule so a big unit
-        // lands on whichever side it overlaps more).
-        while proc + 1 < nprocs as u32 && acc + 0.5 * w > total * (proc + 1) as f64 / nprocs as f64
-        {
-            proc += 1;
+    let mut part = 0usize;
+    weights.map(move |w| {
+        let w = w as f64;
+        // Advance to the next part when the running total has passed
+        // this part's quota boundary (midpoint rule so a big unit lands
+        // on whichever side it overlaps more).
+        while part + 1 < nparts && acc + 0.5 * w > total * (part + 1) as f64 / nparts as f64 {
+            part += 1;
         }
-        owners.push(proc);
         acc += w;
-    }
-    owners
+        part
+    })
 }
 
 #[cfg(test)]
@@ -175,7 +172,7 @@ mod tests {
         let h = hierarchy();
         for unit in [1, 2, 4, 8] {
             let g = composite_unit_weights(&h, unit);
-            assert_eq!(g.total_weight(), h.workload(), "unit={unit}");
+            assert_eq!(g.weights.iter().sum::<u64>(), h.workload(), "unit={unit}");
         }
     }
 
@@ -201,7 +198,7 @@ mod tests {
         let g = composite_unit_weights(&h, 4);
         assert_eq!(g.dims, [3, 3]);
         assert_eq!(g.unit_rect(&h.base_domain, [2, 2]), r(8, 8, 9, 9));
-        assert_eq!(g.total_weight(), 100);
+        assert_eq!(g.weights.iter().sum::<u64>(), 100);
     }
 
     #[test]
@@ -237,10 +234,10 @@ mod tests {
         let h = GridHierarchy::base_only(Rect2::from_extents(16, 16), 2);
         let g = composite_unit_weights(&h, 2);
         let ord = sfc_order(&g, SfcCurve::Morton, true);
-        let owners = split_contiguous(&g, &ord, 4);
+        let owners: Vec<usize> = split_contiguous(ord.iter().map(|&u| g.weight(u)), 4).collect();
         let mut loads = [0u64; 4];
         for (i, &u) in ord.iter().enumerate() {
-            loads[owners[i] as usize] += g.weight(u);
+            loads[owners[i]] += g.weight(u);
         }
         let max = *loads.iter().max().unwrap() as f64;
         let avg = loads.iter().sum::<u64>() as f64 / 4.0;
@@ -254,8 +251,8 @@ mod tests {
         let h = hierarchy();
         let g = composite_unit_weights(&h, 4);
         let ord = sfc_order(&g, SfcCurve::Hilbert, false);
-        let owners = split_contiguous(&g, &ord, 1);
-        assert!(owners.iter().all(|&o| o == 0));
+        let mut owners = split_contiguous(ord.iter().map(|&u| g.weight(u)), 1);
+        assert!(owners.all(|o| o == 0));
     }
 
     #[test]
@@ -267,7 +264,7 @@ mod tests {
         );
         for unit in [1, 2, 4] {
             let g = composite_unit_weights(&h, unit);
-            assert_eq!(g.total_weight(), h.workload(), "unit={unit}");
+            assert_eq!(g.weights.iter().sum::<u64>(), h.workload(), "unit={unit}");
         }
         let g = composite_unit_weights(&h, 2); // 8x8x8 units
         let ord = sfc_order(&g, SfcCurve::Hilbert, true);
@@ -276,7 +273,7 @@ mod tests {
             let d = (0..3).map(|i| (w[1][i] - w[0][i]).abs()).sum::<i64>();
             assert_eq!(d, 1, "3-D Hilbert order must step to face neighbours");
         }
-        let owners = split_contiguous(&g, &ord, 5);
+        let owners: Vec<usize> = split_contiguous(ord.iter().map(|&u| g.weight(u)), 5).collect();
         assert!(owners.windows(2).all(|w| w[0] <= w[1]));
     }
 }

@@ -10,8 +10,7 @@
 //!               [--ghost-widths G,H] [--config paper|reduced|smoke]
 //!               [--policies static,adaptive:balance,…]
 //!               [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]
-//!               [--spec FILE] [--threads N] [--shard I/N | --workers N]
-//!               [--resume] [--retries N]
+//!               [--spec FILE] [--threads N] [--shard I/N] [--resume]
 //! samr campaign-merge DIR… [--out DIR]
 //! samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]
 //! samr apps
@@ -29,11 +28,11 @@
 //! `campaign` expands a cartesian sweep (apps × partitioners × policies
 //! × nprocs × ghost widths × machines) into a deterministic plan and
 //! executes it through
-//! `samr-engine` — in-process rayon by default (optionally capped with
-//! `--threads`), one shard of the plan with `--shard I/N` (per-shard
-//! artifact directory plus JSON manifest), or `--workers N` child
-//! processes that each run one shard and are merged automatically; a
-//! shard holds whole cohorts, the scenarios that share one simulation;
+//! `samr-engine` in one process, on a rayon pool `--threads` caps:
+//! the whole plan by default, or one shard of it with `--shard I/N`
+//! (per-shard artifact directory plus JSON manifest), so many hosts
+//! can each run one; a shard holds whole cohorts, the scenarios that
+//! share one simulation;
 //! `campaign-merge` validates independently produced shard directories
 //! (same plan hash, every scenario exactly once, every artifact stamped
 //! by a matching completion record) and reassembles the canonical
@@ -50,16 +49,14 @@
 //! Campaign execution is crash-consistent: every artifact is written
 //! tmp-then-rename and every finished scenario is stamped with a
 //! completion record, so `--resume` re-runs exactly the scenarios a
-//! killed or crashed campaign had not finished, and `--retries N` (with
-//! `--workers`) relaunches a dead worker with `--resume` instead of
-//! failing the sweep.
+//! killed or crashed campaign or shard had not finished.
 
 #![forbid(unsafe_code)]
 
 use samr::apps::{trace_source_any, AppKind, ConfigError, TraceGenConfig};
 use samr::engine::{
     build_thread_pool, configs, find_shard_dirs, merge_shards, Campaign, CampaignPlan,
-    CampaignSpec, PartitionerSpec, PolicySpec, ShardExecutor, ShardStrategy, WorkerExecutor,
+    CampaignSpec, PartitionerSpec, PolicySpec, ShardExecutor, ShardStrategy,
 };
 use samr::meta::compare_on_trace;
 use samr::model::{ModelAccumulator, ModelConfig};
@@ -75,7 +72,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N | --workers N]\n                [--resume] [--retries N]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr apps\n  samr partitioners"
+        "usage:\n  samr generate <app> [--config paper|reduced|smoke] [--seed N] [--binary] [--out FILE]\n  samr analyze  <trace-file>\n  samr simulate <trace-file> [--partitioner NAME] [--nprocs N]\n  samr compare  <trace-file> [--nprocs N]\n  samr campaign [--apps A,B] [--dims 2,3] [--partitioners P,Q] [--nprocs N,M] [--ghost-widths G,H]\n                [--config paper|reduced|smoke] [--policies static,adaptive:balance,...]\n                [--machines uniform,fast-net,slow-net,slow-cpu] [--out DIR]\n                [--spec FILE] [--threads N] [--shard I/N] [--resume]\n  samr campaign-merge DIR... [--out DIR]\n  samr pareto DIR [--objectives imbalance,comm,migration,overhead] [--predict]\n  samr apps\n  samr partitioners"
     );
     ExitCode::from(2)
 }
@@ -122,12 +119,13 @@ fn trace_arg<'a>(args: &'a [String], values: &[&str]) -> Result<&'a str, String>
     }
 }
 
-fn parse_config(args: &[String]) -> Result<TraceGenConfig, String> {
-    match flag_value(args, "--config").as_deref() {
-        None | Some("paper") => Ok(configs::paper()),
-        Some("reduced") => Ok(configs::reduced()),
-        Some("smoke") => Ok(TraceGenConfig::smoke()),
-        Some(other) => Err(format!("unknown config '{other}'")),
+/// The trace configuration `--config` names, or the command's `default`.
+fn parse_config(args: &[String], default: &str) -> Result<TraceGenConfig, String> {
+    match flag_value(args, "--config").as_deref().unwrap_or(default) {
+        "paper" => Ok(configs::paper()),
+        "reduced" => Ok(configs::reduced()),
+        "smoke" => Ok(TraceGenConfig::smoke()),
+        other => Err(format!("unknown config '{other}'")),
     }
 }
 
@@ -180,7 +178,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         _ => None,
     }
     .ok_or("expected an application: TP2D | BL2D | SC2D | RM2D | PC2D | SP3D")?;
-    let mut cfg = parse_config(args)?;
+    let mut cfg = parse_config(args, "paper")?;
     if let Some(seed) = flag_value(args, "--seed") {
         cfg.seed = seed.parse().map_err(|e| format!("bad seed: {e}"))?;
     }
@@ -344,18 +342,11 @@ const AXIS_FLAGS: [&str; 8] = [
 ];
 
 /// The other flags of `samr campaign` that take a value.
-const RUN_FLAGS: [&str; 6] = [
-    "--spec",
-    "--out",
-    "--threads",
-    "--shard",
-    "--workers",
-    "--retries",
-];
+const RUN_FLAGS: [&str; 4] = ["--spec", "--out", "--threads", "--shard"];
 
 /// The campaign spec from CLI arguments: loaded whole from `--spec
-/// FILE` (the form worker processes are handed, so every worker plans
-/// the exact same campaign), or assembled from the axis flags.
+/// FILE` (the form a multi-host launcher hands every shard, so each
+/// plans the exact same campaign), or assembled from the axis flags.
 fn parse_campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
     if let Some(path) = flag_value(args, "--spec") {
         // The spec file defines every campaign axis; silently ignoring
@@ -401,12 +392,7 @@ fn parse_campaign_spec(args: &[String]) -> Result<CampaignSpec, String> {
     // Campaigns default to the reduced configuration: the full paper
     // config is available with `--config paper` but generates each
     // 100-step 5-level trace in tens of seconds.
-    let trace = match flag_value(args, "--config").as_deref() {
-        None | Some("reduced") => configs::reduced(),
-        Some("paper") => configs::paper(),
-        Some("smoke") => TraceGenConfig::smoke(),
-        Some(other) => return Err(format!("unknown config '{other}'")),
-    };
+    let trace = parse_config(args, "reduced")?;
     let machines = parse_list(
         args,
         "--machines",
@@ -462,28 +448,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let threads: Option<usize> = flag_value(args, "--threads")
         .map(|v| v.parse().map_err(|e| format!("bad --threads '{v}': {e}")))
         .transpose()?;
-    let workers: Option<usize> = flag_value(args, "--workers")
-        .map(|v| v.parse().map_err(|e| format!("bad --workers '{v}': {e}")))
-        .transpose()?;
     let shard = parse_shard(args)?;
-    if shard.is_some() && workers.is_some() {
-        return Err("--shard and --workers are mutually exclusive".into());
-    }
-    if workers == Some(0) {
-        return Err("--workers must be at least 1".into());
-    }
     let resume = has_flag(args, "--resume");
-    let retries: usize = flag_value(args, "--retries")
-        .map(|v| v.parse().map_err(|e| format!("bad --retries '{v}': {e}")))
-        .transpose()?
-        .unwrap_or(0);
-    if retries > 0 && workers.is_none() {
-        return Err(
-            "--retries only applies to --workers campaigns (each worker \
-                    is relaunched with --resume when it dies)"
-                .into(),
-        );
-    }
     let out_dir =
         PathBuf::from(flag_value(args, "--out").unwrap_or_else(|| "results/campaign".into()));
     let active_apps = spec
@@ -504,41 +470,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         out_dir.display()
     );
 
-    if let Some(nworkers) = workers {
-        // Multi-process path: plan here, run every shard as a child
-        // process, merge the shard directories back into the canonical
-        // artifacts. Each worker gets an explicit thread cap so the
-        // workers together do not oversubscribe the host.
-        let plan = CampaignPlan::new(&spec, nworkers, ShardStrategy);
-        let worker_threads = threads.or_else(|| {
-            std::thread::available_parallelism()
-                .ok()
-                .map(|n| (n.get() / nworkers).max(1))
-        });
-        eprintln!(
-            "spawning {nworkers} workers ({} threads each, {} retries{})",
-            worker_threads.map_or("auto".into(), |t| t.to_string()),
-            retries,
-            if resume { ", resuming" } else { "" },
-        );
-        let mut exec = WorkerExecutor::current_exe(worker_threads)
-            .map_err(|e| format!("locate samr binary: {e}"))?;
-        exec.retries = retries;
-        exec.resume = resume;
-        let shard_dirs = exec
-            .run_workers(&plan, &out_dir)
-            .map_err(|e| e.to_string())?;
-        let report = merge_shards(&shard_dirs, &out_dir).map_err(|e| e.to_string())?;
-        eprintln!(
-            "merged {} scenarios from {} shards into {} (plan {})",
-            report.scenario_count,
-            report.shards,
-            out_dir.display(),
-            report.plan_hash
-        );
-        return Ok(());
-    }
-
     let run_in_process = || -> Result<(), String> {
         if let Some((shard, nshards)) = shard {
             // One shard of the plan: per-shard artifact directory plus
@@ -547,7 +478,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             let executor = ShardExecutor { shard, resume };
             let run = executor
                 .run_shard(&plan, &out_dir)
-                .map_err(|e| e.to_string())?;
+                .map_err(|e| format!("write artifacts: {e}"))?;
             for digest in &run.digests {
                 println!("{digest}");
             }
@@ -578,8 +509,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     };
     match threads {
         // A scoped rayon pool caps campaign parallelism without
-        // affecting the rest of the process — the knob shard workers on
-        // one host use to share cores instead of oversubscribing them.
+        // affecting the rest of the process, so a campaign can leave
+        // cores of its host to other work.
         Some(t) => {
             let pool = build_thread_pool(t)?;
             pool.install(run_in_process)

@@ -342,10 +342,10 @@ fn incremental_coalesce_beats_the_restart_scan() {
     let params = DomainSfcParams::default();
     let grid = composite_unit_weights(&h, params.atomic_unit);
     let order = sfc_order(&grid, params.curve, params.full_order);
-    let owners = split_contiguous(&grid, &order, NPROCS);
+    let owners = split_contiguous(order.iter().map(|&u| grid.weight(u)), NPROCS);
     let mut buckets = vec![Vec::new(); NPROCS];
-    for (&u, &owner) in order.iter().zip(&owners) {
-        buckets[owner as usize].push(grid.unit_rect(&h.base_domain, u));
+    for (&u, owner) in order.iter().zip(owners) {
+        buckets[owner].push(grid.unit_rect(&h.base_domain, u));
     }
     let units = buckets
         .into_iter()
